@@ -11,15 +11,15 @@ move, and those occupancy vectors are far fewer.
 import math
 
 from declift import (
-    CountingVariable,
     enumerate_histograms,
+    format_histogram_tuple_key,
     histogram_count,
     histogram_multiplicity,
     is_peak_shaped,
     tuple_to_histogram,
 )
 
-crv = CountingVariable("squad", ("rock", "paper", "scissors"), 5)
+moves = ("rock", "paper", "scissors")
 
 # the closed form is the stars-and-bars binomial C(n+r-1, r-1)
 print("tuples:    ", 3**5)
@@ -28,14 +28,14 @@ print()
 
 # every histogram, its key syntax, and how many tuples collapse onto it
 total = 0
-for h in enumerate_histograms(crv):
+for h in enumerate_histograms(5, len(moves)):
     mult = histogram_multiplicity(h)
     total += mult
     tag = "  <- everyone agrees" if is_peak_shaped(h) else ""
-    print(f"{h.key():>9}  covers {mult:3d} tuples{tag}")
+    print(f"{format_histogram_tuple_key([h]):>9}  covers {mult:3d} tuples{tag}")
 print("covered in total:", total)
 print()
 
 # collapsing a concrete tuple
 witness = ("paper", "rock", "paper", "paper", "scissors")
-print(witness, "->", tuple_to_histogram(witness, crv).key())
+print(witness, "->", format_histogram_tuple_key([tuple_to_histogram(witness, moves)]))

@@ -11,10 +11,8 @@ drug-delivery scenario that motivates the whole exercise.
 """
 
 from .counting import (
-    CountingVariable,
-    Histogram,
-    HistogramTuple,
     enumerate_histograms,
+    format_histogram_tuple_key,
     histogram_count,
     histogram_multiplicity,
     is_peak_shaped,
@@ -96,12 +94,9 @@ __all__ = [
     "Belief",
     "CapacityExceeded",
     "ConditionalPlan",
-    "CountingVariable",
     "DecliftError",
     "DiscreteDistribution",
     "GroundDecPomdp",
-    "Histogram",
-    "HistogramTuple",
     "InvalidParams",
     "JointPolicy",
     "LiftedDecPomdp",
@@ -130,6 +125,7 @@ __all__ = [
     "dominance_prune",
     "enumerate_histograms",
     "enumerate_plans",
+    "format_histogram_tuple_key",
     "generate_nano",
     "ground",
     "ground_sizes",

@@ -83,7 +83,6 @@ class Command:
     peak_only: bool = False
     preset: str | None = None
     nano: NanoParams | None = None
-    seed: int | None = None
     cap_plans: int = DEFAULT_PLAN_CAP
     cap_joint: int = DEFAULT_JOINT_CAP
 
@@ -485,7 +484,7 @@ def _cmd_analyze_size(command: Command) -> int:
     return 0
 
 
-def _split_witness(candidate, refined, agents):
+def _split_witness(candidate, refined):
     """First agent pair a refinement separated inside one candidate block."""
     member_block = {}
     for b, block in enumerate(refined.blocks):
@@ -525,7 +524,7 @@ def verify_equivalence(
         candidate = range_partition(model)
         refined = symmetry_refine(model, candidate)
         if refined.blocks != candidate.blocks:
-            witness = _split_witness(candidate, refined, model.agents)
+            witness = _split_witness(candidate, refined)
             if witness is None:
                 raise NotLiftable("model is not symmetric under its range partition")
             i, j = witness
@@ -646,23 +645,12 @@ def _add_caps(sub):
     )
 
 
-def _add_seed(sub):
-    sub.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="seed for randomized instance generation (reserved; current "
-        "generators are deterministic)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="declift", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="name", required=True, metavar="SUBCOMMAND")
 
     p = sub.add_parser("validate", help="check a model document")
     p.add_argument("input", help="model file")
-    _add_seed(p)
 
     p = sub.add_parser("gen-nano", help="generate a nano-delivery instance")
     p.add_argument("--kappa", type=int, default=None, help="marker type count")
@@ -683,19 +671,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--preset", choices=("paper", "desk"), default=None, help="named instance"
     )
     p.add_argument("--out", required=True, help="output model file")
-    _add_seed(p)
     _add_caps(p)
 
     p = sub.add_parser("lift", help="rewrite a ground team model over counts")
     p.add_argument("input", help="decpomdp file")
     p.add_argument("--out", required=True, help="output model file")
-    _add_seed(p)
     _add_caps(p)
 
     p = sub.add_parser("ground", help="expand a lifted model to ground form")
     p.add_argument("input", help="lifted-decpomdp file")
     p.add_argument("--out", required=True, help="output model file")
-    _add_seed(p)
     _add_caps(p)
 
     p = sub.add_parser("solve", help="solve any model kind")
@@ -710,7 +695,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict partitions to one shared plan each",
     )
     p.add_argument("--out", default=None, help="write the solution document here")
-    _add_seed(p)
     _add_caps(p)
 
     p = sub.add_parser("analyze-size", help="compare table sizes across forms")
@@ -719,7 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--preset", choices=("paper", "desk"), default=None, help="named instance"
     )
     p.add_argument("--out", default=None, help="write the size report here")
-    _add_seed(p)
 
     p = sub.add_parser(
         "verify-equivalence",
@@ -728,7 +711,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="decpomdp or lifted-decpomdp file")
     p.add_argument("--horizon", type=int, required=True, help="plan depth")
     p.add_argument("--out", default=None, help="write the report here")
-    _add_seed(p)
     _add_caps(p)
 
     return parser
@@ -737,7 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
 def command_from_args(args: argparse.Namespace) -> Command:
     fields = {
         "name": args.name,
-        "seed": getattr(args, "seed", None),
         "input_path": getattr(args, "input", None),
         "output_path": getattr(args, "out", None),
         "horizon": getattr(args, "horizon", None),

@@ -7,6 +7,10 @@ histogram view: enumeration of all histograms, exact counts of how many
 histograms and how many underlying tuples exist, conversion from concrete
 tuples, and the serialized key syntax used in model files.
 
+A histogram is a plain tuple of counts, ``counts[i]`` members holding the
+i-th value of the range; a lifted key is a tuple of those, one per
+partition, e.g. ``((2, 0), (1, 1))``, serialized as ``[2,0]|[1,1]``.
+
 Counts are exact big integers throughout; the group sizes of interest make
 anything float-based useless (factorials of tens of thousands).
 """
@@ -15,88 +19,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import CapacityExceeded, RangeMismatch, SchemaError
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
-
-
-@dataclass(frozen=True)
-class Histogram:
-    """Occupancy counts over a finite range: counts[i] members hold value i.
-
-    A histogram does not remember the value labels, only positions; pair it
-    with a CountingVariable when labels matter.  Empty groups (all counts
-    zero) are representable here and rejected later by model validation.
-    """
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
-        if len(counts) == 0:
-            raise ValueError("histogram needs at least one cell")
-        if any(c < 0 for c in counts):
-            raise ValueError("histogram counts must be non-negative")
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def partition_size(self) -> int:
-        return sum(self.counts)
-
-    @property
-    def range_size(self) -> int:
-        return len(self.counts)
-
-    def key(self) -> str:
-        """Serialized form, e.g. ``[2,0]``."""
-        return "[" + ",".join(str(c) for c in self.counts) + "]"
-
-
-@dataclass(frozen=True)
-class CountingVariable:
-    """Aggregate view of one partition.
-
-    Which member does what is dropped; the variable ranges over histograms
-    that say how many members take each value of `base_range`.
-    """
-
-    partition_id: str
-    base_range: tuple[str, ...]
-    partition_size: int
-
-    def __post_init__(self):
-        if len(self.base_range) == 0:
-            raise ValueError("base range must be non-empty")
-        if len(set(self.base_range)) != len(self.base_range):
-            raise ValueError("base range labels must be unique")
-        if self.partition_size < 1:
-            raise ValueError("partition size must be at least 1")
-
-    @property
-    def range_size(self) -> int:
-        return len(self.base_range)
-
-    def histogram_count(self) -> int:
-        return histogram_count(self.partition_size, self.range_size)
-
-
-class HistogramTuple(tuple):
-    """One histogram per partition, in partition order."""
-
-    def __new__(cls, histograms: Sequence[Histogram]):
-        histograms = tuple(histograms)
-        if len(histograms) == 0:
-            raise ValueError("histogram tuple needs at least one partition")
-        if not all(isinstance(h, Histogram) for h in histograms):
-            raise TypeError("histogram tuple takes Histogram entries")
-        return super().__new__(cls, histograms)
-
-    def key(self) -> str:
-        """Serialized form, partitions joined by ``|``: ``[2,0]|[1,1]``."""
-        return "|".join(h.key() for h in self)
 
 
 def histogram_count(partition_size: int, range_size: int) -> int:
@@ -113,109 +40,115 @@ def histogram_count(partition_size: int, range_size: int) -> int:
 
 
 def enumerate_histograms(
-    crv: CountingVariable, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Iterator[Histogram]:
-    """Yield every histogram of the counting variable.
+    partition_size: int, range_size: int, cap: int = DEFAULT_ENUMERATION_CAP
+) -> Iterator[tuple[int, ...]]:
+    """Yield every histogram of `partition_size` members over `range_size` values.
 
     Order is reverse-lexicographic on the count vectors, so the first
     histogram piles everyone onto the first range value: for n=2, r=2 the
-    order is [2,0], [1,1], [0,2].  Raises CapacityExceeded up front when
+    order is (2, 0), (1, 1), (0, 2).  Raises CapacityExceeded up front when
     the total count would exceed `cap`; nothing is yielded in that case.
     """
-    total = histogram_count(crv.partition_size, crv.range_size)
+    total = histogram_count(partition_size, range_size)
     if total > cap:
         raise CapacityExceeded(
-            f"{total} histograms for partition {crv.partition_id!r} "
-            f"exceed the enumeration cap {cap}",
+            f"{total} histograms of {partition_size} members over "
+            f"{range_size} values exceed the enumeration cap {cap}",
             measured=total,
             cap=cap,
         )
-    return _compositions(crv.partition_size, crv.range_size)
+    return bounded_compositions(partition_size, (partition_size,) * range_size)
 
 
-def _compositions(total: int, cells: int) -> Iterator[Histogram]:
-    def rec(remaining, cells_left):
-        if cells_left == 1:
-            yield (remaining,)
+def bounded_compositions(total: int, bounds) -> Iterator[tuple[int, ...]]:
+    """Ways to write `total` as ordered parts with parts[i] <= bounds[i].
+
+    Reverse-lexicographic order.  The lifted evaluator calls this in its
+    innermost loop, so it validates nothing.
+    """
+    def rec(i, remaining):
+        if i == len(bounds) - 1:
+            if remaining <= bounds[i]:
+                yield (remaining,)
             return
-        for first in range(remaining, -1, -1):
-            for rest in rec(remaining - first, cells_left - 1):
-                yield (first,) + rest
+        for x in range(min(remaining, bounds[i]), -1, -1):
+            for rest in rec(i + 1, remaining - x):
+                yield (x,) + rest
 
-    for counts in rec(total, cells):
-        yield Histogram(counts)
+    if len(bounds) == 0:
+        if total == 0:
+            yield ()
+        return
+    yield from rec(0, total)
 
 
 def tuple_to_histogram(
     values: Sequence[str],
-    crv: CountingVariable,
+    base_range: Sequence[str],
     member_indices: Sequence[int] | None = None,
-) -> Histogram:
-    """Collapse a joint value tuple to the partition's histogram.
+) -> tuple[int, ...]:
+    """Collapse a joint value tuple to the histogram of a group's members.
 
     `values` is a joint assignment indexed by agent position; the entries
-    at `member_indices` (default: all of them) are counted against the
-    counting variable's base range.  A value outside the base range raises
-    RangeMismatch.
+    at `member_indices` (default: all of them) are counted against
+    `base_range`.  A value outside the range raises RangeMismatch.
     """
     if member_indices is None:
         member_indices = range(len(values))
-    positions = {label: i for i, label in enumerate(crv.base_range)}
-    counts = [0] * crv.range_size
-    taken = 0
+    positions = {label: i for i, label in enumerate(base_range)}
+    counts = [0] * len(base_range)
     for idx in member_indices:
         value = values[idx]
         pos = positions.get(value)
         if pos is None:
             raise RangeMismatch(
-                f"value {value!r} of member {idx} is not in the range of "
-                f"partition {crv.partition_id!r}"
+                f"value {value!r} of member {idx} is not in the range "
+                f"{tuple(base_range)!r}"
             )
         counts[pos] += 1
-        taken += 1
-    if taken != crv.partition_size:
-        raise RangeMismatch(
-            f"partition {crv.partition_id!r} has {crv.partition_size} members "
-            f"but {taken} values were supplied"
-        )
-    return Histogram(tuple(counts))
+    return tuple(counts)
 
 
-def histogram_multiplicity(histogram: Histogram) -> int:
+def histogram_multiplicity(counts: Sequence[int]) -> int:
     """How many distinct member-value tuples collapse onto this histogram.
 
     The multinomial coefficient n! / prod(counts!), computed as a product
     of binomials so intermediate values stay as small as exactness allows.
+    The lifted evaluator calls this in its innermost loop, so it validates
+    nothing.
     """
-    remaining = histogram.partition_size
-    result = 1
-    for c in histogram.counts:
-        result *= math.comb(remaining, c)
-        remaining -= c
+    taken, result = 0, 1
+    for c in counts:
+        taken += c
+        result *= math.comb(taken, c)
     return result
 
 
-def is_peak_shaped(histogram: Histogram) -> bool:
+def is_peak_shaped(counts: Sequence[int]) -> bool:
     """True when every member holds the same value.
 
     Exactly one count equals the partition size and the rest are zero.
     The all-zero histogram of an empty group is not peak-shaped.
     """
-    n = histogram.partition_size
-    return n > 0 and n in histogram.counts
+    n = sum(counts)
+    return n > 0 and n in counts
 
 
 _KEY_RE = re.compile(r"\[(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*\]")
 
 
-def parse_histogram_key(key: str) -> Histogram:
+def format_histogram_tuple_key(key: Sequence[Sequence[int]]) -> str:
+    """Serialized form of a lifted key, partitions joined by ``|``: ``[2,0]|[1,1]``."""
+    return "|".join("[" + ",".join(str(c) for c in h) + "]" for h in key)
+
+
+def parse_histogram_key(key: str) -> tuple[int, ...]:
     """Parse a single ``[2,0]`` style key."""
     if not _KEY_RE.fullmatch(key):
         raise SchemaError(f"malformed histogram key {key!r}")
-    return Histogram(tuple(int(c) for c in key[1:-1].split(",")))
+    return tuple(int(c) for c in key[1:-1].split(","))
 
 
-def parse_histogram_tuple_key(key: str) -> HistogramTuple:
+def parse_histogram_tuple_key(key: str) -> tuple[tuple[int, ...], ...]:
     """Parse a ``[2,0]|[1,1]`` style key, one histogram per partition."""
-    parts = key.split("|")
-    return HistogramTuple([parse_histogram_key(p) for p in parts])
+    return tuple(parse_histogram_key(p) for p in key.split("|"))

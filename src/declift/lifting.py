@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import (
-    CountingVariable,
-    Histogram,
+    enumerate_histograms,
     histogram_count,
     histogram_multiplicity,
     tuple_to_histogram,
@@ -36,6 +35,12 @@ from .models import (
     label_ok,
     DEFAULT_JOINT_CAP,
     PROB_TOL,
+    _check_belief,
+    _check_discount,
+    _check_range,
+    _check_reward,
+    _check_row,
+    _check_sparse_row,
 )
 
 
@@ -86,44 +91,23 @@ class LiftedDecPomdp:
     discount: float
     initial_belief: Belief
 
-    def action_crvs(self) -> tuple[CountingVariable, ...]:
-        return tuple(
-            CountingVariable(name, rng, len(block))
-            for name, rng, block in zip(
-                self.partition_names,
-                self.partitioning.action_ranges,
-                self.partitioning.blocks,
-            )
-        )
-
-    def observation_crvs(self) -> tuple[CountingVariable, ...]:
-        return tuple(
-            CountingVariable(name, rng, len(block))
-            for name, rng, block in zip(
-                self.partition_names,
-                self.partitioning.observation_ranges,
-                self.partitioning.blocks,
-            )
-        )
-
     def action_key_count(self) -> int:
         return math.prod(
             histogram_count(len(b), len(r))
             for b, r in zip(self.partitioning.blocks, self.partitioning.action_ranges)
         )
 
-    def observation_key_count(self) -> int:
-        return math.prod(
-            histogram_count(len(b), len(r))
-            for b, r in zip(
-                self.partitioning.blocks, self.partitioning.observation_ranges
-            )
-        )
-
 
 def key_multiplicity(key: tuple[tuple[int, ...], ...]) -> int:
     """Ground tuples collapsing onto a histogram-tuple key, exactly."""
-    return math.prod(histogram_multiplicity(Histogram(c)) for c in key)
+    return math.prod(histogram_multiplicity(c) for c in key)
+
+
+def _joint_to_key(joint: tuple, blocks, ranges) -> tuple[tuple[int, ...], ...]:
+    """Histogram-tuple key of a joint action or observation tuple."""
+    return tuple(
+        tuple_to_histogram(joint, rng, block) for block, rng in zip(blocks, ranges)
+    )
 
 
 def range_partition(model: GroundDecPomdp) -> Partitioning:
@@ -232,36 +216,13 @@ def lift(
     """
     _check_partitioning(model, partitioning)
     names = tuple(f"p{k}" for k in range(len(partitioning.blocks)))
-    action_crvs = [
-        CountingVariable(names[k], rng, len(block))
-        for k, (block, rng) in enumerate(
-            zip(partitioning.blocks, partitioning.action_ranges)
-        )
-    ]
-    obs_crvs = [
-        CountingVariable(names[k], rng, len(block))
-        for k, (block, rng) in enumerate(
-            zip(partitioning.blocks, partitioning.observation_ranges)
-        )
-    ]
-
-    def action_key(joint):
-        return tuple(
-            tuple_to_histogram(joint, crv, block).counts
-            for crv, block in zip(action_crvs, partitioning.blocks)
-        )
-
-    def obs_key(joint):
-        return tuple(
-            tuple_to_histogram(joint, crv, block).counts
-            for crv, block in zip(obs_crvs, partitioning.blocks)
-        )
+    blocks = partitioning.blocks
 
     transition: dict = {}
     witness: dict = {}
     seen_count: dict = {}
     for (state, joint), dist in model.transition.items():
-        key = (state, action_key(joint))
+        key = (state, _joint_to_key(joint, blocks, partitioning.action_ranges))
         seen_count[key] = seen_count.get(key, 0) + 1
         if key not in transition:
             transition[key] = dist
@@ -289,7 +250,7 @@ def lift(
         bounds: dict = {}
         first: dict = {}
         for joint, prob in row.items():
-            key = obs_key(joint)
+            key = _joint_to_key(joint, blocks, partitioning.observation_ranges)
             sums[key] = sums.get(key, (0.0, 0))
             total, count = sums[key]
             sums[key] = (total + prob, count + 1)
@@ -358,25 +319,12 @@ def ground(model: LiftedDecPomdp, cap: int = DEFAULT_JOINT_CAP) -> GroundDecPomd
                 cap=cap,
             )
 
-    action_crvs = model.action_crvs()
-    obs_crvs = model.observation_crvs()
-
-    def action_key(joint):
-        return tuple(
-            tuple_to_histogram(joint, crv, block).counts
-            for crv, block in zip(action_crvs, part.blocks)
-        )
-
-    def obs_key(joint):
-        return tuple(
-            tuple_to_histogram(joint, crv, block).counts
-            for crv, block in zip(obs_crvs, part.blocks)
-        )
-
     transition: dict = {}
     for state in model.states:
         for joint in itertools.product(*action_ranges):
-            row = model.transition.get((state, action_key(joint)))
+            row = model.transition.get(
+                (state, _joint_to_key(joint, part.blocks, part.action_ranges))
+            )
             if row is not None:
                 transition[(state, joint)] = row
 
@@ -386,7 +334,9 @@ def ground(model: LiftedDecPomdp, cap: int = DEFAULT_JOINT_CAP) -> GroundDecPomd
         split = {key: value / key_multiplicity(key) for key, value in lifted_row.items()}
         row = {}
         for joint in itertools.product(*obs_ranges):
-            prob = split.get(obs_key(joint))
+            prob = split.get(
+                _joint_to_key(joint, part.blocks, part.observation_ranges)
+            )
             if prob is not None and prob != 0.0:
                 row[joint] = prob
         sensor[state] = row
@@ -406,9 +356,6 @@ def ground(model: LiftedDecPomdp, cap: int = DEFAULT_JOINT_CAP) -> GroundDecPomd
 
 def validate_lifted(model: LiftedDecPomdp, out: list, cap: int = DEFAULT_JOINT_CAP):
     """Append every violated invariant of a lifted model to `out`."""
-    from .models import _check_belief, _check_discount, _check_range, _check_reward
-    from .models import _check_row, _check_sparse_row
-
     _check_discount(out, model)
     _check_reward(out, model)
     _check_belief(out, model.initial_belief, model.states)
@@ -460,10 +407,7 @@ def validate_lifted(model: LiftedDecPomdp, out: list, cap: int = DEFAULT_JOINT_C
     n_action_keys = model.action_key_count()
     if n_action_keys <= cap:
         action_spaces = [
-            sorted(
-                (h.counts for h in _all_histograms(len(b), len(r))),
-                reverse=True,
-            )
+            list(enumerate_histograms(len(b), len(r)))
             for b, r in zip(part.blocks, part.action_ranges)
         ]
         for state in model.states:
@@ -490,11 +434,3 @@ def validate_lifted(model: LiftedDecPomdp, out: list, cap: int = DEFAULT_JOINT_C
             lambda key: key_ok(key, part.observation_ranges),
         )
 
-
-def _all_histograms(n: int, r: int):
-    crv = CountingVariable("tmp", tuple(f"v{i}" for i in range(r)), max(n, 1))
-    if n == 0:
-        return [Histogram((0,) * r)]
-    from .counting import enumerate_histograms
-
-    return list(enumerate_histograms(crv))

@@ -24,7 +24,7 @@ import json
 
 import numpy as np
 
-from .counting import parse_histogram_tuple_key
+from .counting import format_histogram_tuple_key, parse_histogram_tuple_key
 from .errors import ParseError, SchemaError, ValidationError
 from .lifting import LiftedDecPomdp, Partitioning
 from .models import (
@@ -372,7 +372,7 @@ def _histogram_key(key: str, partitioning: Partitioning, where: str):
             f"{where}: key {key!r} has {len(parsed)} histograms, expected "
             f"{len(partitioning.blocks)}"
         )
-    return tuple(hist.counts for hist in parsed)
+    return parsed
 
 
 def _check_histogram(counts, ranges, sizes, key: str, where: str):
@@ -482,10 +482,6 @@ def _joint_key(joint: tuple[str, ...]) -> str:
     return ",".join(joint)
 
 
-def _hist_key(counts) -> str:
-    return "|".join("[" + ",".join(str(c) for c in h) + "]" for h in counts)
-
-
 def _transition_list(model, states, key_fn) -> list:
     entries = []
     for (state, action), dist in model.transition.items():
@@ -568,12 +564,14 @@ def serialize_model(model) -> str:
             ],
             "discount": model.discount,
             "initial_belief": _prob_map(model.states, model.initial_belief.probs),
-            "transition": _transition_list(model, model.states, _hist_key),
+            "transition": _transition_list(
+                model, model.states, format_histogram_tuple_key
+            ),
             "sensor": [
                 {
                     "state": s,
                     "row": {
-                        _hist_key(key): float(p)
+                        format_histogram_tuple_key(key): float(p)
                         for key, p in model.sensor[s].items()
                         if float(p) != 0.0
                     },

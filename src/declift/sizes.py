@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 from .counting import histogram_count
 from .errors import InvalidParams
+from .lifting import LiftedDecPomdp, range_partition, symmetry_refine
+from .models import GroundDecPomdp, Pomdp
 
 
 @dataclass(frozen=True)
@@ -152,9 +154,7 @@ def params_from_model(model) -> SizeParams:
     Single-agent models need observation ranges, so plain MDPs are
     rejected.
     """
-    from . import lifting, models
-
-    if isinstance(model, models.Pomdp):
+    if isinstance(model, Pomdp):
         return SizeParams(
             states=len(model.states),
             agents=1,
@@ -163,26 +163,19 @@ def params_from_model(model) -> SizeParams:
             observations_per_agent=len(model.observations),
             partition_size=1,
         )
-    if isinstance(model, lifting.LiftedDecPomdp):
+    if isinstance(model, LiftedDecPomdp):
         part = model.partitioning
-        return SizeParams(
-            states=len(model.states),
-            agents=len(model.agents),
-            partitions=len(part.blocks),
-            actions_per_agent=max(len(r) for r in part.action_ranges),
-            observations_per_agent=max(len(r) for r in part.observation_ranges),
-            partition_size=max(part.sizes),
+    elif isinstance(model, GroundDecPomdp):
+        part = symmetry_refine(model, range_partition(model))
+    else:
+        raise InvalidParams(
+            f"size analysis needs observation ranges; got {type(model).__name__}"
         )
-    if isinstance(model, models.GroundDecPomdp):
-        part = lifting.symmetry_refine(model, lifting.range_partition(model))
-        return SizeParams(
-            states=len(model.states),
-            agents=len(model.agents),
-            partitions=len(part.blocks),
-            actions_per_agent=max(len(r) for r in part.action_ranges),
-            observations_per_agent=max(len(r) for r in part.observation_ranges),
-            partition_size=max(part.sizes),
-        )
-    raise InvalidParams(
-        f"size analysis needs observation ranges; got {type(model).__name__}"
+    return SizeParams(
+        states=len(model.states),
+        agents=len(model.agents),
+        partitions=len(part.blocks),
+        actions_per_agent=max(len(r) for r in part.action_ranges),
+        observations_per_agent=max(len(r) for r in part.observation_ranges),
+        partition_size=max(part.sizes),
     )

@@ -30,12 +30,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
+from .counting import bounded_compositions, histogram_multiplicity
 from .errors import CapacityExceeded, NonConvergent, ValidationError
 from .lifting import LiftedDecPomdp
-from .models import GroundDecPomdp, Mdp, Pomdp
+from .models import DEFAULT_JOINT_CAP, GroundDecPomdp, Mdp, Pomdp
 
 DEFAULT_PLAN_CAP = 1_000_000
-DEFAULT_JOINT_CAP = 10_000_000
 DOMINANCE_TOL = 1e-12
 
 
@@ -453,32 +453,6 @@ def decpomdp_exhaustive(
 # ---------------------------------------------------------------------------
 # exhaustive team search, counting form
 
-def _multinomial(total: int, parts) -> int:
-    out, rem = 1, total
-    for p in parts:
-        out *= math.comb(rem, p)
-        rem -= p
-    return out
-
-
-def _bounded_compositions(total: int, bounds):
-    """Ways to write `total` as ordered parts with parts[i] <= bounds[i]."""
-    def rec(i, remaining):
-        if i == len(bounds) - 1:
-            if remaining <= bounds[i]:
-                yield (remaining,)
-            return
-        for x in range(min(remaining, bounds[i]), -1, -1):
-            for rest in rec(i + 1, remaining - x):
-                yield (x,) + rest
-
-    if len(bounds) == 0:
-        if total == 0:
-            yield ()
-        return
-    yield from rec(0, total)
-
-
 def _group_allocations(groups, obs_counts):
     """Distribute an observation histogram over plan-node groups.
 
@@ -495,8 +469,8 @@ def _group_allocations(groups, obs_counts):
                 yield (), 1
             return
         _, count = groups[g]
-        for row in _bounded_compositions(count, remaining):
-            ways = _multinomial(count, row)
+        for row in bounded_compositions(count, remaining):
+            ways = histogram_multiplicity(row)
             rest_remaining = tuple(r - x for r, x in zip(remaining, row))
             for rest, rest_ways in rec(g + 1, rest_remaining):
                 yield (row,) + rest, ways * rest_ways
@@ -590,7 +564,7 @@ def lifted_exhaustive(
                     per_part = []
                     for k in range(n_partitions):
                         norm = obs_multinomials[k].setdefault(
-                            obs_key[k], _multinomial(sizes[k], obs_key[k])
+                            obs_key[k], histogram_multiplicity(obs_key[k])
                         )
                         per_part.append(
                             (list(_group_allocations(occupancy[k], obs_key[k])), norm)

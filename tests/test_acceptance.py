@@ -14,11 +14,7 @@ import numpy as np
 import pytest
 
 from declift.cli import main
-from declift.counting import (
-    CountingVariable,
-    enumerate_histograms,
-    histogram_multiplicity,
-)
+from declift.counting import enumerate_histograms, histogram_multiplicity
 from declift.lifting import LiftedDecPomdp, Partitioning, ground
 from declift.models import Belief, DiscreteDistribution, Mdp, StateSpace
 from declift.nano import generate_nano, nano_desk_preset, nano_paper_preset, nano_size_params
@@ -80,15 +76,13 @@ def test_criterion_1_size_reproduction(capsys):
 
 def test_criterion_2_counting():
     done = _timed(10.0)
-    labels = ("a", "b", "c", "d")
     checked = 0
     for r in range(1, 5):
         for n in range(1, 11):
-            crv = CountingVariable("grid", labels[:r], n)
-            hists = list(enumerate_histograms(crv))
+            hists = list(enumerate_histograms(n, r))
             expected = math.comb(n + r - 1, r - 1)
             assert len(hists) == expected
-            assert len(set(h.counts for h in hists)) == expected
+            assert len(set(hists)) == expected
             assert sum(histogram_multiplicity(h) for h in hists) == r**n
             if n >= 2:
                 assert expected <= n**r
@@ -101,9 +95,9 @@ def test_criterion_2_counting():
                         counts[v] += 1
                     key = tuple(counts)
                     buckets[key] = buckets.get(key, 0) + 1
-                assert buckets.keys() == {h.counts for h in hists}
+                assert buckets.keys() == set(hists)
                 for h in hists:
-                    assert buckets[h.counts] == histogram_multiplicity(h)
+                    assert buckets[h] == histogram_multiplicity(h)
             checked += 1
     elapsed = done("counting")
     print(
@@ -136,12 +130,7 @@ def _random_lifted_instance(rng, sizes, n_states):
 
     def keys(ranges):
         pools = [
-            [
-                h.counts
-                for h in enumerate_histograms(
-                    CountingVariable(f"p{k}", ranges[k], n_k)
-                )
-            ]
+            list(enumerate_histograms(n_k, len(ranges[k])))
             for k, n_k in enumerate(sizes)
         ]
         return list(itertools.product(*pools))

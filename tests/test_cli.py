@@ -329,4 +329,4 @@ def test_split_witness_finds_separated_pair():
     candidate = range_partition(model)
     refined = symmetry_refine(model, candidate)
     assert refined.blocks != candidate.blocks
-    assert _split_witness(candidate, refined, model.agents) == (0, 1)
+    assert _split_witness(candidate, refined) == (0, 1)

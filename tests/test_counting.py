@@ -9,12 +9,12 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from declift.counting import (
-    CountingVariable,
-    Histogram,
-    HistogramTuple,
     enumerate_histograms,
+    format_histogram_tuple_key,
     histogram_count,
     histogram_multiplicity,
     is_peak_shaped,
@@ -36,20 +36,17 @@ def brute_force_histograms(n, r):
 
 @pytest.mark.parametrize("n,r", [(1, 1), (2, 2), (3, 2), (2, 3), (4, 3), (6, 2), (5, 4)])
 def test_enumeration_matches_brute_force(n, r):
-    crv = CountingVariable("p", tuple(f"v{i}" for i in range(r)), n)
     groups = brute_force_histograms(n, r)
-    enumerated = list(enumerate_histograms(crv))
+    enumerated = list(enumerate_histograms(n, r))
     assert len(enumerated) == len(groups)
-    assert {h.counts for h in enumerated} == set(groups)
+    assert set(enumerated) == set(groups)
     for h in enumerated:
-        assert histogram_multiplicity(h) == groups[h.counts]
+        assert histogram_multiplicity(h) == groups[h]
 
 
 def test_enumeration_order_reverse_lexicographic():
-    crv = CountingVariable("p", ("a", "b"), 2)
-    assert [h.counts for h in enumerate_histograms(crv)] == [(2, 0), (1, 1), (0, 2)]
-    crv3 = CountingVariable("p", ("a", "b", "c"), 2)
-    counts = [h.counts for h in enumerate_histograms(crv3)]
+    assert list(enumerate_histograms(2, 2)) == [(2, 0), (1, 1), (0, 2)]
+    counts = list(enumerate_histograms(2, 3))
     assert counts == sorted(counts, reverse=True)
     assert counts[0] == (2, 0, 0)
 
@@ -72,54 +69,46 @@ def test_histogram_count_power_bound(n, r):
 
 @pytest.mark.parametrize("n,r", [(2, 2), (3, 3), (10, 4), (7, 3)])
 def test_multiplicities_sum_to_power(n, r):
-    crv = CountingVariable("p", tuple(map(str, range(r))), n)
-    total = sum(histogram_multiplicity(h) for h in enumerate_histograms(crv))
+    total = sum(histogram_multiplicity(h) for h in enumerate_histograms(n, r))
     assert total == r ** n
 
 
 def test_large_group_exact_integers():
     # the scale the histogram view exists for: no float could hold these
     assert histogram_count(64000, 2) == 64001
-    h = Histogram((32000, 32000))
-    assert histogram_multiplicity(h) == math.comb(64000, 32000)
+    assert histogram_multiplicity((32000, 32000)) == math.comb(64000, 32000)
 
 
 def test_tuple_to_histogram_with_member_selection():
-    crv = CountingVariable("p", ("x", "y"), 2)
-    h = tuple_to_histogram(("x", "q", "x"), crv, member_indices=(0, 2))
-    assert h.counts == (2, 0)
-    h = tuple_to_histogram(("x", "y", "x"), CountingVariable("p", ("x", "y"), 3))
-    assert h.counts == (2, 1)
+    h = tuple_to_histogram(("x", "q", "x"), ("x", "y"), member_indices=(0, 2))
+    assert h == (2, 0)
+    assert tuple_to_histogram(("x", "y", "x"), ("x", "y")) == (2, 1)
 
 
 def test_tuple_to_histogram_range_mismatch():
-    crv = CountingVariable("p", ("x", "y"), 2)
     with pytest.raises(RangeMismatch):
-        tuple_to_histogram(("x", "z"), crv)
+        tuple_to_histogram(("x", "z"), ("x", "y"))
     with pytest.raises(RangeMismatch):
-        tuple_to_histogram(("x",), crv)
+        tuple_to_histogram(("x", "q"), ("x", "y"), member_indices=(1,))
 
 
 def test_peak_shape():
-    assert is_peak_shaped(Histogram((3, 0, 0)))
-    assert is_peak_shaped(Histogram((0, 5)))
-    assert not is_peak_shaped(Histogram((2, 1)))
-    assert not is_peak_shaped(Histogram((0, 0)))
+    assert is_peak_shaped((3, 0, 0))
+    assert is_peak_shaped((0, 5))
+    assert not is_peak_shaped((2, 1))
+    assert not is_peak_shaped((0, 0))
 
 
 def test_peak_shaped_count_equals_range_size():
-    crv = CountingVariable("p", ("a", "b", "c"), 4)
-    peaks = [h for h in enumerate_histograms(crv) if is_peak_shaped(h)]
+    peaks = [h for h in enumerate_histograms(4, 3) if is_peak_shaped(h)]
     assert len(peaks) == 3
 
 
 def test_key_round_trip():
-    h = Histogram((2, 0))
-    assert h.key() == "[2,0]"
-    assert parse_histogram_key("[2,0]") == h
-    ht = HistogramTuple([Histogram((2, 0)), Histogram((1, 1))])
-    assert ht.key() == "[2,0]|[1,1]"
-    assert parse_histogram_tuple_key("[2,0]|[1,1]") == ht
+    assert format_histogram_tuple_key([(2, 0)]) == "[2,0]"
+    assert parse_histogram_key("[2,0]") == (2, 0)
+    assert format_histogram_tuple_key([(2, 0), (1, 1)]) == "[2,0]|[1,1]"
+    assert parse_histogram_tuple_key("[2,0]|[1,1]") == ((2, 0), (1, 1))
 
 
 @pytest.mark.parametrize("bad", ["[2,0", "2,0", "[2, 0]", "[]", "[-1,3]", "[01,2]", ""])
@@ -129,15 +118,28 @@ def test_malformed_keys_rejected(bad):
 
 
 def test_enumeration_cap():
-    crv = CountingVariable("p", tuple(map(str, range(4))), 1000)
     with pytest.raises(CapacityExceeded) as err:
-        enumerate_histograms(crv, cap=10_000)
+        enumerate_histograms(1000, 4, cap=10_000)
     assert err.value.measured == histogram_count(1000, 4)
     assert err.value.cap == 10_000
 
 
-def test_histogram_rejects_negative_and_empty():
-    with pytest.raises(ValueError):
-        Histogram((-1, 2))
-    with pytest.raises(ValueError):
-        Histogram(())
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 6), st.integers(1, 4)), min_size=1, max_size=3
+    ),
+    st.data(),
+)
+def test_counting_properties(shapes, data):
+    # shapes: (partition size, range size) per partition of one lifted key
+    key = []
+    for n, r in shapes:
+        hists = list(enumerate_histograms(n, r))
+        assert len(set(hists)) == len(hists) == histogram_count(n, r)
+        assert all(len(h) == r and sum(h) == n for h in hists)
+        assert sum(histogram_multiplicity(h) for h in hists) == r**n
+        key.append(data.draw(st.sampled_from(hists)))
+    key = tuple(key)
+    assert parse_histogram_tuple_key(format_histogram_tuple_key(key)) == key

@@ -196,6 +196,17 @@ def test_lift_checks_partitioning_against_model():
         lift(model, bad)
 
 
+@pytest.mark.parametrize("table", ["transition", "sensor"])
+def test_lift_rejects_joint_values_outside_the_declared_range(table):
+    model = symmetric_pair()
+    if table == "transition":
+        model.transition[("lo", ("zz", "x"))] = DiscreteDistribution([1.0, 0.0])
+    else:
+        model.sensor["lo"][("zz", "o")] = 0.0
+    with pytest.raises(RangeMismatch, match="'zz'"):
+        lift(model, range_partition(model))
+
+
 def test_ground_splits_mass_uniformly():
     model = symmetric_pair()
     lifted = lift(model, range_partition(model))

@@ -1,11 +1,13 @@
 """Interchange format: round trips, canonical form, error taxonomy."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from declift.errors import ParseError, SchemaError, ValidationError
+from declift.lifting import ground
 from declift.modelio import canonical_json, parse_model, serialize_model
 from declift.models import validate_model
 from declift.nano import generate_nano, nano_desk_preset
@@ -59,6 +61,29 @@ def test_round_trip_nano_desk():
     assert serialize_model(again) == text
     assert again.transition.keys() == model.transition.keys()
     assert again.partitioning == model.partitioning
+
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
+
+
+def _bundled(name):
+    return (MODELS / name).read_bytes().decode("utf-8")
+
+
+@pytest.mark.parametrize("name", ["nano_desk.json", "nano_desk_ground.json"])
+def test_bundled_model_round_trips_byte_for_byte(name):
+    text = _bundled(name)
+    assert serialize_model(parse_model(text)) == text
+
+
+def test_bundled_ground_model_is_the_expansion_of_the_lifted_one():
+    lifted = parse_model(_bundled("nano_desk.json"))
+    assert serialize_model(ground(lifted)) == _bundled("nano_desk_ground.json")
+
+
+def test_bundled_lifted_model_is_the_desk_preset():
+    text = serialize_model(generate_nano(nano_desk_preset()))
+    assert text == _bundled("nano_desk.json")
 
 
 def test_parsed_model_matches_original_tables():
