@@ -18,6 +18,7 @@ from .counting import (
     is_peak_shaped,
     parse_histogram_key,
     parse_histogram_tuple_key,
+    range_positions,
     tuple_to_histogram,
 )
 from .errors import (
@@ -150,6 +151,7 @@ __all__ = [
     "plan_count",
     "pomdp_plan_iteration",
     "range_partition",
+    "range_positions",
     "serialize_model",
     "size_report",
     "symmetry_refine",

@@ -91,22 +91,29 @@ def tuple_to_histogram(
 
     `values` is a joint assignment indexed by agent position; the entries
     at `member_indices` (default: all of them) are counted against
-    `base_range`.  A value outside the range raises RangeMismatch.
+    `base_range`.  A value outside the range raises RangeMismatch.  Callers
+    that collapse many tuples against one range may pass it as the dict
+    from `range_positions`, which is then not rebuilt on every call.
     """
     if member_indices is None:
         member_indices = range(len(values))
-    positions = {label: i for i, label in enumerate(base_range)}
-    counts = [0] * len(base_range)
+    positions = base_range if isinstance(base_range, dict) else range_positions(base_range)
+    counts = [0] * len(positions)
     for idx in member_indices:
         value = values[idx]
         pos = positions.get(value)
         if pos is None:
             raise RangeMismatch(
                 f"value {value!r} of member {idx} is not in the range "
-                f"{tuple(base_range)!r}"
+                f"{tuple(positions)!r}"
             )
         counts[pos] += 1
     return tuple(counts)
+
+
+def range_positions(base_range: Sequence[str]) -> dict[str, int]:
+    """Map each label of a value range to its position, in range order."""
+    return {label: i for i, label in enumerate(base_range)}
 
 
 def histogram_multiplicity(counts: Sequence[int]) -> int:

@@ -23,6 +23,7 @@ from .counting import (
     enumerate_histograms,
     histogram_count,
     histogram_multiplicity,
+    range_positions,
     tuple_to_histogram,
 )
 from .errors import CapacityExceeded, NotLiftable, RangeMismatch
@@ -103,10 +104,13 @@ def key_multiplicity(key: tuple[tuple[int, ...], ...]) -> int:
     return math.prod(histogram_multiplicity(c) for c in key)
 
 
-def _joint_to_key(joint: tuple, blocks, ranges) -> tuple[tuple[int, ...], ...]:
-    """Histogram-tuple key of a joint action or observation tuple."""
+def _joint_to_key(joint: tuple, blocks, positions) -> tuple[tuple[int, ...], ...]:
+    """Histogram-tuple key of a joint action or observation tuple.
+
+    `positions` holds one `range_positions` map per block.
+    """
     return tuple(
-        tuple_to_histogram(joint, rng, block) for block, rng in zip(blocks, ranges)
+        tuple_to_histogram(joint, pos, block) for block, pos in zip(blocks, positions)
     )
 
 
@@ -217,12 +221,25 @@ def lift(
     _check_partitioning(model, partitioning)
     names = tuple(f"p{k}" for k in range(len(partitioning.blocks)))
     blocks = partitioning.blocks
+    action_positions = [range_positions(r) for r in partitioning.action_ranges]
+    obs_positions = [range_positions(r) for r in partitioning.observation_ranges]
+
+    def joint_key(joint, positions, row):
+        if len(joint) != len(model.agents):
+            raise RangeMismatch(
+                f"{row}: joint tuple {joint!r} has {len(joint)} values for "
+                f"{len(model.agents)} agents"
+            )
+        return _joint_to_key(joint, blocks, positions)
 
     transition: dict = {}
     witness: dict = {}
     seen_count: dict = {}
     for (state, joint), dist in model.transition.items():
-        key = (state, _joint_to_key(joint, blocks, partitioning.action_ranges))
+        key = (
+            state,
+            joint_key(joint, action_positions, f"transition row for state {state!r}"),
+        )
         seen_count[key] = seen_count.get(key, 0) + 1
         if key not in transition:
             transition[key] = dist
@@ -250,7 +267,7 @@ def lift(
         bounds: dict = {}
         first: dict = {}
         for joint, prob in row.items():
-            key = _joint_to_key(joint, blocks, partitioning.observation_ranges)
+            key = joint_key(joint, obs_positions, f"sensor row {state!r}")
             sums[key] = sums.get(key, (0.0, 0))
             total, count = sums[key]
             sums[key] = (total + prob, count + 1)
@@ -319,11 +336,13 @@ def ground(model: LiftedDecPomdp, cap: int = DEFAULT_JOINT_CAP) -> GroundDecPomd
                 cap=cap,
             )
 
+    action_positions = [range_positions(r) for r in part.action_ranges]
+    obs_positions = [range_positions(r) for r in part.observation_ranges]
     transition: dict = {}
     for state in model.states:
         for joint in itertools.product(*action_ranges):
             row = model.transition.get(
-                (state, _joint_to_key(joint, part.blocks, part.action_ranges))
+                (state, _joint_to_key(joint, part.blocks, action_positions))
             )
             if row is not None:
                 transition[(state, joint)] = row
@@ -335,7 +354,7 @@ def ground(model: LiftedDecPomdp, cap: int = DEFAULT_JOINT_CAP) -> GroundDecPomd
         row = {}
         for joint in itertools.product(*obs_ranges):
             prob = split.get(
-                _joint_to_key(joint, part.blocks, part.observation_ranges)
+                _joint_to_key(joint, part.blocks, obs_positions)
             )
             if prob is not None and prob != 0.0:
                 row[joint] = prob

@@ -15,10 +15,16 @@ The two team solvers search the same policy class.  In ground form a joint
 policy assigns one conditional plan per agent.  In counting form agents of
 a partition are interchangeable, so only the multiset of member plans
 matters; the search enumerates those multisets and the evaluator never
-leaves histogram space: observation histograms are split over the plan
-nodes of a partition with multivariate hypergeometric weights, which is
-exactly the distribution induced by any permutation-invariant sensor.
-Optimal values of the two forms therefore agree on liftable models.
+leaves histogram space.  Both evaluators back up one value vector over
+states per joint plan node: the ground one per tuple of agent plans, the
+lifted one per joint occupancy (how many members of each partition sit at
+each plan node).  Observation histograms are split over the plan nodes of
+a partition with multivariate hypergeometric weights, which is exactly
+the distribution induced by any permutation-invariant sensor; that split
+does not depend on the state, so it is cached per partition as an
+allocation kernel.  Depth-1 vectors equal the reward, so a depth-2 vector
+depends only on the action histogram the occupancy induces.  Optimal
+values of the two forms therefore agree on liftable models.
 """
 
 from __future__ import annotations
@@ -30,10 +36,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
-from .counting import bounded_compositions, histogram_multiplicity
+from .counting import (
+    bounded_compositions,
+    enumerate_histograms,
+    histogram_multiplicity,
+)
 from .errors import CapacityExceeded, NonConvergent, ValidationError
 from .lifting import LiftedDecPomdp
-from .models import DEFAULT_JOINT_CAP, GroundDecPomdp, Mdp, Pomdp
+from .models import DEFAULT_JOINT_CAP, PROB_TOL, GroundDecPomdp, Mdp, Pomdp
 
 DEFAULT_PLAN_CAP = 1_000_000
 DOMINANCE_TOL = 1e-12
@@ -478,6 +488,55 @@ def _group_allocations(groups, obs_counts):
     yield from rec(0, tuple(obs_counts))
 
 
+def _lifted_tables(model: LiftedDecPomdp, states):
+    """Dense transition and sensor matrices of a lifted model.
+
+    Returns (trans, obs_keys, omega_t): trans maps every joint action
+    histogram to its [state, next state] matrix, and omega_t[j] holds
+    P(obs_keys[j] | state) over states for every observation key with
+    mass somewhere.  The vector backup reads every state's rows, and its
+    depth-2 shortcut is exact only when sensor rows carry unit mass, so a
+    missing row or a sensor row whose mass is not 1 within PROB_TOL raises
+    ValidationError here, before any search.
+    """
+    columns: dict = {}
+    for s in states:
+        row = _require_row(model.sensor.get(s), f"sensor row for state {s!r}")
+        mass = math.fsum(row.values())
+        if abs(mass - 1.0) > PROB_TOL:
+            raise ValidationError(
+                f"sensor row for state {s!r} has mass {mass!r}, not 1 within "
+                f"{PROB_TOL}"
+            )
+        for key, prob in row.items():
+            if prob != 0.0:
+                columns.setdefault(key, len(columns))
+    omega_t = np.zeros((len(columns), len(states)))
+    for i, s in enumerate(states):
+        for key, prob in model.sensor[s].items():
+            if prob != 0.0:
+                omega_t[columns[key], i] = prob
+
+    part = model.partitioning
+    action_spaces = [
+        list(enumerate_histograms(len(block), len(acts)))
+        for block, acts in zip(part.blocks, part.action_ranges)
+    ]
+    trans = {
+        key: np.stack(
+            [
+                _require_row(
+                    model.transition.get((s, key)),
+                    f"lifted transition row for ({s!r}, {key!r})",
+                ).probs
+                for s in states
+            ]
+        )
+        for key in itertools.product(*action_spaces)
+    }
+    return trans, list(columns), omega_t
+
+
 def lifted_exhaustive(
     model: LiftedDecPomdp,
     horizon: int,
@@ -490,23 +549,36 @@ def lifted_exhaustive(
     Members of a partition are interchangeable, so a joint policy is, per
     partition, a multiset saying how many members follow each conditional
     plan; `peak_only` restricts the search to every member of a partition
-    following one shared plan.  Values are exact expectations computed in
-    histogram space: the execution state of a partition is the occupancy
-    of its plan nodes, observation histograms drawn from the lifted sensor
-    are allocated over those nodes hypergeometrically, and the transition
-    row is looked up by the action histogram the occupancy induces.
+    following one shared plan.  Ties fall to the earliest candidate in
+    declaration order.
+
+    Values are exact expectations computed in histogram space.  The
+    execution state of a partition is the occupancy of its plan nodes, and
+    one alpha-vector over states is backed up per (depth, joint occupancy):
+    alpha = reward + gamma * T[action histogram] . cont, with cont the sum
+    over observation keys of the sensor column times the expected child
+    alpha.  Each partition's share of an observation key is allocated over
+    its occupied nodes hypergeometrically; these allocation kernels, from
+    (depth, occupancy, observation histogram) to child occupancies and
+    their probabilities, do not depend on the state and are built once per
+    entry.  Depth-1 vectors equal the reward, so a depth-2 vector depends
+    on the action histogram alone and is memoised by it.  Root vectors are
+    not memoised: every candidate is visited once.
+
+    Raises ValidationError before searching when a state lacks a sensor
+    row, a sensor row's mass is not 1, or a (state, action histogram)
+    pair lacks a transition row.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     part = model.partitioning
     states = list(model.states)
-    state_index = {s: i for i, s in enumerate(states)}
-    n = len(states)
     reward = np.array([model.reward[s] for s in states])
     gamma = model.discount
     b0 = model.initial_belief.probs
     n_partitions = len(part.blocks)
     sizes = part.sizes
+    trans, obs_keys, omega_t = _lifted_tables(model, states)
 
     pools = [
         _indexed_plans(len(ar), len(orr), horizon, cap_plans)
@@ -527,72 +599,85 @@ def lifted_exhaustive(
             cap=cap_joint,
         )
 
-    # sensor rows as lists for stable iteration
-    sensor_rows = {
-        s: list(model.sensor.get(s, {}).items()) for s in states
-    }
-    obs_multinomials = [
-        {} for _ in range(n_partitions)
-    ]  # per partition: obs histogram -> multinomial normalizer
+    def action_histogram(k, depth, occ_k):
+        # occ_k: sorted ((node_index, count), ...) over the depth-`depth` pool
+        counts = [0] * len(part.action_ranges[k])
+        nodes = pools[k][depth - 1]
+        for node_idx, c in occ_k:
+            counts[nodes[node_idx][0]] += c
+        return tuple(counts)
 
-    def value(s_idx: int, occupancy, depth: int, memo) -> float:
-        # occupancy: per partition, sorted ((node_index, count), ...) at `depth`
-        if depth == 0:
-            return 0.0
-        key = (depth, s_idx, occupancy)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-
-        total = reward[s_idx]
-        if depth > 1:
-            action_key = []
-            for k in range(n_partitions):
-                counts = [0] * len(part.action_ranges[k])
-                for node_idx, c in occupancy[k]:
-                    counts[pools[k][depth - 1][node_idx][0]] += c
-                action_key.append(tuple(counts))
-            row = _require_row(
-                model.transition.get((states[s_idx], tuple(action_key))),
-                f"lifted transition row for ({states[s_idx]!r}, {tuple(action_key)!r})",
+    def allocate(k, depth, occ_k, obs_k):
+        # [(child occupancy, child action histogram, probability)]; children
+        # at depth 2 are merged by action histogram, all their vector needs
+        nodes = pools[k][depth - 1]
+        ways_by_child: dict = {}
+        for rows, ways in _group_allocations(occ_k, obs_k):
+            counts: dict[int, int] = {}
+            for (node_idx, _), row in zip(occ_k, rows):
+                children = nodes[node_idx][1]
+                for o, m in enumerate(row):
+                    if m:
+                        counts[children[o]] = counts.get(children[o], 0) + m
+            child = tuple(sorted(counts.items()))
+            child_key = (
+                None if depth == 3 else child,
+                action_histogram(k, depth - 1, child),
             )
-            expect = 0.0
-            for t_idx in np.nonzero(row.probs)[0]:
-                inner = 0.0
-                for obs_key, obs_prob in sensor_rows[states[t_idx]]:
-                    # allocations of each partition's observation histogram
-                    per_part = []
-                    for k in range(n_partitions):
-                        norm = obs_multinomials[k].setdefault(
-                            obs_key[k], histogram_multiplicity(obs_key[k])
-                        )
-                        per_part.append(
-                            (list(_group_allocations(occupancy[k], obs_key[k])), norm)
-                        )
-                    for combo in itertools.product(*(a for a, _ in per_part)):
-                        weight = 1.0
-                        next_occ = []
-                        for k in range(n_partitions):
-                            rows_k, ways_k = combo[k]
-                            weight *= ways_k / per_part[k][1]
-                            child_counts: dict[int, int] = {}
-                            for (node_idx, _c), alloc_row in zip(occupancy[k], rows_k):
-                                children = pools[k][depth - 1][node_idx][1]
-                                for o, m in enumerate(alloc_row):
-                                    if m:
-                                        child = children[o]
-                                        child_counts[child] = (
-                                            child_counts.get(child, 0) + m
-                                        )
-                            next_occ.append(tuple(sorted(child_counts.items())))
-                        inner += (
-                            obs_prob
-                            * weight
-                            * value(t_idx, tuple(next_occ), depth - 1, memo)
-                        )
-                expect += float(row.probs[t_idx]) * inner
-            total += gamma * expect
-        return memo.setdefault(key, float(total))
+            ways_by_child[child_key] = ways_by_child.get(child_key, 0) + ways
+        norm = histogram_multiplicity(obs_k)
+        return [(c, a, ways / norm) for (c, a), ways in ways_by_child.items()]
+
+    part_obs = [
+        list(dict.fromkeys(key[k] for key in obs_keys)) for k in range(n_partitions)
+    ]
+    kernels: dict = {}
+
+    def kernel(k, depth, occ_k):
+        # the allocation kernels of one partition's occupancy, one per
+        # observation key, each enumerated once per observation histogram
+        key = (k, depth, occ_k)
+        row = kernels.get(key)
+        if row is None:
+            split = {obs_k: allocate(k, depth, occ_k, obs_k) for obs_k in part_obs[k]}
+            row = kernels[key] = [split[obs_key[k]] for obs_key in obs_keys]
+        return row
+
+    shallow: dict = {}
+    memo: dict = {}
+
+    def alpha(depth, occ, action_key):
+        if depth == 1:
+            return reward
+        if depth == 2:
+            hit = shallow.get(action_key)
+            if hit is None:
+                hit = shallow[action_key] = reward + gamma * trans[action_key].dot(reward)
+            return hit
+        key = (depth, occ)
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = backup(depth, occ, action_key)
+        return hit
+
+    def backup(depth, occ, action_key):
+        columns, weights, children = [], [], []
+        rows = [kernel(k, depth, occ[k]) for k in range(n_partitions)]
+        for j, entries in enumerate(zip(*rows)):
+            for combo in itertools.product(*entries):
+                child_occ, child_action, probs = zip(*combo)
+                columns.append(j)
+                weights.append(math.prod(probs))
+                children.append(alpha(depth - 1, child_occ, child_action))
+        coef = omega_t[columns] * np.array(weights)[:, None]
+        cont = (coef * np.array(children)).sum(axis=0)
+        return reward + gamma * trans[action_key].dot(cont)
+
+    support = np.nonzero(b0)[0]
+    b0_support = b0[support]
+
+    def value_of(vec):
+        return math.fsum((b0_support * vec[support]).tolist())
 
     def candidates(k):
         pool_size = len(pools[k][horizon - 1])
@@ -608,14 +693,21 @@ def lifted_exhaustive(
                     counts[i] = counts.get(i, 0) + 1
                 yield tuple(sorted(counts.items()))
 
-    memo: dict = {}
+    per_partition = [
+        [(occ_k, action_histogram(k, horizon, occ_k)) for occ_k in candidates(k)]
+        for k in range(n_partitions)
+    ]
+    shallow_values: dict = {}
     best_occ, best_value = None, None
-    for occ in itertools.product(*(list(candidates(k)) for k in range(n_partitions))):
-        v = math.fsum(
-            b0[s_idx] * value(s_idx, occ, horizon, memo)
-            for s_idx in range(n)
-            if b0[s_idx] != 0.0
-        )
+    for combo in itertools.product(*per_partition):
+        occ, action_key = zip(*combo)
+        if horizon > 2:
+            v = value_of(backup(horizon, occ, action_key))
+        else:
+            # depth-1 and depth-2 values depend on the action histogram alone
+            v = shallow_values.get(action_key)
+            if v is None:
+                v = shallow_values[action_key] = value_of(alpha(horizon, occ, action_key))
         if best_value is None or v > best_value:
             best_occ, best_value = occ, v
 

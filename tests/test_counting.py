@@ -20,6 +20,7 @@ from declift.counting import (
     is_peak_shaped,
     parse_histogram_key,
     parse_histogram_tuple_key,
+    range_positions,
     tuple_to_histogram,
 )
 from declift.errors import CapacityExceeded, RangeMismatch, SchemaError
@@ -83,6 +84,9 @@ def test_tuple_to_histogram_with_member_selection():
     h = tuple_to_histogram(("x", "q", "x"), ("x", "y"), member_indices=(0, 2))
     assert h == (2, 0)
     assert tuple_to_histogram(("x", "y", "x"), ("x", "y")) == (2, 1)
+    positions = range_positions(("x", "y"))
+    assert tuple_to_histogram(("x", "q", "x"), positions, member_indices=(0, 2)) == h
+    assert tuple_to_histogram(("x", "y", "x"), positions) == (2, 1)
 
 
 def test_tuple_to_histogram_range_mismatch():
@@ -90,6 +94,8 @@ def test_tuple_to_histogram_range_mismatch():
         tuple_to_histogram(("x", "z"), ("x", "y"))
     with pytest.raises(RangeMismatch):
         tuple_to_histogram(("x", "q"), ("x", "y"), member_indices=(1,))
+    with pytest.raises(RangeMismatch, match=r"range \('x', 'y'\)"):
+        tuple_to_histogram(("x", "z"), range_positions(("x", "y")))
 
 
 def test_peak_shape():

@@ -1,6 +1,7 @@
 """Lifting checks: partition discovery, aggregation, and round trips."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -204,6 +205,19 @@ def test_lift_rejects_joint_values_outside_the_declared_range(table):
     else:
         model.sensor["lo"][("zz", "o")] = 0.0
     with pytest.raises(RangeMismatch, match="'zz'"):
+        lift(model, range_partition(model))
+
+
+@pytest.mark.parametrize("table", ["transition", "sensor"])
+def test_lift_rejects_joint_tuples_shorter_than_the_agent_list(table):
+    model = symmetric_pair()
+    if table == "transition":
+        model.transition[("lo", ("x",))] = DiscreteDistribution([1.0, 0.0])
+        row = "transition row for state 'lo'"
+    else:
+        model.sensor["lo"][("o",)] = 0.0
+        row = "sensor row 'lo'"
+    with pytest.raises(RangeMismatch, match=re.escape(row) + ".*1 values for 2 agents"):
         lift(model, range_partition(model))
 
 

@@ -20,6 +20,7 @@ from declift.nano import (
     nano_states,
 )
 from declift.sizes import SizeParams, ground_sizes, lifted_sizes
+from declift import solvers
 from declift.solvers import lifted_exhaustive
 
 
@@ -111,6 +112,23 @@ def test_desk_optimum_value_and_policy():
 
     peak = lifted_exhaustive(model, 3, peak_only=True)
     assert abs(peak.value - result.value) <= 1e-12
+
+
+def test_desk_h3_builds_each_allocation_kernel_once(monkeypatch):
+    # the evaluator caches one allocation kernel per (depth, occupancy,
+    # observation histogram) instead of re-enumerating on every visit
+    calls = 0
+    enumerate_allocations = solvers._group_allocations
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return enumerate_allocations(*args)
+
+    monkeypatch.setattr(solvers, "_group_allocations", counted)
+    result = lifted_exhaustive(generate_nano(nano_desk_preset()), 3)
+    assert abs(result.value - 3.24) <= 1e-9
+    assert 0 < calls <= 1_000
 
 
 def test_absorbing_empty_world_prefers_noop():

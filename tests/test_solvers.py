@@ -10,13 +10,18 @@ observation, which is the case that separates correct counting semantics
 from naive ones.
 """
 
+import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from declift.errors import CapacityExceeded, NonConvergent
+from declift.counting import enumerate_histograms
+from declift.errors import CapacityExceeded, NonConvergent, ValidationError
 from declift.lifting import (
     LiftedDecPomdp,
     Partitioning,
@@ -166,7 +171,7 @@ def random_team(rng, n_states=2, gamma=0.9):
     )
 
 
-def random_lifted(rng, sizes=(2,), gamma=0.9):
+def random_lifted(rng, sizes=(2,), gamma=0.9, observations=("o", "n")):
     """Liftable-by-construction model: rows drawn per histogram key."""
     n_partitions = len(sizes)
     agents = tuple(f"a{i}" for i in range(sum(sizes)))
@@ -177,14 +182,12 @@ def random_lifted(rng, sizes=(2,), gamma=0.9):
     part = Partitioning(
         tuple(blocks),
         tuple(("x", "y") for _ in sizes),
-        tuple(("o", "n") for _ in sizes),
+        tuple(observations for _ in sizes),
     )
     states = StateSpace(("s0", "s1"))
-
-    def histograms(n):
-        return [(i, n - i) for i in range(n, -1, -1)]
-
-    action_keys = list(itertools.product(*(histograms(n) for n in sizes)))
+    action_keys = list(
+        itertools.product(*(enumerate_histograms(n, 2) for n in sizes))
+    )
     transition = {
         (s, key): DiscreteDistribution(random_row(rng, len(states)))
         for s in states
@@ -192,7 +195,11 @@ def random_lifted(rng, sizes=(2,), gamma=0.9):
     }
     sensor = {}
     for s in states:
-        keys = list(itertools.product(*(histograms(n) for n in sizes)))
+        keys = list(
+            itertools.product(
+                *(enumerate_histograms(n, len(observations)) for n in sizes)
+            )
+        )
         sensor[s] = {k: float(p) for k, p in zip(keys, random_row(rng, len(keys)))}
     reward = {s: float(rng.uniform(-1.0, 1.0)) for s in states}
     return LiftedDecPomdp(
@@ -677,6 +684,16 @@ def test_lifted_matches_ground_on_random_liftable_models(seed, sizes):
         assert abs(ground_result.value - lifted_result.value) <= 1e-9
 
 
+@pytest.mark.parametrize("sizes", [(2,), (1, 2)])
+def test_lifted_matches_ground_at_horizon_four(sizes):
+    # with one observation symbol a depth-4 plan is an action sequence, which
+    # keeps horizon 4, and so the memoised depth-3 vectors, cheap to reach
+    lifted = random_lifted(np.random.default_rng(7), sizes, observations=("o",))
+    ground_result = decpomdp_exhaustive(ground(lifted), 4)
+    lifted_result = lifted_exhaustive(lifted, 4)
+    assert abs(ground_result.value - lifted_result.value) <= 1e-9
+
+
 def test_peak_only_matches_shared_plan_brute_force():
     model = count_based_team("iid", n_agents=3)
     lifted = lift_chain(model)
@@ -718,6 +735,80 @@ def test_lifted_respects_caps():
         lifted_exhaustive(lifted, 2, cap_joint=10)
     with pytest.raises(CapacityExceeded):
         lifted_exhaustive(lifted, 3, cap_plans=16)
+
+
+@pytest.mark.parametrize("defect", ["missing", "mass"])
+def test_lifted_rejects_bad_sensor_row_before_searching(defect):
+    lifted = random_lifted(np.random.default_rng(3), (2,))
+    sensor = dict(lifted.sensor)
+    if defect == "missing":
+        del sensor["s1"]
+    else:
+        sensor["s1"] = {key: 0.5 * p for key, p in sensor["s1"].items()}
+    broken = dataclasses.replace(lifted, sensor=sensor)
+    # horizon 1 reads no sensor row, so only an up-front check can refuse it
+    with pytest.raises(ValidationError, match="sensor row for state 's1'"):
+        lifted_exhaustive(broken, 1)
+
+
+def test_lifted_rejects_missing_transition_row_before_searching():
+    lifted = random_lifted(np.random.default_rng(3), (2, 1))
+    missing = ("s1", ((1, 1), (0, 1)))
+    transition = dict(lifted.transition)
+    del transition[missing]
+    broken = dataclasses.replace(lifted, transition=transition)
+    # horizon 1 reads no transition row, so only an up-front check can refuse it
+    with pytest.raises(ValidationError, match=re.escape(repr(missing))):
+        lifted_exhaustive(broken, 1)
+
+
+def test_lifted_tie_breaks_to_first_multiset():
+    lifted = random_lifted(np.random.default_rng(5), (2, 1))
+    flat = dataclasses.replace(lifted, reward={s: 0.0 for s in lifted.states})
+    result = lifted_exhaustive(flat, 2)
+    assert result.value == 0.0
+    first = enumerate_plans(("x", "y"), 2, 2)[0]
+    assert result.policy.plans == (((first, 2),), ((first, 1),))
+
+
+@pytest.mark.parametrize("sizes,horizon", [((2, 1), 2), ((2,), 3)])
+def test_lifted_leaf_actions_tie_break_to_first_action(sizes, horizon):
+    # a plan's last actions change no value, so the earliest of the tied
+    # optimal multisets takes the first action at every leaf
+    lifted = random_lifted(np.random.default_rng(11), sizes)
+    result = lifted_exhaustive(lifted, horizon)
+
+    def leaves(plan):
+        if not plan.subplans:
+            return {plan.action}
+        return set().union(*(leaves(p) for p in plan.subplans))
+
+    for entry in result.policy.plans:
+        for plan, _ in entry:
+            assert leaves(plan) == {"x"}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    case=st.sampled_from(
+        [
+            ((1,), 1),
+            ((2,), 1),
+            ((2, 1), 1),
+            ((1,), 2),
+            ((2,), 2),
+            ((1, 1), 2),
+            ((2, 1), 2),
+            ((2,), 3),
+        ]
+    ),
+)
+def test_lifted_and_ground_optima_agree_on_generated_models(seed, case):
+    sizes, horizon = case
+    lifted = random_lifted(np.random.default_rng(seed), sizes)
+    ground_value = decpomdp_exhaustive(ground(lifted), horizon).value
+    assert abs(lifted_exhaustive(lifted, horizon).value - ground_value) <= 1e-9
 
 
 def test_solvers_reject_zero_horizon():
