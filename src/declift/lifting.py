@@ -133,25 +133,75 @@ def range_partition(model: GroundDecPomdp) -> Partitioning:
     )
 
 
-def _swap(values: tuple, i: int, j: int) -> tuple:
-    out = list(values)
-    out[i], out[j] = out[j], out[i]
-    return tuple(out)
+class _KeyTable:
+    """(state, joint tuple) keys as rows of integer label codes.
+
+    Every label has one code, so exchanging two joint columns of a code row
+    gives the codes of the swapped key.  Rows are found again by a binary
+    search over their raw bytes, with no Python loop over the rows.
+    """
+
+    def __init__(self, keys, n_agents: int):
+        for state, joint in keys:
+            if len(joint) != n_agents:
+                raise RangeMismatch(
+                    f"row for state {state!r}: joint tuple {joint!r} has "
+                    f"{len(joint)} values for {n_agents} agents"
+                )
+        labels = [lbl for state, joint in keys for lbl in (state, *joint)]
+        codes = {lbl: k for k, lbl in enumerate(dict.fromkeys(labels))}
+        self.rows = np.fromiter(
+            map(codes.__getitem__, labels), dtype=np.int32, count=len(labels)
+        ).reshape(-1, n_agents + 1)
+        self._row_bytes = np.dtype((np.void, self.rows.itemsize * (n_agents + 1)))
+        row_bytes = self._as_bytes(self.rows)
+        self._order = np.argsort(row_bytes)
+        self._sorted = row_bytes[self._order]
+
+    def _as_bytes(self, rows: np.ndarray) -> np.ndarray:
+        return rows.view(self._row_bytes).ravel()
+
+    def swapped(self, i: int, j: int) -> np.ndarray:
+        """Row of each key with agents i and j traded, or -1 where there is none."""
+        query = self.rows.copy()
+        query[:, [i + 1, j + 1]] = self.rows[:, [j + 1, i + 1]]
+        query = self._as_bytes(query)
+        pos = np.searchsorted(self._sorted, query).clip(max=len(query) - 1)
+        return np.where(self._sorted[pos] == query, self._order[pos], -1)
 
 
-def _swap_invariant(model: GroundDecPomdp, i: int, j: int, tol: float) -> bool:
-    """Is the model unchanged when agents at positions i and j trade places?"""
-    for (state, joint), dist in model.transition.items():
-        other = model.transition.get((state, _swap(joint, i, j)))
-        if other is None:
+class _SwapCheck:
+    """A ground model's tables, stacked once for testing agent swaps."""
+
+    def __init__(self, model: GroundDecPomdp):
+        n_agents = len(model.agents)
+        self.transition = _KeyTable(model.transition, n_agents)
+        self.transition_probs = np.array(
+            [dist.probs for dist in model.transition.values()], dtype=float
+        )
+        entries = [
+            ((state, joint), prob)
+            for state, row in model.sensor.items()
+            for joint, prob in row.items()
+        ]
+        self.sensor = _KeyTable([key for key, _ in entries], n_agents)
+        self.sensor_probs = np.array([prob for _, prob in entries], dtype=float)
+
+    def invariant(self, i: int, j: int, tol: float) -> bool:
+        """Is the model unchanged when agents at positions i and j trade places?
+
+        A transition row without a swapped counterpart breaks invariance; a
+        missing sensor entry reads as probability 0.
+        """
+        perm = self.transition.swapped(i, j)
+        if (perm < 0).any():
             return False
-        if np.max(np.abs(dist.probs - other.probs)) > tol:
+        probs = self.transition_probs
+        if np.abs(probs[perm] - probs).max(initial=0.0) > tol:
             return False
-    for row in model.sensor.values():
-        for joint, prob in row.items():
-            if abs(prob - row.get(_swap(joint, i, j), 0.0)) > tol:
-                return False
-    return True
+        perm = self.sensor.swapped(i, j)
+        other = np.where(perm >= 0, self.sensor_probs[perm], 0.0)
+        return not (np.abs(self.sensor_probs - other) > tol).any()
 
 
 def symmetry_refine(
@@ -163,8 +213,10 @@ def symmetry_refine(
     generated by their swaps with a shared third), so grouping members
     against one representative per emerging sub-block reaches the fixed
     point in a single pass with O(block size) swap checks per block in the
-    fully symmetric case.
+    fully symmetric case.  The tables are stacked once per call; each swap
+    check is then one key lookup and one array comparison.
     """
+    check = _SwapCheck(model)
     blocks: list[tuple[int, ...]] = []
     action_ranges: list[tuple[str, ...]] = []
     observation_ranges: list[tuple[str, ...]] = []
@@ -174,7 +226,7 @@ def symmetry_refine(
         subgroups: list[list[int]] = []
         for idx in block:
             for sub in subgroups:
-                if _swap_invariant(model, sub[0], idx, tol):
+                if check.invariant(sub[0], idx, tol):
                     sub.append(idx)
                     break
             else:

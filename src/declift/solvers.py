@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .counting import (
     bounded_compositions,
@@ -206,6 +205,45 @@ class PlanValueVector:
     alpha: np.ndarray
 
 
+def linprog(*args, **kwargs):
+    """`scipy.optimize.linprog`, imported on the first call.
+
+    Importing `scipy.optimize` costs most of the package's import time and
+    only the pruning LP needs it, so it loads when an LP is first solved.
+    `dominance_prune` looks this name up at call time, so it can be
+    replaced to observe or count the LP calls.
+    """
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
+
+
+def _prefilter(rows: np.ndarray, margin_tol: float) -> list[int]:
+    """Indices of the rows left by dedup and the pointwise filter, in order.
+
+    A row within margin_tol everywhere of an earlier kept row is dropped,
+    then a row that another kept row matches or beats everywhere.  Each
+    test is one array reduction per row; no pairwise array is formed.
+    """
+    unique = np.empty_like(rows)  # the kept rows, in order
+    deduped: list[int] = []
+    for i, row in enumerate(rows):
+        kept = unique[: len(deduped)]
+        if deduped and np.abs(kept - row).max(axis=1).min() <= margin_tol:
+            continue
+        unique[len(deduped)] = row
+        deduped.append(i)
+    unique = unique[: len(deduped)]
+
+    filtered = []
+    for k, row in enumerate(unique):
+        dominators = (unique >= row).all(axis=1)
+        dominators[k] = False
+        if not dominators.any():
+            filtered.append(deduped[k])
+    return filtered
+
+
 def dominance_prune(
     vectors: list[PlanValueVector], margin_tol: float = DOMINANCE_TOL
 ) -> list[PlanValueVector]:
@@ -219,49 +257,41 @@ def dominance_prune(
     is kept without consulting the linear program, so corner-maximal
     vectors never disappear.
     """
-    deduped: list[PlanValueVector] = []
-    for v in vectors:
-        if any(
-            float(np.max(np.abs(v.alpha - u.alpha))) <= margin_tol for u in deduped
-        ):
-            continue
-        deduped.append(v)
-
-    filtered = [
-        v
-        for i, v in enumerate(deduped)
-        if not any(
-            j != i and bool(np.all(deduped[j].alpha >= v.alpha))
-            for j in range(len(deduped))
-        )
-    ]
+    if not vectors:
+        return []
+    rows = np.stack([v.alpha for v in vectors])
+    filtered = _prefilter(rows, margin_tol)
     if len(filtered) <= 1:
-        return filtered
+        return [vectors[i] for i in filtered]
 
-    stacked = np.stack([v.alpha for v in filtered])
-    n_states = stacked.shape[1]
+    stacked = rows[filtered]
+    n_others, n_states = len(filtered) - 1, stacked.shape[1]
     corner_winners = {int(np.argmax(stacked[:, s])) for s in range(n_states)}
+    # maximize d subject to b . (u - v) + d <= 0 for all other u,
+    # b on the probability simplex
+    c = np.concatenate([np.zeros(n_states), [-1.0]])
+    margin_column = np.ones((n_others, 1))
+    b_ub = np.zeros(n_others)
+    a_eq = np.concatenate([np.ones(n_states), [0.0]]).reshape(1, -1)
+    bounds = [(0.0, 1.0)] * n_states + [(None, None)]
 
     kept = []
-    for i, v in enumerate(filtered):
-        if i in corner_winners:
-            kept.append(v)
+    for k, i in enumerate(filtered):
+        if k in corner_winners:
+            kept.append(vectors[i])
             continue
-        others = np.delete(stacked, i, axis=0)
-        # maximize d subject to b . (u - v) + d <= 0 for all other u,
-        # b on the probability simplex
-        a_ub = np.hstack([others - v.alpha, np.ones((others.shape[0], 1))])
+        others = np.delete(stacked, k, axis=0)
         res = linprog(
-            c=np.concatenate([np.zeros(n_states), [-1.0]]),
-            A_ub=a_ub,
-            b_ub=np.zeros(others.shape[0]),
-            A_eq=np.concatenate([np.ones(n_states), [0.0]]).reshape(1, -1),
+            c=c,
+            A_ub=np.hstack([others - stacked[k], margin_column]),
+            b_ub=b_ub,
+            A_eq=a_eq,
             b_eq=[1.0],
-            bounds=[(0.0, 1.0)] * n_states + [(None, None)],
+            bounds=bounds,
             method="highs",
         )
         if not res.success or -res.fun >= -margin_tol:
-            kept.append(v)
+            kept.append(vectors[i])
     return kept
 
 

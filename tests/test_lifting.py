@@ -1,21 +1,26 @@
 """Lifting checks: partition discovery, aggregation, and round trips."""
 
+import dataclasses
 import itertools
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from declift.errors import CapacityExceeded, NotLiftable, RangeMismatch
 from declift.lifting import (
     LiftedDecPomdp,
     Partitioning,
+    _SwapCheck,
     ground,
     lift,
     range_partition,
     symmetry_refine,
 )
 from declift.models import (
+    PROB_TOL,
     Belief,
     DiscreteDistribution,
     GroundDecPomdp,
@@ -121,6 +126,150 @@ def test_symmetry_refine_regroups_nonadjacent_members():
     )
     part = symmetry_refine(model, range_partition(model))
     assert part.blocks == ((0, 2), (1,))
+
+
+def test_symmetry_refine_splits_on_missing_swapped_row():
+    # agent 1 only ever plays x: swapping it with 0 or 2 maps (y, x, x)
+    # onto (x, y, x), which has no row, while 0 and 2 stay interchangeable;
+    # all rows are equal, so only the missing row can split the block
+    states = StateSpace(("g", "b"))
+    agents = ("a0", "a1", "a2")
+    transition = {
+        (s, joint): DiscreteDistribution([1.0, 0.0])
+        for s in states
+        for joint in itertools.product(("x", "y"), repeat=3)
+        if joint[1] == "x"
+    }
+    model = GroundDecPomdp(
+        agents=agents,
+        states=states,
+        actions={a: ("x", "y") for a in agents},
+        observations={a: ("o",) for a in agents},
+        transition=transition,
+        sensor={s: {("o", "o", "o"): 1.0} for s in states},
+        reward={"g": 1.0, "b": 0.0},
+        discount=0.9,
+        initial_belief=Belief(states, np.array([1.0, 0.0])),
+    )
+    part = symmetry_refine(model, range_partition(model))
+    assert part.blocks == ((0, 2), (1,))
+
+
+@pytest.mark.parametrize("factor, blocks", [(1.01, ((0,), (1,))), (0.99, ((0, 1),))])
+def test_symmetry_refine_transition_tolerance(factor, blocks):
+    shift = factor * PROB_TOL
+
+    def rule(state, joint):
+        return [0.5 + shift, 0.5 - shift] if joint == ("x", "y") else [0.5, 0.5]
+
+    model = symmetric_pair(transition_rule=rule)
+    assert symmetry_refine(model, range_partition(model)).blocks == blocks
+
+
+@pytest.mark.parametrize(
+    "sensor",
+    [
+        {("o", "n"): 0.3, ("n", "o"): 0.2, ("o", "o"): 0.25, ("n", "n"): 0.25},
+        # the swapped entry is missing, so it reads as probability 0
+        {("o", "n"): 0.5, ("o", "o"): 0.5},
+    ],
+)
+def test_symmetry_refine_splits_on_sensor_only_asymmetry(sensor):
+    model = symmetric_pair(sensor=sensor)
+    assert symmetry_refine(model, range_partition(model)).blocks == ((0,), (1,))
+
+
+@pytest.mark.parametrize(
+    "sensor, blocks",
+    [
+        ({("o", "n"): 0.5, ("o", "o"): 0.5}, ((0,), (1,))),
+        ({("o", "n"): 0.5, ("n", "o"): 0.5}, ((0, 1),)),
+    ],
+)
+def test_symmetry_refine_without_transition_rows(sensor, blocks):
+    model = dataclasses.replace(symmetric_pair(sensor=sensor), transition={})
+    assert symmetry_refine(model, range_partition(model)).blocks == blocks
+
+
+def loop_swap_invariant(model, i, j, tol):
+    """Row-by-row form of the swap check behind `symmetry_refine`."""
+
+    def swap(values):
+        out = list(values)
+        out[i], out[j] = out[j], out[i]
+        return tuple(out)
+
+    for (state, joint), dist in model.transition.items():
+        other = model.transition.get((state, swap(joint)))
+        if other is None or np.max(np.abs(dist.probs - other.probs)) > tol:
+            return False
+    for row in model.sensor.values():
+        for joint, prob in row.items():
+            if abs(prob - row.get(swap(joint), 0.0)) > tol:
+                return False
+    return True
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_swap_check_matches_row_by_row_loop(data):
+    # a count-symmetric three-agent model, then edits that break symmetry
+    # by a missing row, a shift around the tolerance or a foreign label
+    states = StateSpace(("lo", "hi"))
+    agents = ("a0", "a1", "a2")
+    last_actions = data.draw(st.sampled_from([("x", "y"), ("x", "z")]))
+    actions = {"a0": ("x", "y"), "a1": ("x", "y"), "a2": last_actions}
+    observations = {a: ("o", "n") for a in agents}
+    # with a zero slope all rows are equal, so only a missing row can tell
+    slope = data.draw(st.sampled_from([0.0, 0.1]))
+    transition = {}
+    for s in states:
+        for joint in itertools.product(*(actions[a] for a in agents)):
+            p = 0.2 + slope * (joint.count("x") + (s == "hi"))
+            transition[(s, joint)] = np.array([p, 1.0 - p])
+    sensor = {
+        s: {jo: 0.125 for jo in itertools.product(("o", "n"), repeat=3)} for s in states
+    }
+    shift = st.sampled_from([0.5, 0.99, 1.01, 3.0]).map(lambda f: f * PROB_TOL)
+    for _ in range(data.draw(st.integers(0, 3))):
+        edit = data.draw(st.sampled_from(["drop-row", "shift-row", "drop-obs", "shift-obs"]))
+        if edit.endswith("row"):
+            key = data.draw(st.sampled_from(sorted(transition)))
+            if edit == "drop-row":
+                del transition[key]
+            else:
+                transition[key] = transition[key] + data.draw(shift) * np.array([1.0, -1.0])
+        else:
+            row = sensor[data.draw(st.sampled_from(states.labels))]
+            if row:
+                joint = data.draw(st.sampled_from(sorted(row)))
+                if edit == "drop-obs":
+                    del row[joint]
+                else:
+                    row[joint] += data.draw(shift)
+    model = GroundDecPomdp(
+        agents=agents,
+        states=states,
+        actions=actions,
+        observations=observations,
+        transition={key: DiscreteDistribution(row) for key, row in transition.items()},
+        sensor=sensor,
+        reward={"lo": 0.0, "hi": 1.0},
+        discount=0.9,
+        initial_belief=Belief(states, np.array([1.0, 0.0])),
+    )
+    check = _SwapCheck(model)
+    for i, j in itertools.combinations(range(3), 2):
+        assert check.invariant(i, j, PROB_TOL) == loop_swap_invariant(model, i, j, PROB_TOL)
+
+
+def test_symmetry_refine_rejects_short_joint_tuples():
+    model = symmetric_pair()
+    transition = dict(model.transition)
+    transition[("lo", ("x",))] = DiscreteDistribution([1.0, 0.0])
+    model = dataclasses.replace(model, transition=transition)
+    with pytest.raises(RangeMismatch, match="1 values for 2 agents"):
+        symmetry_refine(model, range_partition(model))
 
 
 def test_lift_aggregates_sensor_mass():

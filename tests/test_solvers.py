@@ -13,7 +13,11 @@ from naive ones.
 import dataclasses
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,7 +43,9 @@ from declift.models import (
     StateSpace,
     validate_model,
 )
+from declift import solvers
 from declift.solvers import (
+    DOMINANCE_TOL,
     ConditionalPlan,
     PlanValueVector,
     decpomdp_exhaustive,
@@ -441,6 +447,126 @@ def test_dominance_prune_keeps_upper_surface():
 def test_dominance_prune_single_vector_kept():
     v = PlanValueVector(ConditionalPlan("a"), np.array([0.0, 0.0]))
     assert dominance_prune([v]) == [v]
+
+
+def test_dominance_prune_empty_input():
+    assert dominance_prune([]) == []
+
+
+def loop_prefilter(vectors, margin_tol=DOMINANCE_TOL):
+    """The dedup and pointwise filters of `dominance_prune` as loops over pairs."""
+    deduped = []
+    for v in vectors:
+        if any(float(np.max(np.abs(v.alpha - u.alpha))) <= margin_tol for u in deduped):
+            continue
+        deduped.append(v)
+    return [
+        v
+        for i, v in enumerate(deduped)
+        if not any(
+            j != i and bool(np.all(deduped[j].alpha >= v.alpha))
+            for j in range(len(deduped))
+        )
+    ]
+
+
+@st.composite
+def alpha_sets(draw):
+    """Vector sets seeded with duplicates, near-duplicates and dominated copies."""
+    n_states = draw(st.integers(1, 4))
+    entry = st.integers(-4, 4).map(lambda k: k / 4)
+    alphas = [
+        np.array(draw(st.lists(entry, min_size=n_states, max_size=n_states)))
+        for _ in range(draw(st.integers(0, 7)))
+    ]
+    for base in list(alphas):
+        kind = draw(st.sampled_from(["none", "exact", "near", "dominated"]))
+        if kind == "exact":
+            alphas.append(base.copy())
+        elif kind == "near":
+            # offsets up to twice the tolerance land on both sides of it;
+            # on a zero entry, +-1 lands exactly on it
+            scale = draw(st.sampled_from([-1.0, 1.0]) | st.floats(-2.0, 2.0)) * DOMINANCE_TOL
+            alphas.append(base + scale * np.linspace(1.0, 0.5, n_states))
+        elif kind == "dominated":
+            drop = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0]), min_size=n_states,
+                                 max_size=n_states))
+            alphas.append(base - np.array(drop))
+    order = draw(st.permutations(range(len(alphas))))
+    return [PlanValueVector(ConditionalPlan(f"p{k}"), alphas[k]) for k in order]
+
+
+@settings(max_examples=150, deadline=None)
+@given(vectors=alpha_sets())
+def test_dominance_prune_prefilter_matches_pairwise_loops(vectors):
+    expected = loop_prefilter(vectors)
+    if vectors:
+        rows = np.stack([v.alpha for v in vectors])
+        got = [vectors[i] for i in solvers._prefilter(rows, DOMINANCE_TOL)]
+        assert [id(v) for v in got] == [id(v) for v in expected]
+    # the LP stage sees the prefilter's survivors in order, so pruning the
+    # pairwise survivors again must give the same objects in the same order
+    kept = dominance_prune(vectors)
+    assert [id(v) for v in kept] == [id(v) for v in dominance_prune(expected)]
+
+
+@pytest.mark.parametrize("offset, survivor", [(DOMINANCE_TOL, 0), (2 * DOMINANCE_TOL, 1)])
+def test_dominance_prune_tolerance_boundary(offset, survivor):
+    # a copy exactly margin_tol away collapses onto the earlier vector; one
+    # further away survives the dedup and then dominates it
+    vectors = [
+        PlanValueVector(ConditionalPlan("a"), np.array([0.0, 1.0])),
+        PlanValueVector(ConditionalPlan("b"), np.array([offset, 1.0])),
+    ]
+    assert dominance_prune(vectors) == loop_prefilter(vectors) == [vectors[survivor]]
+
+
+def test_linprog_is_looked_up_by_module_name(monkeypatch):
+    vectors = [
+        PlanValueVector(ConditionalPlan("a"), np.array(alpha))
+        for alpha in ([1.0, 0.0], [0.0, 1.0], [0.6, 0.6])
+    ]
+    calls = []
+    real = solvers.linprog
+
+    def counting_linprog(*args, **kwargs):
+        calls.append(kwargs["A_ub"].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "linprog", counting_linprog)
+    kept = dominance_prune(vectors)
+    # the two corner winners skip the LP; only the middle vector needs it
+    assert calls == [(2, 3)]
+    assert kept == vectors
+
+
+def test_scipy_optimize_loads_only_for_the_pruning_lp():
+    script = """
+import runpy, sys
+import numpy as np
+import declift
+assert "scipy.optimize" not in sys.modules, "import declift"
+sys.argv = ["declift", "analyze-size", "--preset", "paper"]
+try:
+    runpy.run_module("declift.cli", run_name="__main__")
+except SystemExit as stop:
+    assert stop.code == 0, stop.code
+assert "scipy.optimize" not in sys.modules, "analyze-size"
+from declift.solvers import ConditionalPlan, PlanValueVector, dominance_prune
+vectors = [PlanValueVector(ConditionalPlan("a"), np.array(alpha))
+           for alpha in ([1.0, 0.0], [0.0, 1.0], [0.6, 0.6])]
+assert len(dominance_prune(vectors)) == 3
+assert "scipy.optimize" in sys.modules, "pruning LP"
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(solvers.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("instance:")
 
 
 @pytest.mark.parametrize("seed", range(6))
