@@ -16,15 +16,18 @@ policy assigns one conditional plan per agent.  In counting form agents of
 a partition are interchangeable, so only the multiset of member plans
 matters; the search enumerates those multisets and the evaluator never
 leaves histogram space.  Both evaluators back up one value vector over
-states per joint plan node: the ground one per tuple of agent plans, the
-lifted one per joint occupancy (how many members of each partition sit at
-each plan node).  Observation histograms are split over the plan nodes of
-a partition with multivariate hypergeometric weights, which is exactly
-the distribution induced by any permutation-invariant sensor; that split
-does not depend on the state, so it is cached per partition as an
-allocation kernel.  Depth-1 vectors equal the reward, so a depth-2 vector
-depends only on the action histogram the occupancy induces.  Optimal
-values of the two forms therefore agree on liftable models.
+states per joint plan node.  The ground one is a tensor backup: the values
+of every tuple of agent plans at one depth form one array, filled from the
+previous depth's array by one gather per joint observation and one
+transition product per joint action.  The lifted one keeps one vector per
+joint occupancy (how many members of each partition sit at each plan node).
+Observation histograms are split over the plan nodes of a partition with
+multivariate hypergeometric weights, which is exactly the distribution
+induced by any permutation-invariant sensor; that split does not depend on
+the state, so it is cached per partition as an allocation kernel.  Depth-1
+vectors equal the reward, so a depth-2 vector depends only on the action
+histogram the occupancy induces.  Optimal values of the two forms
+therefore agree on liftable models.
 """
 
 from __future__ import annotations
@@ -385,6 +388,56 @@ def _require_row(row, what):
     return row
 
 
+def _team_backup(pools, reward, gamma, b0, trans, sensor):
+    """Best joint plan-index tuple of a ground team, and its value from b0.
+
+    pools[i] holds agent i's `_indexed_plans`; trans[a_1, ..., a_N] is the
+    [state, next state] matrix of a joint action index tuple, and
+    sensor[s', o_1, ..., o_N] the probability of a joint observation in the
+    next state.  The value tensor V[q_1, ..., q_N, s] of every tuple of
+    depth-d plans is backed up in one step per depth and joint action.  The
+    pools are action-major, so the tuples of one joint action form a
+    contiguous block; for each joint observation with mass somewhere, the
+    block's children's values are gathered with `np.ix_`, weighted by the
+    sensor and summed, and the action's transition applies to the sum.
+    Working block by block keeps the temporaries at one block's size, and
+    the root depth keeps only each tuple's value V . b0, not its vector.
+    The root takes the first maximum in C order, i.e. the earliest tuple
+    in declaration order.
+    """
+    n_states, horizon = len(reward), len(pools[0])
+    observed = [tuple(jo) for jo in np.argwhere(sensor.any(axis=0))]
+    value = np.broadcast_to(reward, tuple(len(p[0]) for p in pools) + (n_states,))
+    for depth in range(2, horizon + 1):
+        levels = [p[depth - 1] for p in pools]
+        children = [np.array([c for _, c in level]) for level in levels]
+        bounds = [
+            np.searchsorted([a for a, _ in level], np.arange(n_actions + 1))
+            for level, n_actions in zip(levels, trans.shape)
+        ]
+        root = depth == horizon
+        backed_up = np.empty(
+            tuple(len(level) for level in levels) + (() if root else (n_states,))
+        )
+        for ja in np.ndindex(trans.shape[:-2]):
+            block = tuple(slice(b[a], b[a + 1]) for b, a in zip(bounds, ja))
+            cont = np.zeros(tuple(sl.stop - sl.start for sl in block) + (n_states,))
+            for jo in observed:
+                rows = (c[sl, o] for c, sl, o in zip(children, block, jo))
+                gathered = value[np.ix_(*rows)]
+                gathered *= sensor[(slice(None),) + jo]
+                cont += gathered
+            alpha = cont @ trans[ja].T
+            alpha *= gamma
+            alpha += reward
+            backed_up[block] = alpha @ b0 if root else alpha
+        value = backed_up
+    if horizon == 1:
+        value = value @ b0
+    best = np.unravel_index(np.argmax(value), value.shape)
+    return tuple(int(q) for q in best), float(value[best])
+
+
 def decpomdp_exhaustive(
     model: GroundDecPomdp,
     horizon: int,
@@ -398,6 +451,10 @@ def decpomdp_exhaustive(
     the model's initial belief; no sampling, no pruning.  Ties fall to the
     earliest tuple in declaration order.  Joint tuple counts are checked
     against `cap_joint` at every depth before anything is enumerated.
+
+    Raises ValidationError before searching when a state lacks a sensor
+    row or a (state, joint action) pair lacks a transition row; a joint
+    observation missing from a sensor row has probability 0.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -405,7 +462,6 @@ def decpomdp_exhaustive(
     states = list(model.states)
     n = len(states)
     reward = np.array([model.reward[s] for s in states])
-    gamma = model.discount
     b0 = model.initial_belief.probs
 
     act_ranges = [model.actions[a] for a in agents]
@@ -428,64 +484,38 @@ def decpomdp_exhaustive(
     ]
 
     joint_obs = list(itertools.product(*obs_ranges))
-    joint_obs_idx = list(
-        itertools.product(*(range(len(orr)) for orr in obs_ranges))
-    )
-    omega = np.zeros((n, len(joint_obs)))
+    sensor = np.zeros((n, len(joint_obs)))
     for i, s in enumerate(states):
-        row = model.sensor.get(s, {})
+        row = _require_row(model.sensor.get(s), f"sensor row for state {s!r}")
         for j, jo in enumerate(joint_obs):
-            omega[i, j] = row.get(jo, 0.0)
+            sensor[i, j] = row.get(jo, 0.0)
 
-    trans = {}
-    for ja in itertools.product(*act_ranges):
-        rows = np.zeros((n, n))
+    trans = np.zeros(tuple(len(ar) for ar in act_ranges) + (n, n))
+    for ja_idx, ja in zip(
+        itertools.product(*(range(len(ar)) for ar in act_ranges)),
+        itertools.product(*act_ranges),
+    ):
         for i, s in enumerate(states):
-            rows[i] = _require_row(
+            trans[ja_idx + (i,)] = _require_row(
                 model.transition.get((s, ja)), f"transition row for ({s!r}, {ja!r})"
             ).probs
-        trans[ja] = rows
 
-    evaluated = 0
-    alphas: dict[tuple[int, ...], np.ndarray] = {}
-    for depth in range(1, horizon + 1):
-        new_alphas = {}
-        for tup in itertools.product(*(range(len(p[depth - 1])) for p in pools)):
-            if depth == 1:
-                new_alphas[tup] = reward
-                evaluated += 1
-                continue
-            nodes = [pools[i][depth - 1][tup[i]] for i in range(len(agents))]
-            ja = tuple(act_ranges[i][nodes[i][0]] for i in range(len(agents)))
-            children = np.empty((len(joint_obs), n))
-            for j, jo in enumerate(joint_obs_idx):
-                child = tuple(
-                    nodes[i][1][jo[i]] for i in range(len(agents))
-                )
-                children[j] = alphas[child]
-            cont = np.einsum("so,os->s", omega, children)
-            new_alphas[tup] = reward + gamma * trans[ja].dot(cont)
-            evaluated += 1
-        alphas = new_alphas
-
-    best_tup, best_value = None, None
-    for tup, alpha in alphas.items():
-        value = float(b0.dot(alpha))
-        if best_value is None or value > best_value:
-            best_tup, best_value = tup, value
+    sensor = sensor.reshape((n,) + tuple(len(orr) for orr in obs_ranges))
+    best_tup, best_value = _team_backup(pools, reward, model.discount, b0, trans, sensor)
 
     entries = []
     for i in range(len(agents)):
         plan = _materialize_plan(pools[i], act_ranges[i], horizon, best_tup[i], {})
         entries.append(((plan, 1),))
     policy = JointPolicy(horizon, tuple(entries))
+    joint_tuples = [math.prod(len(p[d]) for p in pools) for d in range(horizon)]
     return SolveResult(
         value=best_value,
         policy=policy,
         statistics={
             "per_agent_plans": [len(p[horizon - 1]) for p in pools],
-            "joint_tuples": len(alphas),
-            "evaluations": evaluated,
+            "joint_tuples": joint_tuples[-1],
+            "evaluations": sum(joint_tuples),
         },
     )
 

@@ -280,9 +280,11 @@ def horizon_values(model, horizon: int) -> dict[str, float]:
 
 
 def eval_joint(model: GroundDecPomdp, plans, state: str, memo) -> float:
-    key = (plans, state)
+    # memo is keyed by plan identity, which hashes far faster than a plan
+    # tree; each entry holds its plans, so no id is reused while it lives
+    key = (tuple(map(id, plans)), state)
     if key in memo:
-        return memo[key]
+        return memo[key][1]
     value = model.reward[state]
     if any(p.subplans for p in plans):
         ja = tuple(p.action for p in plans)
@@ -300,8 +302,17 @@ def eval_joint(model: GroundDecPomdp, plans, state: str, memo) -> float:
                 )
                 acc += pt * po * eval_joint(model, subs, t, memo)
         value += model.discount * acc
-    memo[key] = value
+    memo[key] = (plans, value)
     return value
+
+
+def joint_value(model: GroundDecPomdp, plans, memo) -> float:
+    b0 = model.initial_belief.probs
+    return math.fsum(
+        b0[i] * eval_joint(model, plans, s, memo)
+        for i, s in enumerate(model.states)
+        if b0[i] != 0.0
+    )
 
 
 def brute_team_optimum(model: GroundDecPomdp, horizon: int) -> float:
@@ -309,15 +320,10 @@ def brute_team_optimum(model: GroundDecPomdp, horizon: int) -> float:
         enumerate_plans(model.actions[a], len(model.observations[a]), horizon)
         for a in model.agents
     ]
-    b0 = model.initial_belief.probs
     memo: dict = {}
     best = None
     for combo in itertools.product(*pools):
-        v = math.fsum(
-            b0[i] * eval_joint(model, combo, s, memo)
-            for i, s in enumerate(model.states)
-            if b0[i] != 0.0
-        )
+        v = joint_value(model, combo, memo)
         if best is None or v > best:
             best = v
     return best
@@ -685,12 +691,22 @@ def test_plan_iteration_reports_stats_and_respects_cap():
 # ---------------------------------------------------------------------------
 # ground team search
 
-@pytest.mark.parametrize("seed,horizon", [(0, 1), (0, 2), (1, 2), (2, 2), (0, 3)])
-def test_exhaustive_matches_brute_force(seed, horizon):
+BRUTE_FORCE_CASES = [(0, 1, 2), (0, 2, 2), (1, 2, 2), (2, 2, 2), (0, 3, 2), (3, 1, 3), (3, 2, 3)]
+
+
+@pytest.mark.parametrize(
+    "seed,horizon,n_states",
+    BRUTE_FORCE_CASES,
+    ids=[f"{s}-{h}" + ("" if n == 2 else f"-{n}states") for s, h, n in BRUTE_FORCE_CASES],
+)
+def test_exhaustive_matches_brute_force(seed, horizon, n_states):
     rng = np.random.default_rng(300 + seed)
-    model = random_team(rng)
+    model = random_team(rng, n_states=n_states)
     result = decpomdp_exhaustive(model, horizon)
-    assert abs(result.value - brute_team_optimum(model, horizon)) <= 1e-9
+    optimum = brute_team_optimum(model, horizon)
+    assert abs(result.value - optimum) <= 1e-9
+    plans = tuple(plan for [(plan, _)] in result.policy.plans)
+    assert abs(joint_value(model, plans, {}) - optimum) <= 1e-9
 
 
 def test_exhaustive_single_agent_matches_plan_surface():
@@ -730,28 +746,29 @@ def test_exhaustive_value_monotone_in_horizon():
 
 
 def test_exhaustive_tie_breaks_to_first_tuple():
-    model = count_based_team("iid")
-    flat = GroundDecPomdp(
-        model.agents,
-        model.states,
-        model.actions,
-        model.observations,
-        model.transition,
-        model.sensor,
-        {s: 0.0 for s in model.states},
-        model.discount,
-        model.initial_belief,
-    )
-    result = decpomdp_exhaustive(flat, 2)
-    assert result.value == 0.0
-
     def all_first(plan):
         return plan.action == "x" and all(all_first(p) for p in plan.subplans)
 
-    for entry in result.policy.plans:
-        [(plan, count)] = entry
-        assert count == 1
-        assert all_first(plan)
+    for n_agents in (2, 3):
+        model = count_based_team("iid", n_agents=n_agents)
+        flat = dataclasses.replace(model, reward={s: 0.0 for s in model.states})
+        result = decpomdp_exhaustive(flat, 2)
+        assert result.value == 0.0
+        assert len(result.policy.plans) == n_agents
+        for entry in result.policy.plans:
+            [(plan, count)] = entry
+            assert count == 1
+            assert all_first(plan)
+
+
+def test_exhaustive_rejects_missing_sensor_row_before_searching():
+    model = random_team(np.random.default_rng(3))
+    sensor = dict(model.sensor)
+    del sensor["s1"]
+    broken = dataclasses.replace(model, sensor=sensor)
+    # horizon 1 reads no sensor row, so only an up-front check can refuse it
+    with pytest.raises(ValidationError, match="sensor row for state 's1'"):
+        decpomdp_exhaustive(broken, 1)
 
 
 def test_exhaustive_respects_joint_cap():
@@ -865,39 +882,47 @@ def test_lifted_respects_caps():
 
 @pytest.mark.parametrize("defect", ["missing", "mass"])
 def test_lifted_rejects_bad_sensor_row_before_searching(defect):
-    lifted = random_lifted(np.random.default_rng(3), (2,))
-    sensor = dict(lifted.sensor)
-    if defect == "missing":
-        del sensor["s1"]
-    else:
-        sensor["s1"] = {key: 0.5 * p for key, p in sensor["s1"].items()}
-    broken = dataclasses.replace(lifted, sensor=sensor)
-    # horizon 1 reads no sensor row, so only an up-front check can refuse it
-    with pytest.raises(ValidationError, match="sensor row for state 's1'"):
-        lifted_exhaustive(broken, 1)
+    for sizes in [(2,), (1, 1)]:
+        lifted = random_lifted(np.random.default_rng(3), sizes)
+        sensor = dict(lifted.sensor)
+        if defect == "missing":
+            del sensor["s1"]
+        else:
+            sensor["s1"] = {key: 0.5 * p for key, p in sensor["s1"].items()}
+        broken = dataclasses.replace(lifted, sensor=sensor)
+        # horizon 1 reads no sensor row, so only an up-front check can refuse it
+        with pytest.raises(ValidationError, match="sensor row for state 's1'"):
+            lifted_exhaustive(broken, 1)
 
 
 def test_lifted_rejects_missing_transition_row_before_searching():
-    lifted = random_lifted(np.random.default_rng(3), (2, 1))
-    missing = ("s1", ((1, 1), (0, 1)))
-    transition = dict(lifted.transition)
-    del transition[missing]
-    broken = dataclasses.replace(lifted, transition=transition)
-    # horizon 1 reads no transition row, so only an up-front check can refuse it
-    with pytest.raises(ValidationError, match=re.escape(repr(missing))):
-        lifted_exhaustive(broken, 1)
+    for sizes, missing in [
+        ((2, 1), ("s1", ((1, 1), (0, 1)))),
+        ((1, 1), ("s1", ((0, 1), (1, 0)))),
+    ]:
+        lifted = random_lifted(np.random.default_rng(3), sizes)
+        transition = dict(lifted.transition)
+        del transition[missing]
+        broken = dataclasses.replace(lifted, transition=transition)
+        # horizon 1 reads no transition row, so only an up-front check can
+        # refuse it
+        with pytest.raises(ValidationError, match=re.escape(repr(missing))):
+            lifted_exhaustive(broken, 1)
 
 
 def test_lifted_tie_breaks_to_first_multiset():
-    lifted = random_lifted(np.random.default_rng(5), (2, 1))
-    flat = dataclasses.replace(lifted, reward={s: 0.0 for s in lifted.states})
-    result = lifted_exhaustive(flat, 2)
-    assert result.value == 0.0
     first = enumerate_plans(("x", "y"), 2, 2)[0]
-    assert result.policy.plans == (((first, 2),), ((first, 1),))
+    for sizes in [(2, 1), (1, 1)]:
+        lifted = random_lifted(np.random.default_rng(5), sizes)
+        flat = dataclasses.replace(lifted, reward={s: 0.0 for s in lifted.states})
+        result = lifted_exhaustive(flat, 2)
+        assert result.value == 0.0
+        assert result.policy.plans == tuple(((first, n),) for n in sizes)
 
 
-@pytest.mark.parametrize("sizes,horizon", [((2, 1), 2), ((2,), 3)])
+@pytest.mark.parametrize(
+    "sizes,horizon", [((2, 1), 2), ((2,), 3), ((1,), 3), ((1, 1), 2)]
+)
 def test_lifted_leaf_actions_tie_break_to_first_action(sizes, horizon):
     # a plan's last actions change no value, so the earliest of the tied
     # optimal multisets takes the first action at every leaf
@@ -935,6 +960,24 @@ def test_lifted_and_ground_optima_agree_on_generated_models(seed, case):
     lifted = random_lifted(np.random.default_rng(seed), sizes)
     ground_value = decpomdp_exhaustive(ground(lifted), horizon).value
     assert abs(lifted_exhaustive(lifted, horizon).value - ground_value) <= 1e-9
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    case=st.sampled_from([((1,), 1), ((1,), 2), ((1,), 3), ((1, 1), 1), ((1, 1), 2)]),
+)
+def test_team_solvers_match_recursive_oracle(seed, case):
+    # singleton partitions: both solvers, and the value of the policy each
+    # returns, against the recursion over trajectories
+    sizes, horizon = case
+    lifted = random_lifted(np.random.default_rng(seed), sizes)
+    model = ground(lifted)
+    optimum = brute_team_optimum(model, horizon)
+    for result in (decpomdp_exhaustive(model, horizon), lifted_exhaustive(lifted, horizon)):
+        assert abs(result.value - optimum) <= 1e-9
+        plans = tuple(plan for [(plan, _)] in result.policy.plans)
+        assert abs(joint_value(model, plans, {}) - optimum) <= 1e-9
 
 
 def test_solvers_reject_zero_horizon():
