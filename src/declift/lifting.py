@@ -40,8 +40,8 @@ from .models import (
     _check_discount,
     _check_range,
     _check_reward,
-    _check_row,
-    _check_sparse_row,
+    _check_team_sensor,
+    _check_team_transitions,
 )
 
 
@@ -112,6 +112,12 @@ def _joint_to_key(joint: tuple, blocks, positions) -> tuple[tuple[int, ...], ...
     return tuple(
         tuple_to_histogram(joint, pos, block) for block, pos in zip(blocks, positions)
     )
+
+
+def _joint_keys(joints, blocks, ranges) -> list:
+    """Histogram-tuple keys of joint tuples over the given block ranges."""
+    positions = [range_positions(r) for r in ranges]
+    return [_joint_to_key(joint, blocks, positions) for joint in joints]
 
 
 def range_partition(model: GroundDecPomdp) -> Partitioning:
@@ -258,6 +264,29 @@ def _check_partitioning(model: GroundDecPomdp, partitioning: Partitioning):
                 )
 
 
+def _check_same_rows(rows: list, first: list[int], tol: float) -> None:
+    """Raise NotLiftable at the first transition row off its key's first row.
+
+    rows are ((state, joint), distribution) items and first[i] the position
+    of the first row with row i's key; all rows are compared in one gather
+    over the stacked distributions.
+    """
+    if not rows:
+        return
+    probs = np.stack([dist.probs for _, dist in rows])
+    diff = np.abs(probs - probs[first]).max(axis=1)
+    over = np.flatnonzero(diff > tol)
+    if over.size:
+        i = int(over[0])
+        (state, joint), _ = rows[i]
+        witness = rows[first[i]][0][1]
+        raise NotLiftable(
+            f"transition rows for {witness!r} and {joint!r} in state "
+            f"{state!r} differ by {float(diff[i]):g}",
+            detail={"state": state, "first": witness, "second": joint},
+        )
+
+
 def lift(
     model: GroundDecPomdp, partitioning: Partitioning, tol: float = PROB_TOL
 ) -> LiftedDecPomdp:
@@ -276,66 +305,73 @@ def lift(
     action_positions = [range_positions(r) for r in partitioning.action_ranges]
     obs_positions = [range_positions(r) for r in partitioning.observation_ranges]
 
-    def joint_key(joint, positions, row):
-        if len(joint) != len(model.agents):
-            raise RangeMismatch(
-                f"{row}: joint tuple {joint!r} has {len(joint)} values for "
-                f"{len(model.agents)} agents"
-            )
-        return _joint_to_key(joint, blocks, positions)
+    n_agents = len(model.agents)
 
-    transition: dict = {}
-    witness: dict = {}
-    seen_count: dict = {}
-    for (state, joint), dist in model.transition.items():
-        key = (
-            state,
-            joint_key(joint, action_positions, f"transition row for state {state!r}"),
-        )
-        seen_count[key] = seen_count.get(key, 0) + 1
-        if key not in transition:
-            transition[key] = dist
-            witness[key] = joint
-        else:
-            diff = float(np.max(np.abs(transition[key].probs - dist.probs)))
-            if diff > tol:
-                raise NotLiftable(
-                    f"transition rows for {witness[key]!r} and {joint!r} in state "
-                    f"{state!r} differ by {diff:g}",
-                    detail={"state": state, "first": witness[key], "second": joint},
-                )
-    for (state, key), count in seen_count.items():
+    def keyer(positions):
+        """Histogram key of a joint tuple, computed once per distinct tuple."""
+        keys: dict = {}
+
+        def key_of(joint, row):
+            key = keys.get(joint)
+            if key is None:
+                if len(joint) != n_agents:
+                    raise RangeMismatch(
+                        f"{row}: joint tuple {joint!r} has {len(joint)} values for "
+                        f"{n_agents} agents"
+                    )
+                key = keys[joint] = _joint_to_key(joint, blocks, positions)
+            return key
+
+        return key_of
+
+    action_key = keyer(action_positions)
+    rows = list(model.transition.items())
+    first: list[int] = []  # per row, the position of its key's first row
+    groups: dict = {}  # (state, key) -> position of its first row
+    try:
+        for i, ((state, joint), _dist) in enumerate(rows):
+            key = action_key(joint, f"transition row for state {state!r}")
+            first.append(groups.setdefault((state, key), i))
+    except RangeMismatch:
+        # a row read before the bad joint tuple that differs from its key's
+        # first row is reported first, as a row-by-row pass would
+        _check_same_rows(rows[: len(first)], first, tol)
+        raise
+    _check_same_rows(rows, first, tol)
+    counts = np.bincount(first, minlength=len(rows)).tolist()
+    for (state, key), i in groups.items():
         expected = key_multiplicity(key)
-        if count != expected:
+        if counts[i] != expected:
             raise NotLiftable(
-                f"state {state!r} has transition rows for {count} of the "
+                f"state {state!r} has transition rows for {counts[i]} of the "
                 f"{expected} joint actions behind key {key!r}",
                 detail={"state": state, "key": key},
             )
+    transition = {key: rows[i][1] for key, i in groups.items()}
 
+    observation_key = keyer(obs_positions)
     sensor: dict = {}
     for state, row in model.sensor.items():
-        sums: dict = {}
-        bounds: dict = {}
-        first: dict = {}
+        where = f"sensor row {state!r}"
+        sums: dict = {}  # key -> [total, count, lowest, highest, first tuple]
         for joint, prob in row.items():
-            key = joint_key(joint, obs_positions, f"sensor row {state!r}")
-            sums[key] = sums.get(key, (0.0, 0))
-            total, count = sums[key]
-            sums[key] = (total + prob, count + 1)
-            lo, hi = bounds.get(key, (prob, prob))
-            bounds[key] = (min(lo, prob), max(hi, prob))
-            first.setdefault(key, joint)
+            key = observation_key(joint, where)
+            entry = sums.get(key)
+            if entry is None:
+                sums[key] = [0.0 + prob, 1, prob, prob, joint]
+            else:
+                entry[0] += prob
+                entry[1] += 1
+                entry[2] = min(entry[2], prob)
+                entry[3] = max(entry[3], prob)
         lifted_row = {}
-        for key, (total, count) in sums.items():
-            lo, hi = bounds[key]
-            expected = key_multiplicity(key)
-            if count < expected:
+        for key, (total, count, lo, hi, first_joint) in sums.items():
+            if count < key_multiplicity(key):
                 lo = min(lo, 0.0)  # absent tuples carry zero mass
             if hi - lo > tol:
                 raise NotLiftable(
                     f"sensor probabilities behind key {key!r} in state {state!r} "
-                    f"spread over [{lo:g}, {hi:g}] (first tuple {first[key]!r})",
+                    f"spread over [{lo:g}, {hi:g}] (first tuple {first_joint!r})",
                     detail={"state": state, "key": key},
                 )
             if total != 0.0:
@@ -388,26 +424,25 @@ def ground(model: LiftedDecPomdp, cap: int = DEFAULT_JOINT_CAP) -> GroundDecPomd
                 cap=cap,
             )
 
-    action_positions = [range_positions(r) for r in part.action_ranges]
-    obs_positions = [range_positions(r) for r in part.observation_ranges]
+    # each joint tuple is keyed once, not once per state
+    action_joints = list(itertools.product(*action_ranges))
+    action_keys = _joint_keys(action_joints, part.blocks, part.action_ranges)
     transition: dict = {}
     for state in model.states:
-        for joint in itertools.product(*action_ranges):
-            row = model.transition.get(
-                (state, _joint_to_key(joint, part.blocks, action_positions))
-            )
+        for joint, key in zip(action_joints, action_keys):
+            row = model.transition.get((state, key))
             if row is not None:
                 transition[(state, joint)] = row
 
+    obs_joints = list(itertools.product(*obs_ranges))
+    obs_keys = _joint_keys(obs_joints, part.blocks, part.observation_ranges)
     sensor: dict = {}
     for state in model.states:
         lifted_row = model.sensor.get(state, {})
         split = {key: value / key_multiplicity(key) for key, value in lifted_row.items()}
         row = {}
-        for joint in itertools.product(*obs_ranges):
-            prob = split.get(
-                _joint_to_key(joint, part.blocks, obs_positions)
-            )
+        for joint, key in zip(obs_joints, obs_keys):
+            prob = split.get(key)
             if prob is not None and prob != 0.0:
                 row[joint] = prob
         sensor[state] = row
@@ -467,16 +502,15 @@ def validate_lifted(model: LiftedDecPomdp, out: list, cap: int = DEFAULT_JOINT_C
                 return False
         return True
 
-    for (state, key), dist in model.transition.items():
-        name = f"lifted transition row ({state!r}, {key!r})"
-        if state not in model.states.labels:
-            out.append(Violation("undeclared-row", f"{name}: unknown state"))
-        if not key_ok(key, part.action_ranges):
-            out.append(Violation("key", f"{name}: malformed histogram key"))
-        _check_row(out, name, dist, len(model.states))
-
+    in_range = _check_team_transitions(
+        out,
+        model,
+        lambda key: key_ok(key, part.action_ranges),
+        "lifted transition row",
+        "malformed histogram key",
+    )
     n_action_keys = model.action_key_count()
-    if n_action_keys <= cap:
+    if n_action_keys <= cap and in_range < len(model.states) * n_action_keys:
         action_spaces = [
             list(enumerate_histograms(len(b), len(r)))
             for b, r in zip(part.blocks, part.action_ranges)
@@ -490,18 +524,9 @@ def validate_lifted(model: LiftedDecPomdp, out: list, cap: int = DEFAULT_JOINT_C
                             f"no lifted transition row for ({state!r}, {key!r})",
                         )
                     )
-
-    for state in model.states:
-        if state not in model.sensor:
-            out.append(Violation("missing-row", f"no sensor row for state {state!r}"))
-    for state, row in model.sensor.items():
-        if state not in model.states.labels:
-            out.append(Violation("undeclared-row", f"sensor row for unknown state {state!r}"))
-            continue
-        _check_sparse_row(
-            out,
-            f"lifted sensor row {state!r}",
-            row,
-            lambda key: key_ok(key, part.observation_ranges),
-        )
-
+    _check_team_sensor(
+        out,
+        model,
+        lambda key: key_ok(key, part.observation_ranges),
+        "lifted sensor row",
+    )

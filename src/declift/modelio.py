@@ -12,6 +12,17 @@ key, floats printed with 17 significant digits (lossless for doubles),
 zero probability entries omitted.  Parsing a canonical document and
 serializing the result reproduces the document byte for byte.
 
+Both directions work a table at a time.  The parser reads every entry of
+a transition or dense sensor table first, stacks the rows into one
+(rows x width) array and canonicalises them with one `canonical_rows`
+call; the initial belief is a one-row table on the same path.  Key texts
+are parsed once per distinct text.  When anything in a table is
+malformed, the rows are walked in order, so the SchemaError raised is the
+one a row-by-row reader would meet first.  The emitter encodes each
+distinct string and float once, writes a dict of floats in one join, and
+writes a row object shared by many entries (as `ground` shares them)
+once per indent.
+
 Error taxonomy: ParseError for text that is not JSON, SchemaError for
 structure the grammar does not allow (unknown fields, malformed keys,
 wrong arity, bad histogram sums), ValidationError when the assembled
@@ -34,7 +45,8 @@ from .models import (
     Mdp,
     Pomdp,
     StateSpace,
-    canonical_row,
+    _plain_numbers,
+    canonical_rows,
     validate_model,
 )
 
@@ -91,44 +103,87 @@ def _format_scalar(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        # fold -0.0 into 0.0 so the text round-trips
-        return format(float(value) + 0.0, ".17g")
+        return _float_text(float(value))
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _emit(value, indent: str, out: list):
-    if isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        out.append("{\n")
-        inner = indent + "  "
-        for i, key in enumerate(sorted(value)):
-            out.append(f"{inner}{json.dumps(key)}: ")
-            _emit(value[key], inner, out)
-            out.append(",\n" if i < len(value) - 1 else "\n")
-        out.append(indent + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        out.append("[\n")
-        inner = indent + "  "
-        for i, item in enumerate(value):
-            out.append(inner)
-            _emit(item, inner, out)
-            out.append(",\n" if i < len(value) - 1 else "\n")
-        out.append(indent + "]")
-    else:
-        out.append(_format_scalar(value))
+def _float_text(value: float) -> str:
+    # fold -0.0 into 0.0 so the text round-trips
+    return format(value + 0.0, ".17g")
+
+
+class _Memo(dict):
+    """Results of a one-argument function, computed once per argument.
+
+    A call that raises stores nothing, so it raises again next time.
+    """
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, arg):
+        text = self[arg] = self.fn(arg)
+        return text
+
+
+class _Emitter:
+    """One canonical_json call: the caches behind its text.
+
+    Strings and floats are encoded once per distinct value.  A dict whose
+    values are all floats is emitted in one join, and once per object and
+    indent, so a row shared by many table entries is encoded once.
+    """
+
+    def __init__(self):
+        self.strings = _Memo(json.encoder.encode_basestring_ascii)
+        self.floats = _Memo(_float_text)
+        self.float_dicts: dict = {}
+
+    def key(self, key) -> str:
+        return self.strings[key] if type(key) is str else json.dumps(key)
+
+    def text(self, value, indent: str) -> str:
+        if type(value) is str:
+            return self.strings[value]
+        if type(value) is float:
+            return self.floats[value]
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            inner = indent + "  "
+            if all(type(v) is float for v in value.values()):
+                return self.float_dict(value, indent, inner)
+            key, text = self.key, self.text
+            body = ",\n".join(
+                f"{inner}{key(k)}: {text(value[k], inner)}" for k in sorted(value)
+            )
+            return f"{{\n{body}\n{indent}}}"
+        if isinstance(value, (list, tuple)):
+            if not value:
+                return "[]"
+            inner = indent + "  "
+            text = self.text
+            body = ",\n".join(inner + text(item, inner) for item in value)
+            return f"[\n{body}\n{indent}]"
+        return _format_scalar(value)
+
+    def float_dict(self, value: dict, indent: str, inner: str) -> str:
+        # the object is alive for the whole call, so its id cannot be reused
+        memo_key = (id(value), indent)
+        text = self.float_dicts.get(memo_key)
+        if text is None:
+            floats, key = self.floats, self.key
+            body = ",\n".join(
+                f"{inner}{key(k)}: {floats[value[k]]}" for k in sorted(value)
+            )
+            text = self.float_dicts[memo_key] = f"{{\n{body}\n{indent}}}"
+        return text
 
 
 def canonical_json(value) -> str:
     """Deterministic JSON text: sorted keys, 17-digit floats, 2-space indent."""
-    out: list = []
-    _emit(value, "", out)
-    out.append("\n")
-    return "".join(out)
+    return _Emitter().text(value, "") + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +195,9 @@ def _field(doc: dict, name: str, where: str):
     return doc[name]
 
 
-def _no_unknown(doc: dict, allowed, where: str):
+def _no_unknown(doc: dict, allowed: set, where: str):
+    if doc.keys() <= allowed:
+        return
     for key in doc:
         if key not in allowed:
             raise SchemaError(f"{where}: unknown field {key!r}")
@@ -174,29 +231,49 @@ def _state_space(doc: dict, where: str) -> StateSpace:
         raise SchemaError(f"{where}.states: {err}") from None
 
 
-def _dense_row(mapping, order, index: dict, where: str) -> np.ndarray:
+def _check_dense_row(mapping, index: dict, where: str) -> None:
+    """Raise the SchemaError a row-by-row reader meets first in this row."""
     if not isinstance(mapping, dict):
         raise SchemaError(f"{where}: expected an object of probabilities")
-    row = np.zeros(len(order))
     for label, value in mapping.items():
         if label not in index:
             raise SchemaError(f"{where}: unknown label {label!r}")
-        row[index[label]] = _number(value, f"{where}[{label!r}]")
-    return row
+        _number(value, f"{where}[{label!r}]")
 
 
-def _distribution(row: np.ndarray) -> DiscreteDistribution:
-    fixed, _reason = canonical_row(row)
-    return DiscreteDistribution(row if fixed is None else fixed)
+def _dense_table(mappings: list, labels, wheres: list) -> np.ndarray:
+    """Stack {label: number} row objects into one (rows x labels) array.
+
+    `wheres[i]` names row i in errors.  Labels and value types are checked
+    for the whole table at once; if anything is wrong, the rows are walked
+    in order so the error raised is the first a row-by-row reader meets.
+    """
+    index = {label: i for i, label in enumerate(labels)}
+    columns, values, counts = [], [], []
+    if all(isinstance(mapping, dict) for mapping in mappings):
+        for mapping in mappings:
+            columns.extend(map(index.get, mapping))
+            values.extend(mapping.values())
+            counts.append(len(mapping))
+    if len(counts) < len(mappings) or None in columns or not _plain_numbers(values):
+        for mapping, where in zip(mappings, wheres):
+            _check_dense_row(mapping, index, where)
+    table = np.zeros((len(mappings), len(index)))
+    table[np.repeat(np.arange(len(mappings)), counts), columns] = values
+    return table
+
+
+def _distributions(table: np.ndarray) -> list[DiscreteDistribution]:
+    """Canonical rows of a parsed table; failing rows are kept for validation."""
+    probs, _reasons = canonical_rows(table)
+    return [DiscreteDistribution(row) for row in probs]
 
 
 def _belief(doc: dict, states: StateSpace, where: str) -> Belief:
-    index = {s: i for i, s in enumerate(states)}
-    row = _dense_row(
-        _field(doc, "initial_belief", where), states, index, f"{where}.initial_belief"
-    )
-    fixed, _reason = canonical_row(row)
-    return Belief(states, row if fixed is None else fixed)
+    value = _field(doc, "initial_belief", where)
+    table = _dense_table([value], states, [f"{where}.initial_belief"])
+    probs, _reasons = canonical_rows(table)
+    return Belief(states, probs[0])
 
 
 def _reward(doc: dict, where: str) -> dict[str, float]:
@@ -219,8 +296,27 @@ def _table_entries(doc: dict, field: str, where: str):
         yield entry_where, entry
 
 
-def _transition_rows(doc: dict, states: StateSpace, where: str):
-    index = {s: i for i, s in enumerate(states)}
+def _dense_rows(entries, labels, parse_key) -> dict:
+    """{parse_key(key): distribution} of (where, key, row object) entries.
+
+    The entries are read first and their rows converted as one table.  A
+    key is parsed after its entry's row is taken, and when reading an entry
+    fails the rows taken before it are checked first, so errors come in the
+    order a row-by-row reader meets them.
+    """
+    keys, rows, wheres = [], [], []
+    try:
+        for where, key, row in entries:
+            rows.append(row)
+            wheres.append(where)
+            keys.append(parse_key(key))
+    except SchemaError:
+        _dense_table(rows, labels, wheres)
+        raise
+    return dict(zip(keys, _distributions(_dense_table(rows, labels, wheres))))
+
+
+def _transition_entries(doc: dict, where: str):
     seen = set()
     for entry_where, entry in _table_entries(doc, "transition", where):
         _no_unknown(entry, {"state", "action", "next"}, entry_where)
@@ -233,10 +329,16 @@ def _transition_rows(doc: dict, states: StateSpace, where: str):
                 f"{entry_where}: duplicate row for ({state!r}, {action!r})"
             )
         seen.add((state, action))
-        row = _dense_row(
-            _field(entry, "next", entry_where), states, index, f"{entry_where}.next"
-        )
-        yield state, action, _distribution(row)
+        yield f"{entry_where}.next", (state, action), _field(entry, "next", entry_where)
+
+
+def _transition_table(doc: dict, states: StateSpace, where: str, action_key) -> dict:
+    """{(state, action_key(action text)): distribution} of the transition entries."""
+    return _dense_rows(
+        _transition_entries(doc, where),
+        states,
+        lambda key: (key[0], action_key(key[1])),
+    )
 
 
 def _sensor_entries(doc: dict, where: str):
@@ -252,7 +354,29 @@ def _sensor_entries(doc: dict, where: str):
         row = _field(entry, "row", entry_where)
         if not isinstance(row, dict):
             raise SchemaError(f"{entry_where}.row: expected an object")
-        yield entry_where, state, row
+        yield f"{entry_where}.row", state, row
+
+
+def _sparse_sensor(doc: dict, where: str, parse_key) -> dict:
+    """Team sensor rows as {state: {parsed key: probability}}.
+
+    `parse_key(text, where)` runs once per distinct key text; its results
+    are shared by every row that uses the text.
+    """
+    parsed: dict = {}
+    sensor = {}
+    for row_where, state, row in _sensor_entries(doc, where):
+        keys = list(map(parsed.get, row))
+        values = list(row.values())
+        if None in keys or not _plain_numbers(values):
+            keys = []
+            for text, value in row.items():
+                if text not in parsed:
+                    parsed[text] = parse_key(text, row_where)
+                keys.append(parsed[text])
+                _number(value, f"{row_where}[{text!r}]")
+        sensor[state] = dict(zip(keys, map(float, values)))
+    return sensor
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +386,7 @@ def _parse_mdp(doc: dict, kind: str):
     where = kind
     states = _state_space(doc, where)
     actions = _range_map(_field(doc, "actions", where), f"{where}.actions")
-    transition = {
-        (state, action): dist
-        for state, action, dist in _transition_rows(doc, states, where)
-    }
+    transition = _transition_table(doc, states, where, lambda action: action)
     reward = _reward(doc, where)
     discount = _number(_field(doc, "discount", where), f"{where}.discount")
     if kind == "mdp":
@@ -274,11 +395,9 @@ def _parse_mdp(doc: dict, kind: str):
     observations = _str_list(
         _field(doc, "observations", where), f"{where}.observations"
     )
-    obs_index = {o: i for i, o in enumerate(observations)}
-    sensor = {}
-    for entry_where, state, row in _sensor_entries(doc, where):
-        dense = _dense_row(row, observations, obs_index, f"{entry_where}.row")
-        sensor[state] = _distribution(dense)
+    sensor = _dense_rows(
+        _sensor_entries(doc, where), observations, lambda state: state
+    )
     return Pomdp(
         states, actions, transition, reward, discount, observations, sensor
     )
@@ -301,17 +420,12 @@ def _parse_decpomdp(doc: dict):
     observations = _range_map(
         _field(doc, "observations", where), f"{where}.observations"
     )
-    transition = {}
-    for state, action, dist in _transition_rows(doc, states, where):
-        joint = _split_joint(action, len(agents), f"{where}.transition")
-        transition[(state, joint)] = dist
-    sensor = {}
-    for entry_where, state, row in _sensor_entries(doc, where):
-        parsed = {}
-        for key, value in row.items():
-            joint = _split_joint(key, len(agents), f"{entry_where}.row")
-            parsed[joint] = _number(value, f"{entry_where}.row[{key!r}]")
-        sensor[state] = parsed
+    arity = len(agents)
+    split_action = _Memo(lambda text: _split_joint(text, arity, f"{where}.transition"))
+    transition = _transition_table(doc, states, where, split_action.__getitem__)
+    sensor = _sparse_sensor(
+        doc, where, lambda key, key_where: _split_joint(key, arity, key_where)
+    )
     return GroundDecPomdp(
         agents,
         states,
@@ -365,17 +479,15 @@ def _parse_partitions(doc: dict, agents: tuple[str, ...], where: str):
     return tuple(names), partitioning
 
 
-def _histogram_key(key: str, partitioning: Partitioning, where: str):
-    parsed = parse_histogram_tuple_key(key)
-    if len(parsed) != len(partitioning.blocks):
+def _histogram_key(key: str, partitioning: Partitioning, ranges, where: str):
+    """Parse a histogram-tuple key and check it against the partitions."""
+    counts = parse_histogram_tuple_key(key)
+    if len(counts) != len(partitioning.blocks):
         raise SchemaError(
-            f"{where}: key {key!r} has {len(parsed)} histograms, expected "
+            f"{where}: key {key!r} has {len(counts)} histograms, expected "
             f"{len(partitioning.blocks)}"
         )
-    return parsed
-
-
-def _check_histogram(counts, ranges, sizes, key: str, where: str):
+    sizes = partitioning.sizes
     for k, c in enumerate(counts):
         if len(c) != len(ranges[k]):
             raise SchemaError(
@@ -387,6 +499,7 @@ def _check_histogram(counts, ranges, sizes, key: str, where: str):
                 f"{where}: key {key!r} histogram {k} sums to {sum(c)}, expected "
                 f"partition size {sizes[k]}"
             )
+    return counts
 
 
 def _parse_lifted(doc: dict):
@@ -394,28 +507,19 @@ def _parse_lifted(doc: dict):
     states = _state_space(doc, where)
     agents = _str_list(_field(doc, "agents", where), f"{where}.agents")
     names, partitioning = _parse_partitions(doc, agents, where)
-    sizes = partitioning.sizes
-    transition = {}
-    for state, action, dist in _transition_rows(doc, states, where):
-        counts = _histogram_key(action, partitioning, f"{where}.transition")
-        _check_histogram(
-            counts, partitioning.action_ranges, sizes, action, f"{where}.transition"
+
+    def action_key(text):
+        return _histogram_key(
+            text, partitioning, partitioning.action_ranges, f"{where}.transition"
         )
-        transition[(state, counts)] = dist
-    sensor = {}
-    for entry_where, state, row in _sensor_entries(doc, where):
-        parsed = {}
-        for key, value in row.items():
-            counts = _histogram_key(key, partitioning, f"{entry_where}.row")
-            _check_histogram(
-                counts,
-                partitioning.observation_ranges,
-                sizes,
-                key,
-                f"{entry_where}.row",
-            )
-            parsed[counts] = _number(value, f"{entry_where}.row[{key!r}]")
-        sensor[state] = parsed
+
+    def observation_key(text, key_where):
+        return _histogram_key(
+            text, partitioning, partitioning.observation_ranges, key_where
+        )
+
+    transition = _transition_table(doc, states, where, _Memo(action_key).__getitem__)
+    sensor = _sparse_sensor(doc, where, observation_key)
     return LiftedDecPomdp(
         agents,
         states,
@@ -472,10 +576,8 @@ def parse_model(text: str):
 # ---------------------------------------------------------------------------
 # serialization
 
-def _prob_map(labels, probs) -> dict:
-    return {
-        label: float(p) for label, p in zip(labels, probs) if float(p) != 0.0
-    }
+def _prob_map(labels, probs: np.ndarray) -> dict:
+    return {label: p for label, p in zip(labels, probs.tolist()) if p != 0.0}
 
 
 def _joint_key(joint: tuple[str, ...]) -> str:
@@ -484,14 +586,12 @@ def _joint_key(joint: tuple[str, ...]) -> str:
 
 def _transition_list(model, states, key_fn) -> list:
     entries = []
+    maps: dict = {}  # one "next" object per distribution object, shared
     for (state, action), dist in model.transition.items():
-        entries.append(
-            {
-                "state": state,
-                "action": key_fn(action),
-                "next": _prob_map(states, dist.probs),
-            }
-        )
+        row = maps.get(id(dist))
+        if row is None:
+            row = maps[id(dist)] = _prob_map(states, dist.probs)
+        entries.append({"state": state, "action": key_fn(action), "next": row})
     entries.sort(key=lambda e: (e["state"], e["action"]))
     return entries
 

@@ -64,7 +64,10 @@ class StateSpace:
 
 
 def _freeze_array(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+    if isinstance(values, np.ndarray) and values.dtype == float and not values.flags.writeable:
+        arr = values  # already frozen, for instance a row of a parsed table
+    else:
+        arr = np.array(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("expected a non-empty 1-d row of probabilities")
     arr.flags.writeable = False
@@ -117,29 +120,58 @@ class Belief:
         return math.fsum(self.probs.tolist())
 
 
+def canonical_rows(table) -> tuple[np.ndarray, list[str | None]]:
+    """Coerce every row of a (rows x width) table to canonical probabilities.
+
+    Each row gets the verdict `canonical_row` would give it alone, bit for
+    bit: the finiteness and sign tests run over the whole table, and the
+    exact mass of each surviving row is its `math.fsum`.  Returns (probs,
+    reasons): a read-only copy of the table in which rows off by more than
+    EXACT_SUM_TOL but within PROB_TOL are divided by their mass, and for
+    each row None or the reason it fails.  Failing rows are left as given.
+    """
+    probs = np.array(table, dtype=float)
+    if probs.ndim != 2:
+        raise ValueError("expected a 2-d table of rows")
+    reasons: list[str | None] = [None] * probs.shape[0]
+    if probs.shape[1] == 0:
+        reasons = ["empty row"] * probs.shape[0]
+    else:
+        finite = np.isfinite(probs).all(axis=1)
+        negative = (probs < 0.0).any(axis=1)
+        for i in np.flatnonzero(~finite).tolist():
+            reasons[i] = "non-finite entry"
+        for i in np.flatnonzero(finite & negative).tolist():
+            reasons[i] = "negative entry"
+        checked = np.flatnonzero(finite & ~negative)
+        scaled, masses = [], []
+        for i, row in zip(checked.tolist(), probs[checked].tolist()):
+            mass = math.fsum(row)
+            deviation = abs(mass - 1.0)
+            if deviation > PROB_TOL:
+                reasons[i] = f"mass {mass!r} is off by more than {PROB_TOL}"
+            elif deviation > EXACT_SUM_TOL:
+                scaled.append(i)
+                masses.append(mass)
+        if scaled:
+            probs[scaled] /= np.array(masses)[:, np.newaxis]
+    probs.flags.writeable = False
+    return probs, reasons
+
+
 def canonical_row(values: Sequence[float]) -> tuple[np.ndarray | None, str | None]:
     """Coerce a row to canonical probabilities.
 
     Returns (probs, None) on success.  Rows with mass within PROB_TOL of 1
     are accepted; if the mass is off by more than EXACT_SUM_TOL the row is
     divided by its mass, otherwise it is kept bit-for-bit as written.  On
-    failure returns (None, reason).
+    failure returns (None, reason).  This is `canonical_rows` on one row.
     """
     arr = np.array(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         return None, "empty row"
-    if not np.all(np.isfinite(arr)):
-        return None, "non-finite entry"
-    if np.any(arr < 0.0):
-        return None, "negative entry"
-    mass = math.fsum(arr.tolist())
-    deviation = abs(mass - 1.0)
-    if deviation > PROB_TOL:
-        return None, f"mass {mass!r} is off by more than {PROB_TOL}"
-    if deviation > EXACT_SUM_TOL:
-        arr = arr / mass
-    arr.flags.writeable = False
-    return arr, None
+    probs, (reason,) = canonical_rows(arr[np.newaxis])
+    return (None, reason) if reason else (probs[0], None)
 
 
 @dataclass(frozen=True)
@@ -262,6 +294,76 @@ def _check_sparse_row(out, name, row: dict, keys_ok) -> None:
         out.append(Violation("normalization", f"{name} sums to {mass!r}, expected 1"))
 
 
+# Table-wide screens: each says which rows the row checker above would
+# report on.  Only those rows are checked again one by one, so reports keep
+# their text and order while clean rows cost one pass over the stacked table.
+
+def _dense_flags(dists, width: int) -> np.ndarray:
+    """Rows `_check_row` reports on, decided over the stacked rows."""
+    flags = np.ones(len(dists), dtype=bool)
+    fit = [i for i, dist in enumerate(dists) if len(dist) == width]
+    if fit:
+        _probs, reasons = canonical_rows(np.stack([dists[i].probs for i in fit]))
+        flags[fit] = [reason is not None for reason in reasons]
+    return flags
+
+
+def _plain_numbers(values) -> bool:
+    """Is every value exactly an int or a float (no bool, no subclass)?"""
+    return {int, float}.issuperset(map(type, values))
+
+
+def _sparse_clean(row: dict, bad_keys: set) -> bool:
+    """Does `_check_sparse_row` find nothing in this row?"""
+    values = list(row.values())
+    if not bad_keys.isdisjoint(row) or not _plain_numbers(values):
+        return False
+    arr = np.array(values, dtype=float)
+    if not np.isfinite(arr).all() or (arr < 0.0).any():
+        return False
+    return abs(math.fsum(values) - 1.0) <= PROB_TOL
+
+
+def _check_team_transitions(out, model, key_ok, row_name: str, key_problem: str) -> int:
+    """Report the transition rows of a ground or lifted team model.
+
+    `key_ok` is tested once per distinct key.  Returns how many rows have a
+    known state and a good key: as those keys are distinct, the table is
+    complete exactly when they number |states| x |keys|.
+    """
+    known = set(model.states.labels)
+    items = list(model.transition.items())
+    bad_keys = {key for key in {k for _, k in model.transition} if not key_ok(key)}
+    outside = np.array(
+        [state not in known or key in bad_keys for (state, key), _ in items], dtype=bool
+    )
+    flags = _dense_flags([dist for _, dist in items], len(model.states)) | outside
+    for i in np.flatnonzero(flags).tolist():
+        (state, key), dist = items[i]
+        name = f"{row_name} ({state!r}, {key!r})"
+        if state not in known:
+            out.append(Violation("undeclared-row", f"{name}: unknown state"))
+        if key in bad_keys:
+            out.append(Violation("key", f"{name}: {key_problem}"))
+        _check_row(out, name, dist, len(model.states))
+    return len(items) - int(outside.sum())
+
+
+def _check_team_sensor(out, model, key_ok, row_name: str) -> None:
+    """Report the sparse sensor rows of a ground or lifted team model."""
+    known = set(model.states.labels)
+    for state in model.states:
+        if state not in model.sensor:
+            out.append(Violation("missing-row", f"no sensor row for state {state!r}"))
+    rows = [row for state, row in model.sensor.items() if state in known]
+    bad_keys = {key for key in set().union(*rows) if not key_ok(key)}
+    for state, row in model.sensor.items():
+        if state not in known:
+            out.append(Violation("undeclared-row", f"sensor row for unknown state {state!r}"))
+        elif not _sparse_clean(row, bad_keys):
+            _check_sparse_row(out, f"{row_name} {state!r}", row, key_ok)
+
+
 def _check_reward(out, model):
     for state in model.states:
         if state not in model.reward:
@@ -313,10 +415,13 @@ def _validate_mdp(model: Mdp, out: list[Violation]):
     for key in declared:
         if key not in model.transition:
             out.append(Violation("missing-row", f"no transition row for {key!r}"))
-    for key, dist in model.transition.items():
+    items = list(model.transition.items())
+    flags = _dense_flags([dist for _, dist in items], len(model.states))
+    for i, (key, dist) in enumerate(items):
         if key not in declared:
             out.append(Violation("undeclared-row", f"transition row for undeclared {key!r}"))
-        _check_row(out, f"transition row {key!r}", dist, len(model.states))
+        if flags[i]:
+            _check_row(out, f"transition row {key!r}", dist, len(model.states))
 
 
 def _validate_pomdp(model: Pomdp, out: list[Violation]):
@@ -325,11 +430,13 @@ def _validate_pomdp(model: Pomdp, out: list[Violation]):
     for state in model.states:
         if state not in model.sensor:
             out.append(Violation("missing-row", f"no sensor row for state {state!r}"))
+    rows = {s: dist for s, dist in model.sensor.items() if s in model.states.labels}
+    flags = dict(zip(rows, _dense_flags(list(rows.values()), len(model.observations))))
     for state, dist in model.sensor.items():
         if state not in model.states.labels:
             out.append(Violation("undeclared-row", f"sensor row for unknown state {state!r}"))
-            continue
-        _check_row(out, f"sensor row {state!r}", dist, len(model.observations))
+        elif flags[state]:
+            _check_row(out, f"sensor row {state!r}", dist, len(model.observations))
 
 
 def _validate_ground(model: GroundDecPomdp, out: list[Violation], cap: int):
@@ -364,16 +471,11 @@ def _validate_ground(model: GroundDecPomdp, out: list[Violation], cap: int):
             and all(v in r for v, r in zip(joint, obs_ranges))
         )
 
-    for (state, joint), dist in model.transition.items():
-        name = f"transition row ({state!r}, {joint!r})"
-        if state not in model.states.labels:
-            out.append(Violation("undeclared-row", f"{name}: unknown state"))
-        if not action_tuple_ok(joint):
-            out.append(Violation("key", f"{name}: joint action outside the ranges"))
-        _check_row(out, name, dist, len(model.states))
-
+    in_range = _check_team_transitions(
+        out, model, action_tuple_ok, "transition row", "joint action outside the ranges"
+    )
     n_joint_actions = math.prod(len(r) for r in action_ranges)
-    if n_joint_actions <= cap:
+    if n_joint_actions <= cap and in_range < len(model.states) * n_joint_actions:
         for state in model.states:
             for joint in itertools.product(*action_ranges):
                 if (state, joint) not in model.transition:
@@ -383,16 +485,7 @@ def _validate_ground(model: GroundDecPomdp, out: list[Violation], cap: int):
                             f"no transition row for ({state!r}, {joint!r})",
                         )
                     )
-
-    for state in model.states:
-        if state not in model.sensor:
-            out.append(Violation("missing-row", f"no sensor row for state {state!r}"))
-    for state, row in model.sensor.items():
-        if state not in model.states.labels:
-            out.append(Violation("undeclared-row", f"sensor row for unknown state {state!r}"))
-            continue
-        _check_sparse_row(out, f"sensor row {state!r}", row, obs_tuple_ok)
-
+    _check_team_sensor(out, model, obs_tuple_ok, "sensor row")
     _check_belief(out, model.initial_belief, model.states)
 
 

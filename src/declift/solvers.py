@@ -310,7 +310,9 @@ def pomdp_plan_iteration(
     value vector, prunes, and repeats up to `horizon`.  Candidate counts
     are checked against `cap_plans` before each generation step.  When
     `stats` is given, one (generated, surviving) pair is appended per
-    depth.
+    depth.  Plans may take any action in any state, so ValidationError is
+    raised before searching when a state lacks a sensor row or a transition
+    row for some action.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -319,15 +321,23 @@ def pomdp_plan_iteration(
     n = len(states)
     reward = np.array([model.reward[s] for s in states])
     n_obs = len(model.observations)
-    omega = np.stack([model.sensor[s].probs for s in states])  # [s', o]
-    trans = {}
-    for a in actions:
-        rows = np.zeros((n, n))
-        for i, s in enumerate(states):
-            row = model.transition.get((s, a))
-            if row is not None:
-                rows[i] = row.probs
-        trans[a] = rows
+    omega = np.stack(  # [s', o]
+        [
+            _require_row(model.sensor.get(s), f"sensor row for state {s!r}").probs
+            for s in states
+        ]
+    )
+    trans = {
+        a: np.stack(
+            [
+                _require_row(
+                    model.transition.get((s, a)), f"transition row for ({s!r}, {a!r})"
+                ).probs
+                for s in states
+            ]
+        )
+        for a in actions
+    }
 
     survivors: list[PlanValueVector] = []
     for depth in range(1, horizon + 1):

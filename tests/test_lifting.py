@@ -9,12 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from declift.counting import range_positions
 from declift.errors import CapacityExceeded, NotLiftable, RangeMismatch
 from declift.lifting import (
     LiftedDecPomdp,
     Partitioning,
+    _check_partitioning,
+    _joint_to_key,
     _SwapCheck,
     ground,
+    key_multiplicity,
     lift,
     range_partition,
     symmetry_refine,
@@ -27,6 +31,8 @@ from declift.models import (
     StateSpace,
     validate_model,
 )
+
+from test_solvers import random_row
 
 
 def symmetric_pair(sensor=None, transition_rule=None):
@@ -442,3 +448,266 @@ def test_validate_lifted_rejects_empty_partition():
     )
     codes = validate_model(broken).codes()
     assert "partition" in codes
+
+
+# ---------------------------------------------------------------------------
+# table-at-a-time lift and ground against the row-by-row originals
+
+
+def reference_lift(model, partitioning, tol=PROB_TOL):
+    """The row-by-row `lift` the table version replaced, kept as its reference."""
+    _check_partitioning(model, partitioning)
+    blocks = partitioning.blocks
+    action_positions = [range_positions(r) for r in partitioning.action_ranges]
+    obs_positions = [range_positions(r) for r in partitioning.observation_ranges]
+
+    def joint_key(joint, positions, row):
+        if len(joint) != len(model.agents):
+            raise RangeMismatch(
+                f"{row}: joint tuple {joint!r} has {len(joint)} values for "
+                f"{len(model.agents)} agents"
+            )
+        return _joint_to_key(joint, blocks, positions)
+
+    transition, witness, seen_count = {}, {}, {}
+    for (state, joint), dist in model.transition.items():
+        key = (
+            state,
+            joint_key(joint, action_positions, f"transition row for state {state!r}"),
+        )
+        seen_count[key] = seen_count.get(key, 0) + 1
+        if key not in transition:
+            transition[key] = dist
+            witness[key] = joint
+        else:
+            diff = float(np.max(np.abs(transition[key].probs - dist.probs)))
+            if diff > tol:
+                raise NotLiftable(
+                    f"transition rows for {witness[key]!r} and {joint!r} in state "
+                    f"{state!r} differ by {diff:g}",
+                    detail={"state": state, "first": witness[key], "second": joint},
+                )
+    for (state, key), count in seen_count.items():
+        expected = key_multiplicity(key)
+        if count != expected:
+            raise NotLiftable(
+                f"state {state!r} has transition rows for {count} of the "
+                f"{expected} joint actions behind key {key!r}",
+                detail={"state": state, "key": key},
+            )
+    sensor = {}
+    for state, row in model.sensor.items():
+        sums, bounds, first = {}, {}, {}
+        for joint, prob in row.items():
+            key = joint_key(joint, obs_positions, f"sensor row {state!r}")
+            total, count = sums.get(key, (0.0, 0))
+            sums[key] = (total + prob, count + 1)
+            lo, hi = bounds.get(key, (prob, prob))
+            bounds[key] = (min(lo, prob), max(hi, prob))
+            first.setdefault(key, joint)
+        lifted_row = {}
+        for key, (total, count) in sums.items():
+            lo, hi = bounds[key]
+            if count < key_multiplicity(key):
+                lo = min(lo, 0.0)
+            if hi - lo > tol:
+                raise NotLiftable(
+                    f"sensor probabilities behind key {key!r} in state {state!r} "
+                    f"spread over [{lo:g}, {hi:g}] (first tuple {first[key]!r})",
+                    detail={"state": state, "key": key},
+                )
+            if total != 0.0:
+                lifted_row[key] = total
+        sensor[state] = lifted_row
+    return transition, sensor
+
+
+def reference_ground(model):
+    """The row-by-row `ground` tables: every joint tuple keyed once per state."""
+    part = model.partitioning
+    ranges = {}
+    for block, acts, obs in zip(part.blocks, part.action_ranges, part.observation_ranges):
+        for idx in block:
+            ranges[idx] = (acts, obs)
+    action_ranges = [ranges[i][0] for i in range(len(model.agents))]
+    obs_ranges = [ranges[i][1] for i in range(len(model.agents))]
+    action_positions = [range_positions(r) for r in part.action_ranges]
+    obs_positions = [range_positions(r) for r in part.observation_ranges]
+    transition = {}
+    for state in model.states:
+        for joint in itertools.product(*action_ranges):
+            row = model.transition.get(
+                (state, _joint_to_key(joint, part.blocks, action_positions))
+            )
+            if row is not None:
+                transition[(state, joint)] = row
+    sensor = {}
+    for state in model.states:
+        split = {
+            key: value / key_multiplicity(key)
+            for key, value in model.sensor.get(state, {}).items()
+        }
+        row = {}
+        for joint in itertools.product(*obs_ranges):
+            prob = split.get(_joint_to_key(joint, part.blocks, obs_positions))
+            if prob is not None and prob != 0.0:
+                row[joint] = prob
+        sensor[state] = row
+    return transition, sensor
+
+
+def interchangeable_team(rng, sizes, n_states, actions):
+    """Ground team whose rows depend on each block's counts only.
+
+    Built tuple by tuple: every joint tuple with the same per-block counts
+    gets the same transition row, and each key's sensor mass is shared
+    equally by its tuples.  Returns the model and its partitioning.
+    """
+    agents = tuple(f"a{i}" for i in range(sum(sizes)))
+    blocks, start = [], 0
+    for n_k in sizes:
+        blocks.append(tuple(range(start, start + n_k)))
+        start += n_k
+    observations = ("o", "n")
+    states = StateSpace(tuple(f"s{i}" for i in range(n_states)))
+
+    def counts(joint, labels):
+        return tuple(tuple(joint[i] for i in b).count(v) for b in blocks for v in labels)
+
+    rows = {}
+    transition = {}
+    for s in states:
+        for joint in itertools.product(actions, repeat=len(agents)):
+            key = (s, counts(joint, actions))
+            if key not in rows:
+                rows[key] = DiscreteDistribution(random_row(rng, n_states))
+            transition[(s, joint)] = rows[key]
+    sensor = {}
+    for s in states:
+        by_key = {}
+        for joint in itertools.product(observations, repeat=len(agents)):
+            by_key.setdefault(counts(joint, observations), []).append(joint)
+        mass = random_row(rng, len(by_key))
+        sensor[s] = {
+            joint: float(m) / len(joints)
+            for m, joints in zip(mass, by_key.values())
+            for joint in joints
+        }
+    model = GroundDecPomdp(
+        agents=agents,
+        states=states,
+        actions={a: actions for a in agents},
+        observations={a: observations for a in agents},
+        transition=transition,
+        sensor=sensor,
+        reward={s: float(rng.uniform(-1.0, 1.0)) for s in states},
+        discount=0.9,
+        initial_belief=Belief(states, random_row(rng, n_states)),
+    )
+    part = Partitioning(
+        tuple(blocks), tuple(actions for _ in sizes), tuple(observations for _ in sizes)
+    )
+    return model, part
+
+
+team_shapes = st.tuples(
+    st.sampled_from([(1,), (2,), (3,), (1, 1), (2, 1), (1, 2), (2, 2)]),
+    st.integers(1, 3),
+    st.sampled_from([("x", "y"), ("x", "y", "z")]),
+    st.integers(0, 2**32 - 1),
+)
+
+
+def same_tables(ours, theirs):
+    """Equal keys in the same order and equal values, bit for bit."""
+    transition, sensor = theirs
+    assert list(ours.transition) == list(transition)
+    assert all(ours.transition[k] is transition[k] for k in transition)
+    assert list(ours.sensor) == list(sensor)
+    for state, row in sensor.items():
+        assert list(ours.sensor[state].items()) == list(row.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=team_shapes)
+def test_ground_of_lift_equals_the_model_table_for_table(shape):
+    sizes, n_states, actions, seed = shape
+    model, part = interchangeable_team(
+        np.random.default_rng(seed), sizes, n_states, actions
+    )
+    lifted = lift(model, part)
+    same_tables(lifted, reference_lift(model, part))
+    back = ground(lifted)
+    same_tables(back, reference_ground(lifted))
+    assert back.agents == model.agents
+    assert back.actions == model.actions
+    assert back.observations == model.observations
+    assert back.transition == model.transition
+    assert list(back.sensor) == list(model.sensor)
+    for state, row in model.sensor.items():
+        # lifting sums a key's equal shares and grounding divides them again
+        assert back.sensor[state].keys() == row.keys()
+        for joint, prob in row.items():
+            assert back.sensor[state][joint] == pytest.approx(prob, rel=1e-15, abs=0)
+
+
+def outcome(fn, *args):
+    """The tables a call returns, or the type, text and detail of its error."""
+    try:
+        result = fn(*args)
+    except (NotLiftable, RangeMismatch) as err:
+        return type(err), str(err), getattr(err, "detail", None)
+    if isinstance(result, LiftedDecPomdp):
+        return result.transition, result.sensor
+    return result
+
+
+def insert_at(data, table: dict, key, value) -> dict:
+    """A copy of `table` with `key` inserted at a drawn position."""
+    items = list(table.items())
+    items.insert(data.draw(st.integers(0, len(items))), (key, value))
+    return dict(items)
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape=team_shapes, data=st.data())
+def test_lift_reports_the_row_by_row_witness(shape, data):
+    sizes, n_states, actions, seed = shape
+    model, part = interchangeable_team(
+        np.random.default_rng(seed), sizes, n_states, actions
+    )
+    transition, sensor = dict(model.transition), {s: dict(r) for s, r in model.sensor.items()}
+    shift = st.sampled_from([0.5, 2.0, 1e6]).map(lambda f: f * PROB_TOL)
+    for _ in range(data.draw(st.integers(0, 3))):
+        edit = data.draw(
+            st.sampled_from(["shift-row", "drop-row", "shift-obs", "drop-obs", "foreign", "short"])
+        )
+        if edit in ("shift-row", "drop-row") and transition:
+            key = data.draw(st.sampled_from(list(transition)))
+            if edit == "drop-row":
+                del transition[key]
+            else:
+                probs = transition[key].probs.copy()
+                probs[:2] += data.draw(shift) * np.array([1.0, -1.0])[: len(probs)]
+                transition[key] = DiscreteDistribution(probs)
+        elif edit in ("shift-obs", "drop-obs"):
+            row = sensor[data.draw(st.sampled_from(model.states.labels))]
+            if row:
+                joint = data.draw(st.sampled_from(list(row)))
+                if edit == "drop-obs":
+                    del row[joint]
+                else:
+                    row[joint] += data.draw(shift)
+        else:
+            joint = ("q",) + ("x",) * (len(model.agents) - 1)
+            if edit == "short":
+                joint = joint[1:]
+            state = data.draw(st.sampled_from(model.states.labels))
+            if data.draw(st.booleans()):
+                row = DiscreteDistribution(np.full(n_states, 1.0 / n_states))
+                transition = insert_at(data, transition, (state, joint), row)
+            else:
+                sensor[state] = insert_at(data, sensor[state], joint, 0.0)
+    broken = dataclasses.replace(model, transition=transition, sensor=sensor)
+    partitioning = data.draw(st.sampled_from([part, range_partition(model)]))
+    assert outcome(lift, broken, partitioning) == outcome(reference_lift, broken, partitioning)

@@ -1,16 +1,20 @@
 """Interchange format: round trips, canonical form, error taxonomy."""
 
+import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from declift.errors import ParseError, SchemaError, ValidationError
 from declift.lifting import ground
 from declift.modelio import canonical_json, parse_model, serialize_model
 from declift.models import validate_model
-from declift.nano import generate_nano, nano_desk_preset
+from declift.nano import NanoParams, generate_nano, nano_desk_preset
 
 from test_solvers import (
     count_based_team,
@@ -18,6 +22,7 @@ from test_solvers import (
     random_lifted,
     random_mdp,
     random_pomdp,
+    random_team,
 )
 
 
@@ -280,3 +285,223 @@ def test_row_off_by_too_much_is_rejected():
 def test_negative_probability_rejected():
     with pytest.raises(ValidationError):
         parse_model(_tiny_mdp_doc(1.1, -0.1))
+
+
+# ---------------------------------------------------------------------------
+# table-at-a-time I/O against the row-by-row originals
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["mdp", "pomdp", "decpomdp", "decpomdp-lifted", "lifted-decpomdp"]),
+    n_states=st.integers(1, 4),
+    sizes=st.sampled_from([(1,), (2,), (3,), (2, 1), (1, 1, 1)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_serialize_parse_serialize_is_byte_identical(kind, n_states, sizes, seed):
+    rng = np.random.default_rng(seed)
+    model = {
+        "mdp": lambda: random_mdp(rng, n_states=n_states, n_actions=1 + seed % 3),
+        "pomdp": lambda: random_pomdp(rng, n_states=n_states, n_obs=1 + seed % 3),
+        "decpomdp": lambda: random_team(rng, n_states=n_states),
+        "decpomdp-lifted": lambda: ground(random_lifted(rng, sizes=sizes)),
+        "lifted-decpomdp": lambda: random_lifted(
+            rng, sizes=sizes, observations=("o", "n", "m")[: 1 + seed % 3]
+        ),
+    }[kind]()
+    text = serialize_model(model)
+    assert serialize_model(parse_model(text)) == text
+
+
+def _reference_scalar(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format(float(value) + 0.0, ".17g")
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _reference_emit(value, indent, out):
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        out.append("{\n")
+        inner = indent + "  "
+        for i, key in enumerate(sorted(value)):
+            out.append(f"{inner}{json.dumps(key)}: ")
+            _reference_emit(value[key], inner, out)
+            out.append(",\n" if i < len(value) - 1 else "\n")
+        out.append(indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        out.append("[\n")
+        inner = indent + "  "
+        for i, item in enumerate(value):
+            out.append(inner)
+            _reference_emit(item, inner, out)
+            out.append(",\n" if i < len(value) - 1 else "\n")
+        out.append(indent + "]")
+    else:
+        out.append(_reference_scalar(value))
+
+
+def reference_json(value) -> str:
+    """The recursive emitter `canonical_json` replaced, kept as its reference."""
+    out = []
+    _reference_emit(value, "", out)
+    out.append("\n")
+    return "".join(out)
+
+
+json_floats = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 0.1, 1 / 3]
+)
+json_scalars = (
+    st.booleans()
+    | st.none()
+    | st.integers(-(2**70), 2**70)
+    | st.integers(-(2**62), 2**62).map(np.int64)
+    | json_floats
+    | json_floats.map(np.float64)
+    | st.floats(width=32).map(np.float32)
+    | st.text()
+    | st.sampled_from(
+        ['"quoted"', "back\\slash", "tab\tnew\nline", "\x00\x1f", "ünï 日本 🎲"]
+    )
+)
+json_keys = st.text() | st.sampled_from(["", '"', "\\", "é", "\n"])
+float_rows = st.dictionaries(json_keys, json_floats, max_size=6)
+json_values = st.recursive(
+    json_scalars | float_rows,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(json_keys, children, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(value=json_values, shared=float_rows)
+def test_canonical_json_matches_the_recursive_emitter(value, shared):
+    assert canonical_json(value) == reference_json(value)
+    # one float row object at several places and indents is emitted once
+    # per indent, with the same text as emitting each occurrence
+    doc = {"a": shared, "b": [shared, {"c": shared}], "d": value, "e": [[shared]]}
+    assert canonical_json(doc) == reference_json(doc)
+
+
+def test_canonical_json_edge_values_match_the_recursive_emitter():
+    row = {"p": 0.25, "q": -0.0, "r": 5e-324}
+    values = [
+        True, False, None, 0, -7, 2**80, np.int64(-3), np.uint8(200), 0.0, -0.0,
+        5e-324, 1e308, -1e308, float("inf"), np.float64(0.1), np.float32(0.1),
+        "ünïcode ✓", 'q"uote\\', "\t\n\x01", [], {}, (), [[]], {"": {}},
+        {"n": [row, row, {"x": row}], "m": row}, (1, "two", 3.0, None),
+    ]
+    for value in values:
+        assert canonical_json(value) == reference_json(value)
+    assert canonical_json(values) == reference_json(values)
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        # a bad row before a bad entry is reported first, and the reverse
+        (
+            {1: {"next": {"s0": 0.5, "zz": 0.5}}, 3: {"extra": 1}},
+            "transition[1].next: unknown label 'zz'",
+        ),
+        (
+            {1: {"extra": 1}, 3: {"next": {"s0": 0.5, "zz": 0.5}}},
+            "transition[1]: unknown field 'extra'",
+        ),
+        ({2: {"next": {"s0": "half"}}}, "transition[2].next['s0']: expected a number, got 'half'"),
+        ({2: {"next": {"s0": True}}}, "transition[2].next['s0']: expected a number, got True"),
+        ({2: {"next": [0.5]}}, "transition[2].next: expected an object of probabilities"),
+        # within one row, the first bad entry wins
+        ({0: {"next": {"s0": "x", "zz": 1.0}}}, "transition[0].next['s0']: expected a number"),
+        ({0: {"next": {"zz": 1.0, "s0": "x"}}}, "transition[0].next: unknown label 'zz'"),
+        # a bad row is reported before a later entry's malformed action key
+        ({0: {"next": {"zz": 1.0}}, 1: {"action": "x"}}, "transition[0].next: unknown label 'zz'"),
+        (
+            {0: {"action": "x"}, 1: {"next": {"zz": 1.0}}},
+            "joint key 'x' must have 2 comma-joined labels",
+        ),
+        # an entry's own row comes before its action key
+        ({0: {"action": "x", "next": {"zz": 1.0}}}, "transition[0].next: unknown label 'zz'"),
+        ({0: {"next": None}}, "transition[0].next: expected an object of probabilities"),
+    ],
+)
+def test_schema_errors_come_in_row_by_row_order(edits, message):
+    doc = json.loads(serialize_model(random_team(np.random.default_rng(3))))
+    for i, change in edits.items():
+        doc["transition"][i].update(change)
+    with pytest.raises(SchemaError) as err:
+        parse_model(json.dumps(doc))
+    assert message in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ({"o,o": "x", "q": 0.5}, "sensor[1].row['o,o']: expected a number"),
+        ({"q": "x", "o,o": 0.5}, "sensor[1].row: joint key 'q' must have 2"),
+        ({"o,o": 0.5, "o,n": None}, "sensor[1].row['o,n']: expected a number, got None"),
+    ],
+)
+def test_sensor_schema_errors_come_in_entry_order(row, message):
+    # the second row, whose keys the first row has already parsed
+    doc = json.loads(serialize_model(random_team(np.random.default_rng(3))))
+    doc["sensor"][1]["row"] = row
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        parse_model(json.dumps(doc))
+
+
+def test_lifted_sensor_schema_errors_come_in_entry_order():
+    doc = json.loads(serialize_model(random_lifted(np.random.default_rng(3), sizes=(2,))))
+    doc["sensor"][1]["row"] = {"[2,0]": False, "[3,0]": 0.5}
+    with pytest.raises(SchemaError, match=re.escape("sensor[1].row['[2,0]']: expected a number")):
+        parse_model(json.dumps(doc))
+    doc["sensor"][1]["row"] = {"[3,0]": 0.5, "[2,0]": False}
+    with pytest.raises(SchemaError, match="sums to 3, expected partition size 2"):
+        parse_model(json.dumps(doc))
+
+
+# The cli-session chain, in process: gen-nano with two marker types, one
+# message type, partitions of three and these fixed rates, then ground,
+# serialise, parse, lift and serialise.  The digests were recorded with the
+# row-by-row implementation this module replaced.
+CHAIN_RATES = {
+    "marker_appear": 0.15,
+    "marker_persist": 0.85,
+    "assemble_prob": 0.8,
+    "false_positive": 0.05,
+    "cross_type": 0.03,
+    "false_negative": 0.1,
+    "marker_initial": 0.4,
+    "discount": 0.9,
+    "reward_good": 9.0,
+    "reward_bad": 21.0,
+    "release_cost": 1.5,
+}
+GROUND_SHA256 = "9abdab8763c8f329911e677f610198d14c6a6edba04b94841e921edbd901a6e2"
+RELIFTED_SHA256 = "e18da4c57da1eadd088d57b38b71aa56ccd08fff04e0a07362c8931c07caf536"
+
+
+def test_cli_session_chain_documents_are_pinned():
+    params = NanoParams(marker_types=2, message_types=1, partition_size=3, **CHAIN_RATES)
+    generated = serialize_model(generate_nano(params))
+    grounded = serialize_model(ground(parse_model(generated)))
+    assert len(grounded.encode()) == 3_290_994
+    assert hashlib.sha256(grounded.encode()).hexdigest() == GROUND_SHA256
+    relifted = serialize_model(lift_chain(parse_model(grounded)))
+    assert hashlib.sha256(relifted.encode()).hexdigest() == RELIFTED_SHA256

@@ -1,25 +1,47 @@
 """Core model type checks: validation reporting and the belief filter."""
 
+import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from declift.counting import enumerate_histograms
 from declift.errors import CapacityExceeded, ZeroProbabilityObservation
+from declift.modelio import parse_model
 from declift.models import (
+    DEFAULT_JOINT_CAP,
+    EXACT_SUM_TOL,
+    PROB_TOL,
     Belief,
     DiscreteDistribution,
     GroundDecPomdp,
     Mdp,
     Pomdp,
     StateSpace,
+    ValidationReport,
+    Violation,
+    _check_belief,
+    _check_discount,
+    _check_range,
+    _check_reward,
+    _check_row,
+    _check_sparse_row,
     belief_update,
     canonical_row,
+    canonical_rows,
     joint_space,
     joint_space_size,
+    label_ok,
     validate_model,
 )
+
+from test_lifting import insert_at
+from test_solvers import random_lifted, random_mdp, random_pomdp, random_team
 
 
 def two_state_pomdp():
@@ -231,3 +253,405 @@ def test_state_space_rejects_duplicates():
         StateSpace(("a", "a"))
     with pytest.raises(ValueError):
         StateSpace(())
+
+
+# ---------------------------------------------------------------------------
+# table-wide row checks against the row-by-row originals
+
+
+def reference_canonical_row(values):
+    """The single-row `canonical_row` the table version replaced."""
+    arr = np.array(values, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        return None, "empty row"
+    if not np.all(np.isfinite(arr)):
+        return None, "non-finite entry"
+    if np.any(arr < 0.0):
+        return None, "negative entry"
+    mass = math.fsum(arr.tolist())
+    deviation = abs(mass - 1.0)
+    if deviation > PROB_TOL:
+        return None, f"mass {mass!r} is off by more than {PROB_TOL}"
+    if deviation > EXACT_SUM_TOL:
+        arr = arr / mass
+    return arr, None
+
+
+# deviations around both tolerances; the middle band is renormalised
+deviations = st.sampled_from(
+    [0.0, 0.5, 0.99, 1.01, 2.0, 10.0, 100.0, 999.0, 1001.0, 2000.0]
+).map(lambda f: f * EXACT_SUM_TOL) | st.floats(-2.0 * PROB_TOL, 2.0 * PROB_TOL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    width=st.integers(1, 6),
+    rows=st.lists(
+        st.tuples(
+            st.integers(0, 2**32 - 1),
+            deviations,
+            st.sampled_from(["clean", "nan", "inf", "negative"]),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_canonical_rows_match_the_single_row_rules_bit_for_bit(width, rows):
+    table = []
+    for seed, deviation, kind in rows:
+        row = np.random.default_rng(seed).random(width) + 0.1
+        row = row / math.fsum(row.tolist())
+        row[0] += deviation
+        if kind == "nan":
+            row[-1] = np.nan
+        elif kind == "inf":
+            row[-1] = np.inf
+        elif kind == "negative" and width > 1:
+            row[-1] = -row[-1]
+        table.append(row)
+    probs, reasons = canonical_rows(np.array(table))
+    assert not probs.flags.writeable
+    for i, row in enumerate(table):
+        expected, reason = reference_canonical_row(row)
+        assert reasons[i] == reason
+        kept = row if expected is None else expected
+        assert probs[i].tobytes() == kept.tobytes()
+        fixed, single_reason = canonical_row(row)
+        assert single_reason == reason
+        assert (fixed is None) == (expected is None)
+        if fixed is not None:
+            assert fixed.tobytes() == expected.tobytes()
+
+
+def test_parsed_rows_renormalise_like_canonical_row():
+    # every deviation in (EXACT_SUM_TOL, PROB_TOL] is divided out, bit for bit
+    rows = {}
+    for k, factor in enumerate([1.5, 10.0, 250.0, 999.0, -3.0, -999.0]):
+        raw = [0.25, 0.75 + factor * EXACT_SUM_TOL]
+        rows[f"s{k}"] = raw
+    doc = {
+        "kind": "mdp",
+        "states": sorted(rows),
+        "actions": {s: ["go"] for s in rows},
+        "discount": 0.9,
+        "transition": [
+            {"state": s, "action": "go", "next": {"s0": raw[0], "s1": raw[1]}}
+            for s, raw in rows.items()
+        ],
+        "reward": {s: 0.0 for s in rows},
+    }
+    model = parse_model(json.dumps(doc))
+    for s, raw in rows.items():
+        expected, reason = reference_canonical_row(raw + [0.0] * (len(rows) - 2))
+        assert reason is None
+        got = model.transition[(s, "go")].probs
+        assert got.tobytes() == expected.tobytes()
+        assert got[1] != raw[1]
+
+
+def reference_report(model, cap=DEFAULT_JOINT_CAP) -> str:
+    """`validate_model`'s text as the row-by-row validators produced it.
+
+    The per-row checkers are shared with the library; the loops over the
+    tables are written out row by row, as they were.
+    """
+    out = []
+    if isinstance(model, Pomdp) or type(model) is Mdp:
+        _check_discount(out, model)
+        _check_reward(out, model)
+        for state in model.states:
+            if state not in model.actions:
+                out.append(Violation("range", f"state {state!r} declares no action range"))
+                continue
+            _check_range(out, f"state {state!r}", "actions", model.actions[state])
+        for state in model.actions:
+            if state not in model.states.labels:
+                out.append(Violation("range", f"action range for unknown state {state!r}"))
+        declared = {(s, a) for s in model.states for a in model.actions.get(s, ())}
+        for key in declared:
+            if key not in model.transition:
+                out.append(Violation("missing-row", f"no transition row for {key!r}"))
+        for key, dist in model.transition.items():
+            if key not in declared:
+                out.append(Violation("undeclared-row", f"transition row for undeclared {key!r}"))
+            _check_row(out, f"transition row {key!r}", dist, len(model.states))
+        if isinstance(model, Pomdp):
+            _check_range(out, "model", "observations", model.observations)
+            for state in model.states:
+                if state not in model.sensor:
+                    out.append(Violation("missing-row", f"no sensor row for state {state!r}"))
+            for state, dist in model.sensor.items():
+                if state not in model.states.labels:
+                    out.append(
+                        Violation("undeclared-row", f"sensor row for unknown state {state!r}")
+                    )
+                    continue
+                _check_row(out, f"sensor row {state!r}", dist, len(model.observations))
+        return str(ValidationReport(out))
+
+    ground = isinstance(model, GroundDecPomdp)
+    _check_discount(out, model)
+    _check_reward(out, model)
+    if ground:
+        if len(model.agents) == 0:
+            out.append(Violation("range", "no agents declared"))
+            return str(ValidationReport(out))
+        if len(set(model.agents)) != len(model.agents):
+            out.append(Violation("range", "duplicate agent names"))
+        for agent in model.agents:
+            if not label_ok(agent):
+                out.append(Violation("label", f"agent name {agent!r} is not allowed"))
+            _check_range(out, f"agent {agent!r}", "actions", model.actions.get(agent, ()))
+            _check_range(
+                out, f"agent {agent!r}", "observations", model.observations.get(agent, ())
+            )
+    else:
+        _check_belief(out, model.initial_belief, model.states)
+        part = model.partitioning
+        if len(set(model.partition_names)) != len(model.partition_names):
+            out.append(Violation("partition", "duplicate partition names"))
+        if len(model.partition_names) != len(part.blocks):
+            out.append(Violation("partition", "partition names do not match the blocks"))
+            return str(ValidationReport(out))
+        if len(model.agents) != len(set(model.agents)):
+            out.append(Violation("range", "duplicate agent names"))
+        if sorted(i for b in part.blocks for i in b) != list(range(len(model.agents))):
+            out.append(Violation("partition", "blocks do not cover the agents exactly"))
+            return str(ValidationReport(out))
+        for name, block, acts, obs in zip(
+            model.partition_names, part.blocks, part.action_ranges, part.observation_ranges
+        ):
+            if len(block) < 1:
+                out.append(Violation("partition", f"partition {name!r} is empty"))
+            if not label_ok(name):
+                out.append(Violation("label", f"partition name {name!r} is not allowed"))
+            _check_range(out, f"partition {name!r}", "actions", acts)
+            _check_range(out, f"partition {name!r}", "observations", obs)
+    states = model.states
+    if ground:
+        action_ranges = [model.actions.get(a, ()) for a in model.agents]
+        obs_ranges = [model.observations.get(a, ()) for a in model.agents]
+
+        def action_ok(joint):
+            return (
+                isinstance(joint, tuple)
+                and len(joint) == len(model.agents)
+                and all(v in r for v, r in zip(joint, action_ranges))
+            )
+
+        def obs_ok(joint):
+            return (
+                isinstance(joint, tuple)
+                and len(joint) == len(model.agents)
+                and all(v in r for v, r in zip(joint, obs_ranges))
+            )
+
+        row_name, key_text, prefix = "transition row", "joint action outside the ranges", ""
+        n_keys = math.prod(len(r) for r in action_ranges)
+        space = list(itertools.product(*action_ranges))
+    else:
+        part = model.partitioning
+
+        def key_ok(key, ranges):
+            if not isinstance(key, tuple) or len(key) != len(part.blocks):
+                return False
+            for counts, n, rng in zip(key, part.sizes, ranges):
+                if not isinstance(counts, tuple) or len(counts) != len(rng):
+                    return False
+                if any((not isinstance(c, int)) or c < 0 for c in counts):
+                    return False
+                if sum(counts) != n:
+                    return False
+            return True
+
+        def action_ok(key):
+            return key_ok(key, part.action_ranges)
+
+        def obs_ok(key):
+            return key_ok(key, part.observation_ranges)
+
+        row_name, key_text, prefix = "lifted transition row", "malformed histogram key", "lifted "
+        n_keys = model.action_key_count()
+        space = list(
+            itertools.product(
+                *(
+                    enumerate_histograms(len(b), len(r))
+                    for b, r in zip(part.blocks, part.action_ranges)
+                )
+            )
+        ) if n_keys <= cap else []
+    for (state, joint), dist in model.transition.items():
+        name = f"{row_name} ({state!r}, {joint!r})"
+        if state not in states.labels:
+            out.append(Violation("undeclared-row", f"{name}: unknown state"))
+        if not action_ok(joint):
+            out.append(Violation("key", f"{name}: {key_text}"))
+        _check_row(out, name, dist, len(states))
+    if n_keys <= cap:
+        for state in states:
+            for joint in space:
+                if (state, joint) not in model.transition:
+                    out.append(
+                        Violation(
+                            "missing-row",
+                            f"no {prefix}transition row for ({state!r}, {joint!r})",
+                        )
+                    )
+    for state in states:
+        if state not in model.sensor:
+            out.append(Violation("missing-row", f"no sensor row for state {state!r}"))
+    for state, row in model.sensor.items():
+        if state not in states.labels:
+            out.append(Violation("undeclared-row", f"sensor row for unknown state {state!r}"))
+            continue
+        _check_sparse_row(out, f"{prefix}sensor row {state!r}", row, obs_ok)
+    if ground:
+        _check_belief(out, model.initial_belief, states)
+    return str(ValidationReport(out))
+
+
+def _break_dense(data, probs):
+    edit = data.draw(st.sampled_from(["nan", "negative", "mass", "near", "width"]))
+    probs = probs.copy()
+    j = data.draw(st.integers(0, len(probs) - 1))
+    if edit == "nan":
+        probs[j] = np.nan
+    elif edit == "negative":
+        # mass kept where there is a second entry to carry it
+        probs[j] = -probs[j]
+        probs[j - 1] -= 2.0 * probs[j]
+    elif edit == "mass":
+        probs[j] += 2.0 * PROB_TOL
+    elif edit == "near":
+        probs[j] += 0.5 * PROB_TOL
+    else:
+        probs = np.append(probs, 0.0)
+    return DiscreteDistribution(probs)
+
+
+def _break_sparse(data, row, foreign):
+    row = dict(row)
+    edit = data.draw(
+        st.sampled_from(["nan", "negative", "mass", "near", "string", "bool", "foreign"])
+    )
+    if edit == "foreign" or not row:
+        row[foreign] = data.draw(st.sampled_from([0.0, 0.25]))
+        return row
+    keys = list(row)
+    i = data.draw(st.integers(0, len(keys) - 1))
+    key = keys[i]
+    if edit == "negative":
+        # mass kept by the entry before it (or itself, in a one-entry row)
+        row[keys[i - 1]] += 2.0 * row[key]
+        row[key] -= 2.0 * row[key]
+        return row
+    row[key] = {
+        "nan": float("nan"),
+        "mass": row[key] + 2.0 * PROB_TOL,
+        "near": row[key] + 0.5 * PROB_TOL,
+        "string": "x",
+        "bool": True,
+    }[edit]
+    return row
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=st.sampled_from(["mdp", "pomdp", "decpomdp", "lifted-decpomdp"]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_broken_models_report_like_the_row_by_row_validators(kind, seed, data):
+    rng = np.random.default_rng(seed)
+    if kind == "mdp":
+        model = random_mdp(rng, n_states=data.draw(st.integers(1, 3)))
+    elif kind == "pomdp":
+        model = random_pomdp(rng, n_states=data.draw(st.integers(1, 3)))
+    elif kind == "decpomdp":
+        model = random_team(rng, n_states=data.draw(st.integers(1, 3)))
+    else:
+        model = random_lifted(rng, sizes=data.draw(st.sampled_from([(1,), (2,), (2, 1)])))
+    team = kind in ("decpomdp", "lifted-decpomdp")
+    if kind == "decpomdp":
+        foreign_action, foreign_obs = ("q", "x"), ("o", "q", "n")
+    elif kind == "lifted-decpomdp":
+        sizes = model.partitioning.sizes
+        foreign_action = tuple((n + 1, 0) for n in sizes)
+        foreign_obs = tuple((n, 1) for n in sizes)
+    else:
+        foreign_action, foreign_obs = "q", None
+    transition = dict(model.transition)
+    sensor = dict(getattr(model, "sensor", {}))
+    for _ in range(data.draw(st.integers(1, 4))):
+        edit = data.draw(
+            st.sampled_from(["row", "row", "sensor", "sensor", "unknown", "foreign", "drop"])
+        )
+        state = data.draw(st.sampled_from(model.states.labels))
+        if edit == "row" and transition:
+            key = data.draw(st.sampled_from(list(transition)))
+            transition[key] = _break_dense(data, transition[key].probs)
+        elif edit == "sensor" and kind != "mdp" and state in sensor:
+            if team:
+                sensor[state] = _break_sparse(data, sensor[state], foreign_obs)
+            else:
+                sensor[state] = _break_dense(data, sensor[state].probs)
+        elif edit == "unknown":
+            if kind != "mdp" and data.draw(st.booleans()):
+                sensor = insert_at(data, sensor, "zz", next(iter(model.sensor.values())))
+            else:
+                (_, key), row = next(iter(model.transition.items()))
+                transition = insert_at(data, transition, ("zz", key), row)
+        elif edit == "foreign":
+            row = next(iter(model.transition.values()))
+            transition = insert_at(data, transition, (state, foreign_action), row)
+        elif edit == "drop":
+            if kind != "mdp" and data.draw(st.booleans()):
+                sensor.pop(state, None)
+            elif transition:
+                del transition[data.draw(st.sampled_from(list(transition)))]
+    changes = {"transition": transition}
+    if kind != "mdp":
+        changes["sensor"] = sensor
+    broken = dataclasses.replace(model, **changes)
+    assert str(validate_model(broken)) == reference_report(broken)
+
+
+@pytest.mark.parametrize("kind", ["decpomdp", "lifted-decpomdp"])
+@pytest.mark.parametrize("edit", ["foreign", "negative"])
+def test_sparse_rows_with_unit_mass_are_still_checked_entry_by_entry(kind, edit):
+    # the mass is exactly right, so only the key and sign checks can tell
+    rng = np.random.default_rng(11)
+    if kind == "decpomdp":
+        model, foreign = random_team(rng), ("o", "q")
+    else:
+        model, foreign = random_lifted(rng, sizes=(2,)), ((3, 0),)
+    sensor = {s: dict(row) for s, row in model.sensor.items()}
+    row = sensor[model.states.labels[-1]]
+    if edit == "foreign":
+        row[foreign] = 0.0
+    else:
+        first, second = list(row)[:2]
+        row[first], row[second] = -row[first], row[second] + 2.0 * row[first]
+    broken = dataclasses.replace(model, sensor=sensor)
+    report = str(validate_model(broken))
+    assert report == reference_report(broken)
+    assert ("out-of-range key" if edit == "foreign" else "is negative") in report
+
+
+@pytest.mark.parametrize("kind", ["decpomdp", "lifted-decpomdp"])
+def test_team_validators_report_a_dropped_transition_row(kind):
+    # a foreign row in its place keeps the row count, so only the
+    # enumeration of (state, key) pairs can find the gap
+    rng = np.random.default_rng(12)
+    if kind == "decpomdp":
+        model, foreign = random_team(rng), ("q", "x")
+    else:
+        model, foreign = random_lifted(rng, sizes=(2,)), ((3, 0),)
+    transition = dict(model.transition)
+    (state, key), row = next(iter(transition.items()))
+    del transition[(state, key)]
+    transition[(state, foreign)] = row
+    broken = dataclasses.replace(model, transition=transition)
+    report = validate_model(broken)
+    assert str(report) == reference_report(broken)
+    assert report.codes().count("missing-row") == 1

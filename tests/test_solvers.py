@@ -688,6 +688,28 @@ def test_plan_iteration_reports_stats_and_respects_cap():
         pomdp_plan_iteration(model, 3, cap_plans=1)
 
 
+@pytest.mark.parametrize("table", ["transition", "sensor"])
+def test_plan_iteration_refuses_a_missing_row_before_searching(table, monkeypatch):
+    model = random_pomdp(np.random.default_rng(5), n_states=3)
+    if table == "transition":
+        transition = dict(model.transition)
+        del transition[("s1", "a1")]
+        model = dataclasses.replace(model, transition=transition)
+        row = "transition row for ('s1', 'a1')"
+    else:
+        sensor = dict(model.sensor)
+        del sensor["s2"]
+        model = dataclasses.replace(model, sensor=sensor)
+        row = "sensor row for state 's2'"
+
+    def no_search(vectors):
+        raise AssertionError("searched a model with a missing row")
+
+    monkeypatch.setattr(solvers, "dominance_prune", no_search)
+    with pytest.raises(ValidationError, match=re.escape(f"model has no {row}")):
+        pomdp_plan_iteration(model, 2)
+
+
 # ---------------------------------------------------------------------------
 # ground team search
 
