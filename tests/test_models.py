@@ -534,10 +534,12 @@ def _break_sparse(data, row, foreign):
     edit = data.draw(
         st.sampled_from(["nan", "negative", "mass", "near", "string", "bool", "foreign"])
     )
-    if edit == "foreign" or not row:
+    # an earlier edit may have left a string or a bool in the row; only
+    # numeric entries take the arithmetic edits
+    keys = [k for k, v in row.items() if isinstance(v, (int, float)) and not isinstance(v, bool)]
+    if edit == "foreign" or not keys:
         row[foreign] = data.draw(st.sampled_from([0.0, 0.25]))
         return row
-    keys = list(row)
     i = data.draw(st.integers(0, len(keys) - 1))
     key = keys[i]
     if edit == "negative":
