@@ -24,19 +24,12 @@ from .errors import (
     CapacityExceeded,
     DecliftError,
     InvalidParams,
-    NotLiftable,
     SchemaError,
     ValidationError,
 )
-from .lifting import (
-    LiftedDecPomdp,
-    ground,
-    lift,
-    range_partition,
-    symmetry_refine,
-)
+from .lifting import ground, lift, range_partition, symmetry_refine
 from .modelio import canonical_json, parse_model, serialize_model
-from .models import GroundDecPomdp, Mdp, Pomdp
+from .models import GroundDecPomdp, LiftedDecPomdp, Mdp, Pomdp
 from .nano import (
     NanoParams,
     generate_nano,
@@ -44,7 +37,7 @@ from .nano import (
     nano_paper_preset,
     nano_size_params,
 )
-from .sizes import SizeParams, SizeReport, params_from_model, size_report
+from .sizes import SizeReport, params_from_model, size_report
 from .solvers import (
     DEFAULT_JOINT_CAP,
     DEFAULT_PLAN_CAP,
@@ -52,9 +45,8 @@ from .solvers import (
     lifted_exhaustive,
     mdp_value_iteration,
     pomdp_plan_iteration,
+    verify_equivalence,
 )
-
-EQUIVALENCE_TOL = 1e-9
 
 SUBCOMMANDS = (
     "validate",
@@ -107,18 +99,6 @@ class Command:
             raise InvalidParams("gen-nano needs generator parameters")
         if self.name == "analyze-size" and bool(self.input_path) == bool(self.preset):
             raise InvalidParams("analyze-size needs a model path or --preset, not both")
-
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """Ground and lifted optima for the same model, plus their size gap."""
-
-    ground_value: float
-    lifted_value: float
-    delta: float
-    size_comparison: SizeReport
-    size_params: SizeParams
-    passed: bool
 
 
 # ---------------------------------------------------------------------------
@@ -484,80 +464,9 @@ def _cmd_analyze_size(command: Command) -> int:
     return 0
 
 
-def _split_witness(candidate, refined):
-    """First agent pair a refinement separated inside one candidate block."""
-    member_block = {}
-    for b, block in enumerate(refined.blocks):
-        for i in block:
-            member_block[i] = b
-    for block in candidate.blocks:
-        first_in_group: dict[int, int] = {}
-        for i in block:
-            first_in_group.setdefault(member_block[i], i)
-        if len(first_in_group) > 1:
-            i, j = sorted(first_in_group.values())[:2]
-            return i, j
-    return None
-
-
-def verify_equivalence(
-    input_path: str,
-    horizon: int,
-    cap_plans: int = DEFAULT_PLAN_CAP,
-    cap_joint: int = DEFAULT_JOINT_CAP,
-) -> EquivalenceReport:
-    """Solve a team model in ground and lifted form and compare the optima.
-
-    A ground document must be liftable under its range partition: if the
-    symmetry check has to split any block, the offending agent pair is
-    reported instead of silently degrading to singleton partitions.  A
-    lifted document is expanded back to ground form.  Both forms are
-    solved exhaustively at the given horizon and the report carries the
-    two values, their difference, and the table-size comparison.
-    """
-    model = parse_model(_read(input_path))
-    if isinstance(model, LiftedDecPomdp):
-        lifted = model
-        ground_model = ground(model, cap=cap_joint)
-    elif isinstance(model, GroundDecPomdp):
-        ground_model = model
-        candidate = range_partition(model)
-        refined = symmetry_refine(model, candidate)
-        if refined.blocks != candidate.blocks:
-            witness = _split_witness(candidate, refined)
-            if witness is None:
-                raise NotLiftable("model is not symmetric under its range partition")
-            i, j = witness
-            raise NotLiftable(
-                f"agents {model.agents[i]!r} and {model.agents[j]!r} share "
-                f"ranges but swapping them changes the tables; lift the "
-                f"model first and verify the lifted document",
-                detail=(i, j),
-            )
-        lifted = lift(model, candidate)
-    else:
-        raise InvalidParams("equivalence check needs a team model document")
-    ground_result = decpomdp_exhaustive(
-        ground_model, horizon, cap_plans=cap_plans, cap_joint=cap_joint
-    )
-    lifted_result = lifted_exhaustive(
-        lifted, horizon, cap_plans=cap_plans, cap_joint=cap_joint
-    )
-    delta = ground_result.value - lifted_result.value
-    params = params_from_model(lifted)
-    return EquivalenceReport(
-        ground_value=ground_result.value,
-        lifted_value=lifted_result.value,
-        delta=delta,
-        size_comparison=size_report(params),
-        size_params=params,
-        passed=abs(delta) < EQUIVALENCE_TOL,
-    )
-
-
 def _cmd_verify_equivalence(command: Command) -> int:
     result = verify_equivalence(
-        command.input_path,
+        parse_model(_read(command.input_path)),
         command.horizon,
         cap_plans=command.cap_plans,
         cap_joint=command.cap_joint,
@@ -630,6 +539,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _add_cap_joint(sub):
+    sub.add_argument(
+        "--cap-joint",
+        type=int,
+        default=DEFAULT_JOINT_CAP,
+        help="joint enumeration cap",
+    )
+
+
 def _add_caps(sub):
     sub.add_argument(
         "--cap-plans",
@@ -637,12 +555,7 @@ def _add_caps(sub):
         default=DEFAULT_PLAN_CAP,
         help="per-range plan enumeration cap",
     )
-    sub.add_argument(
-        "--cap-joint",
-        type=int,
-        default=DEFAULT_JOINT_CAP,
-        help="joint enumeration cap",
-    )
+    _add_cap_joint(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -671,17 +584,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--preset", choices=("paper", "desk"), default=None, help="named instance"
     )
     p.add_argument("--out", required=True, help="output model file")
-    _add_caps(p)
+    _add_cap_joint(p)
 
     p = sub.add_parser("lift", help="rewrite a ground team model over counts")
     p.add_argument("input", help="decpomdp file")
     p.add_argument("--out", required=True, help="output model file")
-    _add_caps(p)
 
     p = sub.add_parser("ground", help="expand a lifted model to ground form")
     p.add_argument("input", help="lifted-decpomdp file")
     p.add_argument("--out", required=True, help="output model file")
-    _add_caps(p)
+    _add_cap_joint(p)
 
     p = sub.add_parser("solve", help="solve any model kind")
     p.add_argument("input", help="model file")

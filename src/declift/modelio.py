@@ -37,12 +37,13 @@ import numpy as np
 
 from .counting import format_histogram_tuple_key, parse_histogram_tuple_key
 from .errors import ParseError, SchemaError, ValidationError
-from .lifting import LiftedDecPomdp, Partitioning
 from .models import (
     Belief,
     DiscreteDistribution,
     GroundDecPomdp,
+    LiftedDecPomdp,
     Mdp,
+    Partitioning,
     Pomdp,
     StateSpace,
     _plain_numbers,

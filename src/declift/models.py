@@ -1,10 +1,14 @@
-"""Core model types: MDPs, POMDPs, and their multi-agent ground form.
+"""Core model types: MDPs, POMDPs, and team models in ground and lifted form.
 
 All models are plain frozen dataclasses over labels (strings) so they can
 be built by hand in tests and round-tripped through the interchange format.
 Transition and sensing tables are sparse maps with explicit keys; only the
 rows themselves (distributions over states, or over observation symbols)
 are dense vectors.
+
+A ground team model keys its rows by per-agent tuples; a lifted one by
+tuples of per-partition count histograms (`lifting` compiles between the
+two).  `validate_model` checks all of them.
 
 Probability rows must carry unit mass within PROB_TOL.  Rows that are off
 by more than EXACT_SUM_TOL but still within PROB_TOL are divided by their
@@ -22,6 +26,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .counting import enumerate_histograms, histogram_count
 from .errors import CapacityExceeded, ZeroProbabilityObservation
 
 PROB_TOL = 1e-9
@@ -225,6 +230,66 @@ class GroundDecPomdp:
     reward: dict[str, float]
     discount: float
     initial_belief: Belief
+
+
+@dataclass(frozen=True)
+class Partitioning:
+    """Disjoint agent-index blocks, each with shared action/observation ranges."""
+
+    blocks: tuple[tuple[int, ...], ...]
+    action_ranges: tuple[tuple[str, ...], ...]
+    observation_ranges: tuple[tuple[str, ...], ...]
+
+    def __post_init__(self):
+        if not (len(self.blocks) == len(self.action_ranges) == len(self.observation_ranges)):
+            raise ValueError("blocks and ranges must align")
+        # empty blocks are representable; model validation rejects them
+        seen = set()
+        for block in self.blocks:
+            if any(i in seen for i in block):
+                raise ValueError("partition blocks must be disjoint")
+            seen.update(block)
+
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(len(b) for b in self.blocks)
+
+    def agent_count(self) -> int:
+        return sum(self.sizes)
+
+
+@dataclass(frozen=True)
+class LiftedDecPomdp:
+    """Team model over counting variables instead of per-agent tuples.
+
+    Transition rows are keyed by (state, action-histogram tuple) and give a
+    distribution over next states; sensor rows map each state to a sparse
+    distribution over observation-histogram tuples.  The agent list and the
+    partitioning are kept so the model can be expanded back to ground form
+    with the original agent order.
+    """
+
+    agents: tuple[str, ...]
+    states: StateSpace
+    partition_names: tuple[str, ...]
+    partitioning: Partitioning
+    transition: dict[tuple[str, tuple[tuple[int, ...], ...]], DiscreteDistribution]
+    sensor: dict[str, dict[tuple[tuple[int, ...], ...], float]]
+    reward: dict[str, float]
+    discount: float
+    initial_belief: Belief
+
+    def action_key_count(self) -> int:
+        return math.prod(
+            histogram_count(len(b), len(r))
+            for b, r in zip(self.partitioning.blocks, self.partitioning.action_ranges)
+        )
+
+    def action_keys(self) -> list[tuple[tuple[int, ...], ...]]:
+        """Every action-histogram tuple, in declaration order."""
+        ranges = zip(self.partitioning.blocks, self.partitioning.action_ranges)
+        spaces = [enumerate_histograms(len(b), len(r)) for b, r in ranges]
+        return list(itertools.product(*spaces))
 
 
 @dataclass(frozen=True)
@@ -489,6 +554,75 @@ def _validate_ground(model: GroundDecPomdp, out: list[Violation], cap: int):
     _check_belief(out, model.initial_belief, model.states)
 
 
+def validate_lifted(model: LiftedDecPomdp, out: list, cap: int = DEFAULT_JOINT_CAP):
+    """Append every violated invariant of a lifted model to `out`."""
+    _check_discount(out, model)
+    _check_reward(out, model)
+    _check_belief(out, model.initial_belief, model.states)
+
+    part = model.partitioning
+    if len(set(model.partition_names)) != len(model.partition_names):
+        out.append(Violation("partition", "duplicate partition names"))
+    if len(model.partition_names) != len(part.blocks):
+        out.append(Violation("partition", "partition names do not match the blocks"))
+        return
+    if len(model.agents) != len(set(model.agents)):
+        out.append(Violation("range", "duplicate agent names"))
+    covered = sorted(i for b in part.blocks for i in b)
+    if covered != list(range(len(model.agents))):
+        out.append(Violation("partition", "blocks do not cover the agents exactly"))
+        return
+    for name, block, acts, obs in zip(
+        model.partition_names, part.blocks, part.action_ranges, part.observation_ranges
+    ):
+        if len(block) < 1:
+            out.append(Violation("partition", f"partition {name!r} is empty"))
+        if not label_ok(name):
+            out.append(Violation("label", f"partition name {name!r} is not allowed"))
+        _check_range(out, f"partition {name!r}", "actions", acts)
+        _check_range(out, f"partition {name!r}", "observations", obs)
+
+    sizes = part.sizes
+
+    def key_ok(key, ranges):
+        if not isinstance(key, tuple) or len(key) != len(part.blocks):
+            return False
+        for counts, n, rng in zip(key, sizes, ranges):
+            if not isinstance(counts, tuple) or len(counts) != len(rng):
+                return False
+            if any((not isinstance(c, int)) or c < 0 for c in counts):
+                return False
+            if sum(counts) != n:
+                return False
+        return True
+
+    in_range = _check_team_transitions(
+        out,
+        model,
+        lambda key: key_ok(key, part.action_ranges),
+        "lifted transition row",
+        "malformed histogram key",
+    )
+    n_action_keys = model.action_key_count()
+    if n_action_keys <= cap and in_range < len(model.states) * n_action_keys:
+        action_keys = model.action_keys()
+        for state in model.states:
+            for key in action_keys:
+                if (state, key) not in model.transition:
+                    out.append(
+                        Violation(
+                            "missing-row",
+                            f"no lifted transition row for ({state!r}, {key!r})",
+                        )
+                    )
+    _check_team_sensor(
+        out,
+        model,
+        lambda key: key_ok(key, part.observation_ranges),
+        "lifted sensor row",
+    )
+
+
 def validate_model(model, cap: int = DEFAULT_JOINT_CAP) -> ValidationReport:
     """Collect every violated invariant of a model into a report.
 
@@ -498,16 +632,14 @@ def validate_model(model, cap: int = DEFAULT_JOINT_CAP) -> ValidationReport:
     `cap`; beyond that the present rows are still checked individually.
     """
     out: list[Violation] = []
-    from . import lifting  # local import, lifting builds on this module
-
     if isinstance(model, Pomdp):
         _validate_pomdp(model, out)
     elif isinstance(model, Mdp):
         _validate_mdp(model, out)
     elif isinstance(model, GroundDecPomdp):
         _validate_ground(model, out, cap)
-    elif isinstance(model, lifting.LiftedDecPomdp):
-        lifting.validate_lifted(model, out, cap)
+    elif isinstance(model, LiftedDecPomdp):
+        validate_lifted(model, out, cap)
     else:
         out.append(Violation("kind", f"unsupported model type {type(model).__name__}"))
     return ValidationReport(out)

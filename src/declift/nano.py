@@ -34,8 +34,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityExceeded, InvalidParams
-from .lifting import LiftedDecPomdp, Partitioning
-from .models import DEFAULT_JOINT_CAP, Belief, DiscreteDistribution, StateSpace
+from .models import (
+    DEFAULT_JOINT_CAP,
+    Belief,
+    DiscreteDistribution,
+    LiftedDecPomdp,
+    Partitioning,
+    StateSpace,
+)
 from .sizes import SizeParams
 
 ACTIONS = ("release", "noop")

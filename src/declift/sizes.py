@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 from .counting import histogram_count
 from .errors import InvalidParams
-from .lifting import LiftedDecPomdp, range_partition, symmetry_refine
-from .models import GroundDecPomdp, Pomdp
+from .lifting import range_partition, symmetry_refine
+from .models import GroundDecPomdp, LiftedDecPomdp, Pomdp
 
 
 @dataclass(frozen=True)

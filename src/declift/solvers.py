@@ -3,6 +3,12 @@
 Four solver families live here: infinite-horizon value iteration for MDPs,
 finite-horizon plan-set backup with dominance pruning for POMDPs, and
 exhaustive finite-horizon team search in ground and in counting form.
+`verify_equivalence` runs both team searches on one model and compares
+the optima.  Every solver reads transition rows through one dense table
+builder, `_transitions`, the team solvers read sensor rows through
+`_sensor`, and both refuse a missing row before any search.  Plan pools
+are per-depth (actions, children) integer arrays in declaration order,
+which is the tie-break of every team solver.
 
 Value convention, used consistently by every finite-horizon routine: a
 depth-d plan executed from state s collects the state reward now and the
@@ -38,17 +44,58 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counting import (
-    bounded_compositions,
-    enumerate_histograms,
-    histogram_multiplicity,
+from .counting import bounded_compositions, histogram_multiplicity
+from .errors import (
+    CapacityExceeded,
+    InvalidParams,
+    NonConvergent,
+    NotLiftable,
+    ValidationError,
 )
-from .errors import CapacityExceeded, NonConvergent, ValidationError
-from .lifting import LiftedDecPomdp
-from .models import DEFAULT_JOINT_CAP, PROB_TOL, GroundDecPomdp, Mdp, Pomdp
+from .lifting import ground, lift, range_partition, symmetry_refine
+from .models import DEFAULT_JOINT_CAP, PROB_TOL, GroundDecPomdp, LiftedDecPomdp, Mdp, Pomdp
+from .sizes import SizeParams, SizeReport, params_from_model, size_report
 
 DEFAULT_PLAN_CAP = 1_000_000
 DOMINANCE_TOL = 1e-12
+EQUIVALENCE_TOL = 1e-9
+
+
+# ---------------------------------------------------------------------------
+# dense tables
+
+def _require_row(row, what):
+    if row is None:
+        raise ValidationError(f"model has no {what}; solve needs complete rows")
+    return row
+
+
+def _transitions(model, states, keys, row_name: str) -> np.ndarray:
+    """Transition matrices T[k, i, s'] of the rows (states[i], keys[k]).
+
+    Rows are read key-major, state-minor; the first missing one raises
+    ValidationError naming it as `<row_name> for (state, key)`.
+    """
+    table = np.empty((len(keys), len(states), len(model.states)))
+    for k, key in enumerate(keys):
+        for i, s in enumerate(states):
+            table[k, i] = _require_row(
+                model.transition.get((s, key)), f"{row_name} for ({s!r}, {key!r})"
+            ).probs
+    return table
+
+
+def _sensor(model, states, keys) -> np.ndarray:
+    """Sensor matrix O[i, j] = P(keys[j] | states[i]) of a team model.
+
+    A key missing from a sparse sensor row has probability 0; a missing
+    row raises ValidationError.
+    """
+    table = np.empty((len(states), len(keys)))
+    for i, s in enumerate(states):
+        row = _require_row(model.sensor.get(s), f"sensor row for state {s!r}")
+        table[i] = [row.get(key, 0.0) for key in keys]
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -80,36 +127,32 @@ def mdp_value_iteration(
             "discount 1 admits no convergence guarantee; pass max_iterations"
         )
     threshold = epsilon * (1.0 - gamma) / gamma
-    utility = {s: 0.0 for s in model.states}
+    states = list(model.states)
+    trans = {
+        s: _transitions(model, [s], model.actions.get(s, ()), "transition row")[:, 0]
+        for s in states
+    }
+
+    def q_values(utility):
+        u = np.array([utility[t] for t in states])
+        return {s: [float(np.dot(row, u)) for row in trans[s]] for s in states}
+
+    utility = {s: 0.0 for s in states}
     iterations = 0
     converged = False
     while max_iterations is None or iterations < max_iterations:
-        new = {}
-        for s in model.states:
-            best = None
-            for a in model.actions.get(s, ()):
-                row = model.transition[(s, a)]
-                q = float(np.dot(row.probs, [utility[t] for t in model.states]))
-                if best is None or q > best:
-                    best = q
-            new[s] = model.reward[s] + gamma * (best if best is not None else 0.0)
-        delta = max(abs(new[s] - utility[s]) for s in model.states)
+        q = q_values(utility)
+        new = {s: model.reward[s] + gamma * max(q[s], default=0.0) for s in states}
+        delta = max(abs(new[s] - utility[s]) for s in states)
         utility = new
         iterations += 1
         if gamma < 1.0 and delta < threshold:
             converged = True
             break
 
-    policy = {}
-    for s in model.states:
-        best_action, best_q = None, None
-        for a in model.actions.get(s, ()):
-            row = model.transition[(s, a)]
-            q = float(np.dot(row.probs, [utility[t] for t in model.states]))
-            if best_q is None or q > best_q:
-                best_action, best_q = a, q
-        if best_action is not None:
-            policy[s] = best_action
+    # max and index both take the first maximum: ties go to the earliest action
+    q = q_values(utility)
+    policy = {s: model.actions[s][q[s].index(max(q[s]))] for s in states if q[s]}
     return UtilityTable(utility, iterations, converged), policy
 
 
@@ -144,11 +187,13 @@ def plan_count(n_actions: int, n_obs: int, depth: int) -> int:
 
 
 def _indexed_plans(n_actions: int, n_obs: int, depth: int, cap: int):
-    """Per-depth pools of (action index, child index tuple) nodes.
+    """Per-depth pools of conditional plans as (actions, children) arrays.
 
-    pools[d-1] lists all depth-d plans; children index into pools[d-2].
-    The construction order (action-major, then lexicographic over children)
-    is the declaration-order tie-break every solver relies on.
+    pools[d-1] holds every depth-d plan q: actions[q] is its action index
+    and children[q, o] the index in pools[d-2] of its subplan after
+    observation o.  The order (action-major, then lexicographic over
+    children) is the declaration-order tie-break every solver relies on;
+    each action owns one contiguous block of equal size.
     """
     for d in range(1, depth + 1):
         count = plan_count(n_actions, n_obs, d)
@@ -158,15 +203,13 @@ def _indexed_plans(n_actions: int, n_obs: int, depth: int, cap: int):
                 measured=count,
                 cap=cap,
             )
-    pools = [[(a, ()) for a in range(n_actions)]]
+    pools = [(np.arange(n_actions), np.empty((n_actions, 0), dtype=np.intp))]
     for _ in range(depth - 1):
-        prev = len(pools[-1])
+        prev = len(pools[-1][0])
+        block = prev ** n_obs
+        children = np.indices((prev,) * n_obs).reshape(n_obs, block).T
         pools.append(
-            [
-                (a, children)
-                for a in range(n_actions)
-                for children in itertools.product(range(prev), repeat=n_obs)
-            ]
+            (np.repeat(np.arange(n_actions), block), np.tile(children, (n_actions, 1)))
         )
     return pools
 
@@ -174,11 +217,12 @@ def _indexed_plans(n_actions: int, n_obs: int, depth: int, cap: int):
 def _materialize_plan(pools, actions, depth: int, index: int, cache) -> ConditionalPlan:
     key = (depth, index)
     if key not in cache:
-        action_idx, children = pools[depth - 1][index]
+        action_idx, children = pools[depth - 1]
         subs = tuple(
-            _materialize_plan(pools, actions, depth - 1, c, cache) for c in children
+            _materialize_plan(pools, actions, depth - 1, c, cache)
+            for c in children[index].tolist()
         )
-        cache[key] = ConditionalPlan(actions[action_idx], subs)
+        cache[key] = ConditionalPlan(actions[action_idx[index]], subs)
     return cache[key]
 
 
@@ -195,7 +239,7 @@ def enumerate_plans(
     cache: dict = {}
     return [
         _materialize_plan(pools, actions, depth, i, cache)
-        for i in range(len(pools[depth - 1]))
+        for i in range(len(pools[depth - 1][0]))
     ]
 
 
@@ -327,17 +371,7 @@ def pomdp_plan_iteration(
             for s in states
         ]
     )
-    trans = {
-        a: np.stack(
-            [
-                _require_row(
-                    model.transition.get((s, a)), f"transition row for ({s!r}, {a!r})"
-                ).probs
-                for s in states
-            ]
-        )
-        for a in actions
-    }
+    trans = _transitions(model, states, actions, "transition row")
 
     survivors: list[PlanValueVector] = []
     for depth in range(1, horizon + 1):
@@ -355,12 +389,12 @@ def pomdp_plan_iteration(
                     cap=cap_plans,
                 )
             candidates = []
-            for a in actions:
+            for a, matrix in zip(actions, trans):
                 for assignment in itertools.product(survivors, repeat=n_obs):
                     cont = np.zeros(n)
                     for o, pv in enumerate(assignment):
                         cont += omega[:, o] * pv.alpha
-                    alpha = reward + model.discount * trans[a].dot(cont)
+                    alpha = reward + model.discount * matrix.dot(cont)
                     plan = ConditionalPlan(a, tuple(pv.plan for pv in assignment))
                     candidates.append(PlanValueVector(plan, alpha))
         survivors = dominance_prune(candidates)
@@ -392,12 +426,6 @@ class SolveResult:
     statistics: dict = field(default_factory=dict)
 
 
-def _require_row(row, what):
-    if row is None:
-        raise ValidationError(f"model has no {what}; solve needs complete rows")
-    return row
-
-
 def _team_backup(pools, reward, gamma, b0, trans, sensor):
     """Best joint plan-index tuple of a ground team, and its value from b0.
 
@@ -406,10 +434,11 @@ def _team_backup(pools, reward, gamma, b0, trans, sensor):
     sensor[s', o_1, ..., o_N] the probability of a joint observation in the
     next state.  The value tensor V[q_1, ..., q_N, s] of every tuple of
     depth-d plans is backed up in one step per depth and joint action.  The
-    pools are action-major, so the tuples of one joint action form a
-    contiguous block; for each joint observation with mass somewhere, the
-    block's children's values are gathered with `np.ix_`, weighted by the
-    sensor and summed, and the action's transition applies to the sum.
+    pools are action-major with equal-sized action blocks, so the tuples of
+    one joint action form a contiguous block; for each joint observation
+    with mass somewhere, the block's children's values are gathered with
+    `np.ix_`, weighted by the sensor and summed, and the action's
+    transition applies to the sum.
     Working block by block keeps the temporaries at one block's size, and
     the root depth keeps only each tuple's value V . b0, not its vector.
     The root takes the first maximum in C order, i.e. the earliest tuple
@@ -417,21 +446,17 @@ def _team_backup(pools, reward, gamma, b0, trans, sensor):
     """
     n_states, horizon = len(reward), len(pools[0])
     observed = [tuple(jo) for jo in np.argwhere(sensor.any(axis=0))]
-    value = np.broadcast_to(reward, tuple(len(p[0]) for p in pools) + (n_states,))
+    value = np.broadcast_to(reward, tuple(len(p[0][0]) for p in pools) + (n_states,))
     for depth in range(2, horizon + 1):
-        levels = [p[depth - 1] for p in pools]
-        children = [np.array([c for _, c in level]) for level in levels]
-        bounds = [
-            np.searchsorted([a for a, _ in level], np.arange(n_actions + 1))
-            for level, n_actions in zip(levels, trans.shape)
-        ]
+        children = [p[depth - 1][1] for p in pools]
+        sizes = [len(c) // n_actions for c, n_actions in zip(children, trans.shape)]
         root = depth == horizon
         backed_up = np.empty(
-            tuple(len(level) for level in levels) + (() if root else (n_states,))
+            tuple(len(c) for c in children) + (() if root else (n_states,))
         )
         for ja in np.ndindex(trans.shape[:-2]):
-            block = tuple(slice(b[a], b[a + 1]) for b, a in zip(bounds, ja))
-            cont = np.zeros(tuple(sl.stop - sl.start for sl in block) + (n_states,))
+            block = tuple(slice(a * size, (a + 1) * size) for a, size in zip(ja, sizes))
+            cont = np.zeros(tuple(sizes) + (n_states,))
             for jo in observed:
                 rows = (c[sl, o] for c, sl, o in zip(children, block, jo))
                 gathered = value[np.ix_(*rows)]
@@ -493,24 +518,12 @@ def decpomdp_exhaustive(
         for ar, orr in zip(act_ranges, obs_ranges)
     ]
 
-    joint_obs = list(itertools.product(*obs_ranges))
-    sensor = np.zeros((n, len(joint_obs)))
-    for i, s in enumerate(states):
-        row = _require_row(model.sensor.get(s), f"sensor row for state {s!r}")
-        for j, jo in enumerate(joint_obs):
-            sensor[i, j] = row.get(jo, 0.0)
-
-    trans = np.zeros(tuple(len(ar) for ar in act_ranges) + (n, n))
-    for ja_idx, ja in zip(
-        itertools.product(*(range(len(ar)) for ar in act_ranges)),
-        itertools.product(*act_ranges),
-    ):
-        for i, s in enumerate(states):
-            trans[ja_idx + (i,)] = _require_row(
-                model.transition.get((s, ja)), f"transition row for ({s!r}, {ja!r})"
-            ).probs
-
+    sensor = _sensor(model, states, list(itertools.product(*obs_ranges)))
     sensor = sensor.reshape((n,) + tuple(len(orr) for orr in obs_ranges))
+    trans = _transitions(
+        model, states, list(itertools.product(*act_ranges)), "transition row"
+    )
+    trans = trans.reshape(tuple(len(ar) for ar in act_ranges) + (n, n))
     best_tup, best_value = _team_backup(pools, reward, model.discount, b0, trans, sensor)
 
     entries = []
@@ -518,12 +531,12 @@ def decpomdp_exhaustive(
         plan = _materialize_plan(pools[i], act_ranges[i], horizon, best_tup[i], {})
         entries.append(((plan, 1),))
     policy = JointPolicy(horizon, tuple(entries))
-    joint_tuples = [math.prod(len(p[d]) for p in pools) for d in range(horizon)]
+    joint_tuples = [math.prod(len(p[d][0]) for p in pools) for d in range(horizon)]
     return SolveResult(
         value=best_value,
         policy=policy,
         statistics={
-            "per_agent_plans": [len(p[horizon - 1]) for p in pools],
+            "per_agent_plans": [len(p[horizon - 1][0]) for p in pools],
             "joint_tuples": joint_tuples[-1],
             "evaluations": sum(joint_tuples),
         },
@@ -558,18 +571,15 @@ def _group_allocations(groups, obs_counts):
     yield from rec(0, tuple(obs_counts))
 
 
-def _lifted_tables(model: LiftedDecPomdp, states):
-    """Dense transition and sensor matrices of a lifted model.
+def _lifted_observation_keys(model: LiftedDecPomdp, states) -> list:
+    """Observation keys with mass in some sensor row, in first-appearance order.
 
-    Returns (trans, obs_keys, omega_t): trans maps every joint action
-    histogram to its [state, next state] matrix, and omega_t[j] holds
-    P(obs_keys[j] | state) over states for every observation key with
-    mass somewhere.  The vector backup reads every state's rows, and its
-    depth-2 shortcut is exact only when sensor rows carry unit mass, so a
-    missing row or a sensor row whose mass is not 1 within PROB_TOL raises
+    The vector backup reads every state's sensor row, and its depth-2
+    shortcut is exact only when those rows carry unit mass, so a missing
+    row or a row whose mass is not 1 within PROB_TOL raises
     ValidationError here, before any search.
     """
-    columns: dict = {}
+    keys: dict = {}
     for s in states:
         row = _require_row(model.sensor.get(s), f"sensor row for state {s!r}")
         mass = math.fsum(row.values())
@@ -578,33 +588,8 @@ def _lifted_tables(model: LiftedDecPomdp, states):
                 f"sensor row for state {s!r} has mass {mass!r}, not 1 within "
                 f"{PROB_TOL}"
             )
-        for key, prob in row.items():
-            if prob != 0.0:
-                columns.setdefault(key, len(columns))
-    omega_t = np.zeros((len(columns), len(states)))
-    for i, s in enumerate(states):
-        for key, prob in model.sensor[s].items():
-            if prob != 0.0:
-                omega_t[columns[key], i] = prob
-
-    part = model.partitioning
-    action_spaces = [
-        list(enumerate_histograms(len(block), len(acts)))
-        for block, acts in zip(part.blocks, part.action_ranges)
-    ]
-    trans = {
-        key: np.stack(
-            [
-                _require_row(
-                    model.transition.get((s, key)),
-                    f"lifted transition row for ({s!r}, {key!r})",
-                ).probs
-                for s in states
-            ]
-        )
-        for key in itertools.product(*action_spaces)
-    }
-    return trans, list(columns), omega_t
+        keys.update((key, None) for key, prob in row.items() if prob != 0.0)
+    return list(keys)
 
 
 def lifted_exhaustive(
@@ -648,17 +633,24 @@ def lifted_exhaustive(
     b0 = model.initial_belief.probs
     n_partitions = len(part.blocks)
     sizes = part.sizes
-    trans, obs_keys, omega_t = _lifted_tables(model, states)
+    obs_keys = _lifted_observation_keys(model, states)
+    omega_t = _sensor(model, states, obs_keys).T  # [observation key, state]
+    action_keys = model.action_keys()
+    matrices = _transitions(model, states, action_keys, "lifted transition row")
+    trans = dict(zip(action_keys, matrices))
 
     pools = [
         _indexed_plans(len(ar), len(orr), horizon, cap_plans)
         for ar, orr in zip(part.action_ranges, part.observation_ranges)
     ]
+    # each level once as Python lists, for the occupancy loops below
+    node_actions = [[a.tolist() for a, _ in pool] for pool in pools]
+    node_children = [[c.tolist() for _, c in pool] for pool in pools]
+    pool_sizes = [len(acts[horizon - 1]) for acts in node_actions]
 
     multiset_counts = []
-    for k in range(n_partitions):
-        pool_size = len(pools[k][horizon - 1])
-        count = pool_size if peak_only else math.comb(pool_size + sizes[k] - 1, sizes[k])
+    for pool_size, size in zip(pool_sizes, sizes):
+        count = pool_size if peak_only else math.comb(pool_size + size - 1, size)
         multiset_counts.append(count)
     total_candidates = math.prod(multiset_counts)
     if total_candidates > cap_joint:
@@ -672,20 +664,20 @@ def lifted_exhaustive(
     def action_histogram(k, depth, occ_k):
         # occ_k: sorted ((node_index, count), ...) over the depth-`depth` pool
         counts = [0] * len(part.action_ranges[k])
-        nodes = pools[k][depth - 1]
+        acts = node_actions[k][depth - 1]
         for node_idx, c in occ_k:
-            counts[nodes[node_idx][0]] += c
+            counts[acts[node_idx]] += c
         return tuple(counts)
 
     def allocate(k, depth, occ_k, obs_k):
         # [(child occupancy, child action histogram, probability)]; children
         # at depth 2 are merged by action histogram, all their vector needs
-        nodes = pools[k][depth - 1]
+        kids = node_children[k][depth - 1]
         ways_by_child: dict = {}
         for rows, ways in _group_allocations(occ_k, obs_k):
             counts: dict[int, int] = {}
             for (node_idx, _), row in zip(occ_k, rows):
-                children = nodes[node_idx][1]
+                children = kids[node_idx]
                 for o, m in enumerate(row):
                     if m:
                         counts[children[o]] = counts.get(children[o], 0) + m
@@ -750,7 +742,7 @@ def lifted_exhaustive(
         return math.fsum((b0_support * vec[support]).tolist())
 
     def candidates(k):
-        pool_size = len(pools[k][horizon - 1])
+        pool_size = pool_sizes[k]
         if peak_only:
             for i in range(pool_size):
                 yield ((i, sizes[k]),)
@@ -798,9 +790,95 @@ def lifted_exhaustive(
         value=float(best_value),
         policy=JointPolicy(horizon, tuple(plans)),
         statistics={
-            "per_partition_plans": [len(p[horizon - 1]) for p in pools],
+            "per_partition_plans": pool_sizes,
             "per_partition_candidates": multiset_counts,
             "joint_candidates": total_candidates,
             "peak_only": peak_only,
         },
+    )
+
+
+# ---------------------------------------------------------------------------
+# ground and lifted optima compared
+
+@dataclass(frozen=True)
+class EquivalenceReport:
+    """Ground and lifted optima for the same model, plus their size gap."""
+
+    ground_value: float
+    lifted_value: float
+    delta: float
+    size_comparison: SizeReport
+    size_params: SizeParams
+    passed: bool
+
+
+def _split_witness(candidate, refined):
+    """First agent pair a refinement separated inside one candidate block."""
+    member_block = {}
+    for b, block in enumerate(refined.blocks):
+        for i in block:
+            member_block[i] = b
+    for block in candidate.blocks:
+        first_in_group: dict[int, int] = {}
+        for i in block:
+            first_in_group.setdefault(member_block[i], i)
+        if len(first_in_group) > 1:
+            i, j = sorted(first_in_group.values())[:2]
+            return i, j
+    return None
+
+
+def verify_equivalence(
+    model,
+    horizon: int,
+    cap_plans: int = DEFAULT_PLAN_CAP,
+    cap_joint: int = DEFAULT_JOINT_CAP,
+) -> EquivalenceReport:
+    """Solve a team model in ground and lifted form and compare the optima.
+
+    A ground model must be liftable under its range partition: if the
+    symmetry check has to split any block, the offending agent pair is
+    reported instead of silently degrading to singleton partitions.  A
+    lifted model is expanded back to ground form.  Both forms are solved
+    exhaustively at the given horizon and the report carries the two
+    values, their difference, and the table-size comparison; the check
+    passes when the values differ by less than EQUIVALENCE_TOL.
+    """
+    if isinstance(model, LiftedDecPomdp):
+        lifted = model
+        ground_model = ground(model, cap=cap_joint)
+    elif isinstance(model, GroundDecPomdp):
+        ground_model = model
+        candidate = range_partition(model)
+        refined = symmetry_refine(model, candidate)
+        if refined.blocks != candidate.blocks:
+            witness = _split_witness(candidate, refined)
+            if witness is None:
+                raise NotLiftable("model is not symmetric under its range partition")
+            i, j = witness
+            raise NotLiftable(
+                f"agents {model.agents[i]!r} and {model.agents[j]!r} share "
+                f"ranges but swapping them changes the tables; lift the "
+                f"model first and verify the lifted document",
+                detail=(i, j),
+            )
+        lifted = lift(model, candidate)
+    else:
+        raise InvalidParams("equivalence check needs a team model document")
+    ground_result = decpomdp_exhaustive(
+        ground_model, horizon, cap_plans=cap_plans, cap_joint=cap_joint
+    )
+    lifted_result = lifted_exhaustive(
+        lifted, horizon, cap_plans=cap_plans, cap_joint=cap_joint
+    )
+    delta = ground_result.value - lifted_result.value
+    params = params_from_model(lifted)
+    return EquivalenceReport(
+        ground_value=ground_result.value,
+        lifted_value=lifted_result.value,
+        delta=delta,
+        size_comparison=size_report(params),
+        size_params=params,
+        passed=abs(delta) < EQUIVALENCE_TOL,
     )

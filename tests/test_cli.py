@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from declift.cli import Command, main, verify_equivalence
+from declift.cli import Command, main
 from declift.errors import InvalidParams
 from declift.modelio import parse_model, serialize_model
 from declift.models import GroundDecPomdp
@@ -287,24 +287,28 @@ def test_verify_equivalence_single_agent_passes(tmp_path):
     assert main(["verify-equivalence", str(path), "--horizon", "2"]) == 0
 
 
-def test_verify_equivalence_api_reports_sizes(team_file):
-    report = verify_equivalence(team_file, horizon=2)
-    assert report.passed
-    assert report.size_params.agents == 2
-    assert report.size_comparison.exact_key_counts == ((3, 3),)
-
-
 # ---------------------------------------------------------------------------
 # command construction
 
 
-def test_usage_error_exits_one():
+def test_usage_error_exits_one(desk_file, team_file, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["solve"])  # missing input positional
     assert exc.value.code == 1
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 1
+    # caps are offered only where an enumeration reads them
+    out = str(tmp_path / "x.json")
+    for argv in (
+        ["lift", team_file, "--out", out, "--cap-plans", "5"],
+        ["lift", team_file, "--out", out, "--cap-joint", "5"],
+        ["gen-nano", "--preset", "desk", "--out", out, "--cap-plans", "5"],
+        ["ground", desk_file, "--out", out, "--cap-plans", "5"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
 
 
 def test_command_invariants():
@@ -319,14 +323,3 @@ def test_command_invariants():
     with pytest.raises(InvalidParams):
         Command(name="nope")
 
-
-def test_split_witness_finds_separated_pair():
-    from declift.cli import _split_witness
-    from declift.lifting import range_partition, symmetry_refine
-
-    rng = np.random.default_rng(5)
-    model = random_team(rng)
-    candidate = range_partition(model)
-    refined = symmetry_refine(model, candidate)
-    assert refined.blocks != candidate.blocks
-    assert _split_witness(candidate, refined) == (0, 1)

@@ -55,6 +55,7 @@ from declift.solvers import (
     mdp_value_iteration,
     plan_count,
     pomdp_plan_iteration,
+    verify_equivalence,
 )
 
 
@@ -400,6 +401,16 @@ def test_value_iteration_rejects_bad_epsilon():
         mdp_value_iteration(random_mdp(rng), epsilon=0.0)
 
 
+def test_value_iteration_refuses_a_missing_row():
+    model = random_mdp(np.random.default_rng(2))
+    transition = dict(model.transition)
+    del transition[("s2", "a0")]
+    model = dataclasses.replace(model, transition=transition)
+    row = "transition row for ('s2', 'a0')"
+    with pytest.raises(ValidationError, match=re.escape(f"model has no {row}")):
+        mdp_value_iteration(model)
+
+
 # ---------------------------------------------------------------------------
 # plan enumeration
 
@@ -421,6 +432,15 @@ def test_plan_enumeration_order_is_action_major():
     plans = enumerate_plans(("a", "b"), 1, 2)
     as_pairs = [(p.action, p.subplans[0].action) for p in plans]
     assert as_pairs == [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]
+    # two observations: the action varies slowest, then the subplan after
+    # the first observation, then the one after the second
+    pool = [ConditionalPlan(a) for a in ("a", "b")]
+    for _ in range(2):
+        pool = [
+            ConditionalPlan(a, (first, second))
+            for a, first, second in itertools.product(("a", "b"), pool, pool)
+        ]
+    assert enumerate_plans(("a", "b"), 2, 3) == pool
 
 
 def test_plan_enumeration_respects_cap():
@@ -514,6 +534,24 @@ def test_dominance_prune_prefilter_matches_pairwise_loops(vectors):
     # pairwise survivors again must give the same objects in the same order
     kept = dominance_prune(vectors)
     assert [id(v) for v in kept] == [id(v) for v in dominance_prune(expected)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(vectors=alpha_sets(), seed=st.integers(0, 2**32 - 1))
+def test_dominance_prune_keeps_every_vector_maximal_at_a_sampled_belief(vectors, seed):
+    if not vectors:
+        return
+    rows = np.stack([v.alpha for v in vectors])
+    n_states = rows.shape[1]
+    rng = np.random.default_rng(seed)
+    corners, centre = np.eye(n_states), np.full(n_states, 1.0 / n_states)
+    beliefs = np.vstack([corners, centre, rng.dirichlet(np.ones(n_states), 30)])
+    kept = {id(v) for v in dominance_prune(vectors)}
+    for values in beliefs @ rows.T:
+        best = int(np.argmax(values))
+        runner_up = np.delete(values, best).max(initial=-np.inf)
+        if values[best] - runner_up > DOMINANCE_TOL:
+            assert id(vectors[best]) in kept
 
 
 @pytest.mark.parametrize("offset, survivor", [(DOMINANCE_TOL, 0), (2 * DOMINANCE_TOL, 1)])
@@ -932,6 +970,32 @@ def test_lifted_rejects_missing_transition_row_before_searching():
             lifted_exhaustive(broken, 1)
 
 
+def assert_peak_only_below_full(seed, sizes, horizon):
+    # peak-only candidates are a subset of the full multisets, valued by
+    # the same backup, so the bound holds exactly
+    lifted = random_lifted(np.random.default_rng(seed), sizes)
+    full = lifted_exhaustive(lifted, horizon).value
+    assert lifted_exhaustive(lifted, horizon, peak_only=True).value <= full
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    case=st.sampled_from(
+        [((2,), 1), ((2, 1), 1), ((3,), 1), ((2,), 2), ((2, 1), 2), ((3,), 2)]
+    ),
+)
+def test_peak_only_value_never_exceeds_full_value(seed, case):
+    assert_peak_only_below_full(seed, *case)
+
+
+@settings(max_examples=1, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_peak_only_value_never_exceeds_full_value_at_horizon_three(seed):
+    # one draw: the full search of a size-2 partition at h3 has 8,256 candidates
+    assert_peak_only_below_full(seed, (2,), 3)
+
+
 def test_lifted_tie_breaks_to_first_multiset():
     first = enumerate_plans(("x", "y"), 2, 2)[0]
     for sizes in [(2, 1), (1, 1)]:
@@ -1012,3 +1076,21 @@ def test_solvers_reject_zero_horizon():
         lifted_exhaustive(lifted, 0)
     with pytest.raises(ValueError):
         pomdp_plan_iteration(random_pomdp(rng), 0)
+
+
+# ---------------------------------------------------------------------------
+# ground and lifted optima compared
+
+def test_verify_equivalence_api_reports_sizes():
+    report = verify_equivalence(count_based_team(), horizon=2)
+    assert report.passed
+    assert report.size_params.agents == 2
+    assert report.size_comparison.exact_key_counts == ((3, 3),)
+
+
+def test_split_witness_finds_separated_pair():
+    model = random_team(np.random.default_rng(5))
+    candidate = range_partition(model)
+    refined = symmetry_refine(model, candidate)
+    assert refined.blocks != candidate.blocks
+    assert solvers._split_witness(candidate, refined) == (0, 1)
