@@ -58,6 +58,8 @@ from .sizes import SizeParams, SizeReport, params_from_model, size_report
 
 DEFAULT_PLAN_CAP = 1_000_000
 DOMINANCE_TOL = 1e-12
+LP_TOL = 1e-12
+LP_PIVOT_FACTOR = 50
 EQUIVALENCE_TOL = 1e-9
 
 
@@ -252,17 +254,69 @@ class PlanValueVector:
     alpha: np.ndarray
 
 
-def linprog(*args, **kwargs):
-    """`scipy.optimize.linprog`, imported on the first call.
+def linprog(table: np.ndarray) -> float:
+    """Best worst-case margin of a payoff table over the simplex.
 
-    Importing `scipy.optimize` costs most of the package's import time and
-    only the pruning LP needs it, so it loads when an LP is first solved.
+    Returns max over b on the probability simplex of min_j table[j] . b,
+    for a table of k >= 1 rows and n >= 1 columns.  The columns are the
+    coordinates the belief ranges over and each row is one payoff
+    difference; `dominance_prune` passes v - u_j for every other vector
+    u_j, so the result is the margin by which v can top all of them.
+
+    The equality sum(b) = 1 is removed by substituting b[n-1] = 1 -
+    sum(b[:n-1]), which leaves sum(b[:n-1]) <= 1.  The free margin t is
+    shifted to z = t - table.min() >= 0, valid because every belief
+    scores at least the table's minimum, so every right-hand side is
+    non-negative and the all-slack basis is feasible without a phase I.
+    A dense tableau simplex then maximises z under Bland's rule: the
+    lowest-indexed column whose reduced cost is below -LP_TOL enters,
+    and among the rows with an entry above LP_TOL and the smallest
+    ratio, the one whose basic variable has the lowest index leaves.
+    Basic values that rounding pushes below zero are reset to zero.
+    The loop ends when no reduced cost is below -LP_TOL, and the margin
+    is read off the objective row.  Bland's rule cannot cycle in exact
+    arithmetic; as a hard bound against rounding, more than
+    LP_PIVOT_FACTOR * (k + n) pivots raise NonConvergent.
     `dominance_prune` looks this name up at call time, so it can be
     replaced to observe or count the LP calls.
     """
-    from scipy.optimize import linprog as scipy_linprog
-
-    return scipy_linprog(*args, **kwargs)
+    table = np.asarray(table, dtype=float)
+    k, n = table.shape
+    if k == 0 or n == 0:
+        raise ValueError("the margin LP needs at least one row and one column")
+    floor = table.min()
+    last = table[:, -1]
+    # columns: b[0..n-2], z, one slack per row, the right-hand side;
+    # rows: one per table row, the simplex row, the objective
+    tableau = np.zeros((k + 2, n + k + 2))
+    tableau[:k, : n - 1] = last[:, None] - table[:, :-1]
+    tableau[:k, n - 1] = 1.0
+    tableau[k, : n - 1] = 1.0
+    tableau[: k + 1, n : n + k + 1] = np.eye(k + 1)
+    tableau[:k, -1] = last - floor
+    tableau[k, -1] = 1.0
+    tableau[-1, n - 1] = -1.0
+    basis = np.arange(n, n + k + 1)
+    values = tableau[:-1, -1]
+    for _ in range(LP_PIVOT_FACTOR * (k + n)):
+        improving = np.flatnonzero(tableau[-1, :-1] < -LP_TOL)
+        if not improving.size:
+            return float(floor + tableau[-1, -1])
+        col = improving[0]
+        rows = np.flatnonzero(tableau[:-1, col] > LP_TOL)
+        ratios = values[rows] / tableau[rows, col]
+        ties = rows[ratios == ratios.min()]
+        row = ties[np.argmin(basis[ties])]
+        tableau[row] /= tableau[row, col]
+        factors = tableau[:, col].copy()
+        factors[row] = 0.0
+        tableau -= np.outer(factors, tableau[row])
+        np.maximum(values, 0.0, out=values)
+        basis[row] = col
+    raise NonConvergent(
+        f"margin LP over a {k} x {n} table did not reach an optimal basis "
+        f"within {LP_PIVOT_FACTOR * (k + n)} pivots"
+    )
 
 
 def _prefilter(rows: np.ndarray, margin_tol: float) -> list[int]:
@@ -297,12 +351,14 @@ def dominance_prune(
     """Keep the vectors that top the value surface somewhere on the simplex.
 
     Near-duplicates (within margin_tol everywhere) collapse onto their
-    earliest representative, pointwise-dominated vectors go next, and the
-    rest face a linear feasibility test: a vector stays iff some belief
-    gives it a margin of at least -margin_tol against all other survivors
-    of the prefilter.  A vector that wins a corner of the simplex outright
-    is kept without consulting the linear program, so corner-maximal
-    vectors never disappear.
+    earliest representative, and pointwise-dominated vectors go next.  A
+    vector that wins a corner of the simplex outright is then kept
+    without an LP, so corner-maximal vectors never disappear.  Every
+    other vector v faces one margin LP, `linprog(v - others)`, over the
+    table of its differences to all other survivors of the prefilter:
+    v stays iff max over beliefs b of min_u b . (v - u) is at least
+    -margin_tol.  `linprog` states the LP's own tolerance and its
+    termination rule.
     """
     if not vectors:
         return []
@@ -312,32 +368,13 @@ def dominance_prune(
         return [vectors[i] for i in filtered]
 
     stacked = rows[filtered]
-    n_others, n_states = len(filtered) - 1, stacked.shape[1]
-    corner_winners = {int(np.argmax(stacked[:, s])) for s in range(n_states)}
-    # maximize d subject to b . (u - v) + d <= 0 for all other u,
-    # b on the probability simplex
-    c = np.concatenate([np.zeros(n_states), [-1.0]])
-    margin_column = np.ones((n_others, 1))
-    b_ub = np.zeros(n_others)
-    a_eq = np.concatenate([np.ones(n_states), [0.0]]).reshape(1, -1)
-    bounds = [(0.0, 1.0)] * n_states + [(None, None)]
+    corner_winners = {int(np.argmax(stacked[:, s])) for s in range(stacked.shape[1])}
 
     kept = []
     for k, i in enumerate(filtered):
-        if k in corner_winners:
-            kept.append(vectors[i])
-            continue
-        others = np.delete(stacked, k, axis=0)
-        res = linprog(
-            c=c,
-            A_ub=np.hstack([others - stacked[k], margin_column]),
-            b_ub=b_ub,
-            A_eq=a_eq,
-            b_eq=[1.0],
-            bounds=bounds,
-            method="highs",
-        )
-        if not res.success or -res.fun >= -margin_tol:
+        if k in corner_winners or linprog(
+            stacked[k] - np.delete(stacked, k, axis=0)
+        ) >= -margin_tol:
             kept.append(vectors[i])
     return kept
 
