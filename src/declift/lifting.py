@@ -9,6 +9,11 @@ expands a histogram-keyed model back out (ground).
 
 Keys of lifted tables are tuples of per-partition count vectors, e.g.
 ((2, 0), (1, 1)) for two partitions; the serialized form is "[2,0]|[1,1]".
+
+Transition tables hold one distribution object per distinct row (the
+parser and `ground` share them), and the swap checks of symmetry_refine
+and the row checks of lift work on those objects: entries holding the
+same object agree, and two different objects are compared once.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .models import (
     GroundDecPomdp,
     LiftedDecPomdp,
     Partitioning,
+    distinct_rows,
     validate_lifted,
 )
 
@@ -119,9 +125,7 @@ class _SwapCheck:
     def __init__(self, model: GroundDecPomdp):
         n_agents = len(model.agents)
         self.transition = _KeyTable(model.transition, n_agents)
-        self.transition_probs = np.array(
-            [dist.probs for dist in model.transition.values()], dtype=float
-        )
+        self.codes, self.rows = distinct_rows(list(model.transition.values()))
         entries = [
             ((state, joint), prob)
             for state, row in model.sensor.items()
@@ -139,8 +143,7 @@ class _SwapCheck:
         perm = self.transition.swapped(i, j)
         if (perm < 0).any():
             return False
-        probs = self.transition_probs
-        if np.abs(probs[perm] - probs).max(initial=0.0) > tol:
+        if (_row_gaps(self.rows, self.codes[perm], self.codes) > tol).any():
             return False
         perm = self.sensor.swapped(i, j)
         other = np.where(perm >= 0, self.sensor_probs[perm], 0.0)
@@ -201,17 +204,34 @@ def _check_partitioning(model: GroundDecPomdp, partitioning: Partitioning):
                 )
 
 
+def _row_gaps(rows: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """max |rows[left[k]] - rows[right[k]]| for every k.
+
+    Equal codes differ by 0; the gap of two different codes is computed
+    once per distinct pair, so no (distinct x distinct) matrix is built.
+    """
+    gaps = np.zeros(len(left))
+    differ = np.flatnonzero(left != right)
+    if differ.size:
+        pairs, inverse = np.unique(
+            left[differ] * len(rows) + right[differ], return_inverse=True
+        )
+        a, b = np.divmod(pairs, len(rows))
+        gaps[differ] = np.abs(rows[a] - rows[b]).max(axis=1)[inverse.ravel()]
+    return gaps
+
+
 def _check_same_rows(rows: list, first: list[int], tol: float) -> None:
     """Raise NotLiftable at the first transition row off its key's first row.
 
     rows are ((state, joint), distribution) items and first[i] the position
-    of the first row with row i's key; all rows are compared in one gather
-    over the stacked distributions.
+    of the first row with row i's key; rows holding the same distribution
+    object agree, and each distinct pair of row objects is compared once.
     """
     if not rows:
         return
-    probs = np.stack([dist.probs for _, dist in rows])
-    diff = np.abs(probs - probs[first]).max(axis=1)
+    codes, table = distinct_rows([dist for _, dist in rows])
+    diff = _row_gaps(table, codes, codes[first])
     over = np.flatnonzero(diff > tol)
     if over.size:
         i = int(over[0])

@@ -12,16 +12,19 @@ key, floats printed with 17 significant digits (lossless for doubles),
 zero probability entries omitted.  Parsing a canonical document and
 serializing the result reproduces the document byte for byte.
 
-Both directions work a table at a time.  The parser reads every entry of
-a transition or dense sensor table first, stacks the rows into one
-(rows x width) array and canonicalises them with one `canonical_rows`
-call; the initial belief is a one-row table on the same path.  Key texts
-are parsed once per distinct text.  When anything in a table is
-malformed, the rows are walked in order, so the SchemaError raised is the
-one a row-by-row reader would meet first.  The emitter encodes each
-distinct string and float once, writes a dict of floats in one join, and
-writes a row object shared by many entries (as `ground` shares them)
-once per indent.
+Both directions work a table at a time, and a table holds each distinct
+row once.  The parser reads every entry of a transition or dense sensor
+table first and screens each row object's labels and value types; it
+then stacks only the distinct rows into one (distinct rows x width)
+array, canonicalises them with one `canonical_rows` call, and gives every
+entry whose row read to the same float64 bytes the same distribution
+object (so 0.0 and -0.0 stay apart).  The initial belief is a one-row
+table on the same path.  Key texts are parsed once per distinct text.
+When a row object is malformed, the first one is read again on its own,
+so the SchemaError raised is the one a row-by-row reader would meet
+first.  The emitter encodes each distinct string, float and key once,
+writes a dict of floats in one join, and writes a row object shared by
+many entries once per indent.
 
 Error taxonomy: ParseError for text that is not JSON, SchemaError for
 structure the grammar does not allow (unknown fields, malformed keys,
@@ -113,6 +116,15 @@ def _float_text(value: float) -> str:
     return format(value + 0.0, ".17g")
 
 
+def _sorted_keys(value: dict) -> list:
+    """The keys of an object in canonical order; each must be a string."""
+    if not {str}.issuperset(map(type, value)):
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"cannot serialize object key {key!r}")
+    return sorted(value)
+
+
 class _Memo(dict):
     """Results of a one-argument function, computed once per argument.
 
@@ -157,7 +169,8 @@ class _Emitter:
                 return self.float_dict(value, indent, inner)
             key, text = self.key, self.text
             body = ",\n".join(
-                f"{inner}{key(k)}: {text(value[k], inner)}" for k in sorted(value)
+                f"{inner}{key(k)}: {text(value[k], inner)}"
+                for k in _sorted_keys(value)
             )
             return f"{{\n{body}\n{indent}}}"
         if isinstance(value, (list, tuple)):
@@ -176,7 +189,8 @@ class _Emitter:
         if text is None:
             floats, key = self.floats, self.key
             body = ",\n".join(
-                f"{inner}{key(k)}: {floats[value[k]]}" for k in sorted(value)
+                f"{inner}{key(k)}: {floats[value[k]]}"
+                for k in _sorted_keys(value)
             )
             text = self.float_dicts[memo_key] = f"{{\n{body}\n{indent}}}"
         return text
@@ -242,26 +256,51 @@ def _check_dense_row(mapping, index: dict, where: str) -> None:
         _number(value, f"{where}[{label!r}]")
 
 
-def _dense_table(mappings: list, labels, wheres: list) -> np.ndarray:
-    """Stack {label: number} row objects into one (rows x labels) array.
+def _dense_table(mappings: list, labels, wheres: list) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, table): {label: number} row objects as distinct dense rows.
 
-    `wheres[i]` names row i in errors.  Labels and value types are checked
-    for the whole table at once; if anything is wrong, the rows are walked
-    in order so the error raised is the first a row-by-row reader meets.
+    table holds one (labels-wide) row per distinct row and codes[i] is the
+    row of mappings[i]; rows merge only when their float64 bytes are equal,
+    so -0.0 stays apart from 0.0.  Labels and value types are screened for
+    every object, and the first object that fails is read again on its own,
+    so the error raised is the first a row-by-row reader meets; `wheres[i]`
+    names object i in errors.
     """
     index = {label: i for i, label in enumerate(labels)}
+    groups: dict = {}  # items of a row without zeros, or its position
+    codes, firsts = [], []  # group of each row; first row of each group
+    for i, mapping in enumerate(mappings):
+        if not (
+            isinstance(mapping, dict)
+            and mapping.keys() <= index.keys()
+            and _plain_numbers(mapping.values())
+        ):
+            _check_dense_row(mapping, index, wheres[i])
+        # equal items give equal bytes, except a zero's sign: such rows are
+        # left to the byte comparison below
+        group = i if 0 in mapping.values() else tuple(mapping.items())
+        code = groups.setdefault(group, len(groups))
+        if code == len(firsts):
+            firsts.append(mapping)
+        codes.append(code)
     columns, values, counts = [], [], []
-    if all(isinstance(mapping, dict) for mapping in mappings):
-        for mapping in mappings:
-            columns.extend(map(index.get, mapping))
-            values.extend(mapping.values())
-            counts.append(len(mapping))
-    if len(counts) < len(mappings) or None in columns or not _plain_numbers(values):
-        for mapping, where in zip(mappings, wheres):
-            _check_dense_row(mapping, index, where)
-    table = np.zeros((len(mappings), len(index)))
-    table[np.repeat(np.arange(len(mappings)), counts), columns] = values
-    return table
+    for mapping in firsts:
+        columns.extend(map(index.get, mapping))
+        values.extend(mapping.values())
+        counts.append(len(mapping))
+    table = np.zeros((len(firsts), len(index)))
+    table[np.repeat(np.arange(len(firsts)), counts), columns] = values
+    byte_codes, table = _distinct_bytes(table)
+    return byte_codes[codes], table
+
+
+def _distinct_bytes(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, distinct rows) of a table, merging bit-identical rows only."""
+    if table.size == 0:
+        return np.arange(len(table)), table
+    rows = table.view(np.dtype((np.void, table.itemsize * table.shape[1]))).ravel()
+    _, first, codes = np.unique(rows, return_index=True, return_inverse=True)
+    return codes.ravel(), table[first]
 
 
 def _distributions(table: np.ndarray) -> list[DiscreteDistribution]:
@@ -272,9 +311,9 @@ def _distributions(table: np.ndarray) -> list[DiscreteDistribution]:
 
 def _belief(doc: dict, states: StateSpace, where: str) -> Belief:
     value = _field(doc, "initial_belief", where)
-    table = _dense_table([value], states, [f"{where}.initial_belief"])
+    (code,), table = _dense_table([value], states, [f"{where}.initial_belief"])
     probs, _reasons = canonical_rows(table)
-    return Belief(states, probs[0])
+    return Belief(states, probs[code])
 
 
 def _reward(doc: dict, where: str) -> dict[str, float]:
@@ -300,7 +339,8 @@ def _table_entries(doc: dict, field: str, where: str):
 def _dense_rows(entries, labels, parse_key) -> dict:
     """{parse_key(key): distribution} of (where, key, row object) entries.
 
-    The entries are read first and their rows converted as one table.  A
+    The entries are read first and their distinct rows converted as one
+    table; entries with bit-identical rows share one distribution.  A
     key is parsed after its entry's row is taken, and when reading an entry
     fails the rows taken before it are checked first, so errors come in the
     order a row-by-row reader meets them.
@@ -314,7 +354,9 @@ def _dense_rows(entries, labels, parse_key) -> dict:
     except SchemaError:
         _dense_table(rows, labels, wheres)
         raise
-    return dict(zip(keys, _distributions(_dense_table(rows, labels, wheres))))
+    codes, table = _dense_table(rows, labels, wheres)
+    dists = _distributions(table)
+    return dict(zip(keys, map(dists.__getitem__, codes.tolist())))
 
 
 def _transition_entries(doc: dict, where: str):
@@ -586,15 +628,32 @@ def _joint_key(joint: tuple[str, ...]) -> str:
 
 
 def _transition_list(model, states, key_fn) -> list:
+    key_text = _Memo(key_fn)  # one text per distinct action key
     entries = []
     maps: dict = {}  # one "next" object per distribution object, shared
     for (state, action), dist in model.transition.items():
         row = maps.get(id(dist))
         if row is None:
             row = maps[id(dist)] = _prob_map(states, dist.probs)
-        entries.append({"state": state, "action": key_fn(action), "next": row})
+        entries.append({"state": state, "action": key_text[action], "next": row})
     entries.sort(key=lambda e: (e["state"], e["action"]))
     return entries
+
+
+def _team_sensor_list(model, key_fn) -> list:
+    """Sensor entries of a team model; `key_fn` runs once per distinct key."""
+    key_text = _Memo(key_fn)
+    return [
+        {
+            "state": s,
+            "row": {
+                key_text[key]: float(p)
+                for key, p in model.sensor[s].items()
+                if float(p) != 0.0
+            },
+        }
+        for s in sorted(model.sensor)
+    ]
 
 
 def serialize_model(model) -> str:
@@ -635,17 +694,7 @@ def serialize_model(model) -> str:
             "discount": model.discount,
             "initial_belief": _prob_map(model.states, model.initial_belief.probs),
             "transition": _transition_list(model, model.states, _joint_key),
-            "sensor": [
-                {
-                    "state": s,
-                    "row": {
-                        _joint_key(jo): float(p)
-                        for jo, p in model.sensor[s].items()
-                        if float(p) != 0.0
-                    },
-                }
-                for s in sorted(model.sensor)
-            ],
+            "sensor": _team_sensor_list(model, _joint_key),
             "reward": dict(model.reward),
         }
     elif isinstance(model, LiftedDecPomdp):
@@ -668,17 +717,7 @@ def serialize_model(model) -> str:
             "transition": _transition_list(
                 model, model.states, format_histogram_tuple_key
             ),
-            "sensor": [
-                {
-                    "state": s,
-                    "row": {
-                        format_histogram_tuple_key(key): float(p)
-                        for key, p in model.sensor[s].items()
-                        if float(p) != 0.0
-                    },
-                }
-                for s in sorted(model.sensor)
-            ],
+            "sensor": _team_sensor_list(model, format_histogram_tuple_key),
             "reward": dict(model.reward),
         }
     else:

@@ -10,6 +10,10 @@ A ground team model keys its rows by per-agent tuples; a lifted one by
 tuples of per-partition count histograms (`lifting` compiles between the
 two).  `validate_model` checks all of them.
 
+Equal rows may be one shared `DiscreteDistribution`, as they are in parsed
+and lifted tables; `distinct_rows` stacks each distinct row object once,
+and validation screens those and reports per entry.
+
 Probability rows must carry unit mass within PROB_TOL.  Rows that are off
 by more than EXACT_SUM_TOL but still within PROB_TOL are divided by their
 sum when they enter through the parser; validation merely reports, so that
@@ -359,17 +363,38 @@ def _check_sparse_row(out, name, row: dict, keys_ok) -> None:
         out.append(Violation("normalization", f"{name} sums to {mass!r}, expected 1"))
 
 
+def distinct_rows(dists: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, table): the distinct row objects of `dists`, stacked once.
+
+    Rows are told apart by object identity, so a table whose entries share
+    one distribution object per distinct row (as parsed, lifted and ground
+    tables do) is stacked once per distinct row; equal rows held in
+    separate objects each get their own code.  codes[i] is the row of
+    `table` holding dists[i].probs.  All rows must have one width.
+    """
+    objects = {id(dist): dist for dist in dists}
+    code = dict(zip(objects, range(len(objects))))
+    codes = np.fromiter(
+        map(code.__getitem__, map(id, dists)), dtype=np.intp, count=len(dists)
+    )
+    if not objects:
+        return codes, np.zeros((0, 0))
+    return codes, np.stack([dist.probs for dist in objects.values()])
+
+
 # Table-wide screens: each says which rows the row checker above would
 # report on.  Only those rows are checked again one by one, so reports keep
-# their text and order while clean rows cost one pass over the stacked table.
+# their text and order while clean rows cost one pass over the stacked
+# distinct rows.
 
 def _dense_flags(dists, width: int) -> np.ndarray:
-    """Rows `_check_row` reports on, decided over the stacked rows."""
+    """Rows `_check_row` reports on, decided once per distinct row object."""
     flags = np.ones(len(dists), dtype=bool)
     fit = [i for i, dist in enumerate(dists) if len(dist) == width]
     if fit:
-        _probs, reasons = canonical_rows(np.stack([dists[i].probs for i in fit]))
-        flags[fit] = [reason is not None for reason in reasons]
+        codes, table = distinct_rows([dists[i] for i in fit])
+        _probs, reasons = canonical_rows(table)
+        flags[fit] = np.array([reason is not None for reason in reasons])[codes]
     return flags
 
 

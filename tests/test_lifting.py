@@ -253,12 +253,19 @@ def test_swap_check_matches_row_by_row_loop(data):
                     del row[joint]
                 else:
                     row[joint] += data.draw(shift)
+    # equal rows share one object, as in a parsed model, or none do
+    rows = {} if data.draw(st.booleans()) else None
+    for key, row in transition.items():
+        dist = DiscreteDistribution(row)
+        if rows is not None:
+            dist = rows.setdefault(row.tobytes(), dist)
+        transition[key] = dist
     model = GroundDecPomdp(
         agents=agents,
         states=states,
         actions=actions,
         observations=observations,
-        transition={key: DiscreteDistribution(row) for key, row in transition.items()},
+        transition=transition,
         sensor=sensor,
         reward={"lo": 0.0, "hi": 1.0},
         discount=0.9,
@@ -708,6 +715,11 @@ def test_lift_reports_the_row_by_row_witness(shape, data):
                 transition = insert_at(data, transition, (state, joint), row)
             else:
                 sensor[state] = insert_at(data, sensor[state], joint, 0.0)
+    if data.draw(st.booleans()):
+        # equal rows in separate objects: every row is compared on its own
+        transition = {
+            key: DiscreteDistribution(dist.probs.copy()) for key, dist in transition.items()
+        }
     broken = dataclasses.replace(model, transition=transition, sensor=sensor)
     partitioning = data.draw(st.sampled_from([part, range_partition(model)]))
     assert outcome(lift, broken, partitioning) == outcome(reference_lift, broken, partitioning)

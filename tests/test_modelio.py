@@ -1,8 +1,11 @@
 """Interchange format: round trips, canonical form, error taxonomy."""
 
+import dataclasses
+import functools
 import hashlib
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,12 +13,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from declift.counting import parse_histogram_tuple_key
 from declift.errors import ParseError, SchemaError, ValidationError
 from declift.lifting import ground
 from declift.modelio import canonical_json, parse_model, serialize_model
-from declift.models import validate_model
+from declift.models import (
+    Belief,
+    DiscreteDistribution,
+    canonical_rows,
+    distinct_rows,
+    validate_model,
+)
 from declift.nano import NanoParams, generate_nano, nano_desk_preset
 
+from test_models import reference_report
 from test_solvers import (
     count_based_team,
     lift_chain,
@@ -132,6 +143,22 @@ def test_canonical_json_float_formatting():
 def test_canonical_json_rejects_unknown_types():
     with pytest.raises(TypeError):
         canonical_json({"x": object()})
+
+
+@pytest.mark.parametrize(
+    "value, key",
+    [
+        ({1: 2.0}, "1"),
+        ({(1, 2): "a"}, "(1, 2)"),
+        ({"a": {None: [1]}}, "None"),
+        ({"a": 1.0, 2: 3.0}, "2"),
+        ([{"b": 0.5}, {"c": {1.5: 1.0}}], "1.5"),
+    ],
+)
+def test_canonical_json_rejects_keys_that_are_not_strings(value, key):
+    # JSON object keys are strings; `1: 2` would not parse back
+    with pytest.raises(TypeError, match=re.escape(f"key {key}")):
+        canonical_json(value)
 
 
 # ---------------------------------------------------------------------------
@@ -498,10 +525,255 @@ RELIFTED_SHA256 = "e18da4c57da1eadd088d57b38b71aa56ccd08fff04e0a07362c8931c07caf
 
 
 def test_cli_session_chain_documents_are_pinned():
-    params = NanoParams(marker_types=2, message_types=1, partition_size=3, **CHAIN_RATES)
-    generated = serialize_model(generate_nano(params))
-    grounded = serialize_model(ground(parse_model(generated)))
+    _generated, grounded = chain_documents()
     assert len(grounded.encode()) == 3_290_994
     assert hashlib.sha256(grounded.encode()).hexdigest() == GROUND_SHA256
     relifted = serialize_model(lift_chain(parse_model(grounded)))
     assert hashlib.sha256(relifted.encode()).hexdigest() == RELIFTED_SHA256
+
+
+# ---------------------------------------------------------------------------
+# interned rows: entries with equal rows share one distribution
+
+
+def _reference_row(mapping, labels, where) -> np.ndarray:
+    """One row object read on its own, as a row-by-row parser reads it.
+
+    The row is returned as read, before it is canonicalised.
+    """
+    if not isinstance(mapping, dict):
+        raise SchemaError(f"{where}: expected an object of probabilities")
+    row = np.zeros(len(labels))
+    for label, value in mapping.items():
+        if label not in labels:
+            raise SchemaError(f"{where}: unknown label {label!r}")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise SchemaError(f"{where}[{label!r}]: expected a number, got {value!r}")
+        row[labels.index(label)] = value
+    return row
+
+
+def _reference_dist(mapping, labels, where) -> DiscreteDistribution:
+    probs, _reasons = canonical_rows(_reference_row(mapping, labels, where)[np.newaxis])
+    return DiscreteDistribution(probs[0])
+
+
+def _reference_parse(text: str, base):
+    """The model of `text`, every row read alone into its own distribution.
+
+    `base` is the model the document was serialised from; the test edits
+    only the rows of its transition table, POMDP sensor and initial
+    belief, in the order the parser reads them.
+    """
+    doc = json.loads(text)
+    kind, states = doc["kind"], doc["states"]
+    key = {
+        "pomdp": lambda text: text,
+        "decpomdp": lambda text: tuple(text.split(",")),
+        "lifted-decpomdp": parse_histogram_tuple_key,
+    }[kind]
+    transition = {
+        (entry["state"], key(entry["action"])): _reference_dist(
+            entry["next"], states, f"{kind}.transition[{i}].next"
+        )
+        for i, entry in enumerate(doc["transition"])
+    }
+    if kind == "pomdp":
+        sensor = {
+            entry["state"]: _reference_dist(
+                entry["row"], doc["observations"], f"pomdp.sensor[{i}].row"
+            )
+            for i, entry in enumerate(doc["sensor"])
+        }
+        return dataclasses.replace(base, transition=transition, sensor=sensor)
+    sensor = {
+        entry["state"]: {key(k): float(p) for k, p in entry["row"].items()}
+        for entry in doc["sensor"]
+    }
+    belief = _reference_dist(doc["initial_belief"], states, f"{kind}.initial_belief")
+    return dataclasses.replace(
+        base,
+        transition=transition,
+        sensor=sensor,
+        initial_belief=Belief(base.states, belief.probs),
+    )
+
+
+def _copy_of(data, row: dict, labels) -> dict:
+    """A copy of a row object that reads as the same row, or nearly so."""
+    edit = data.draw(
+        st.sampled_from(["same", "same", "reorder", "zero", "negative-zero", "int", "near"])
+    )
+    row = dict(row)
+    absent = [label for label in labels if label not in row]
+    if edit == "reorder":
+        row = dict(reversed(row.items()))
+    elif edit in ("zero", "negative-zero") and absent:
+        row[absent[0]] = 0.0 if edit == "zero" else -0.0
+    elif edit == "int":
+        row = {k: int(v) if float(v).is_integer() else v for k, v in row.items()}
+    elif edit == "near":
+        row[data.draw(st.sampled_from(sorted(row)))] += 2e-11
+    return row
+
+
+def _break_copy(data, row: dict) -> None:
+    """Maybe put a fault into one row object: a non-finite, a bool or a label."""
+    edit = data.draw(st.sampled_from(["none", "none", "none", "nan", "inf", "true", "unknown"]))
+    label = data.draw(st.sampled_from(sorted(row)))
+    if edit in ("nan", "inf", "true"):
+        row[label] = {"nan": float("nan"), "inf": float("inf"), "true": True}[edit]
+    elif edit == "unknown":
+        row["zz"] = 0.0
+
+
+def _repeat_rows(data, entries, field, labels):
+    """Give each entry a drawn copy of one of a few shared rows."""
+    half = {labels[0]: 0.5, labels[-1]: 0.5} if len(labels) > 1 else {labels[0]: 1}
+    pool = [{labels[0]: 1.0}, half, entries[0][field]]
+    sources = pool[: data.draw(st.integers(1, len(pool)))]
+    for entry in entries:
+        entry[field] = _copy_of(data, data.draw(st.sampled_from(sources)), labels)
+    _break_copy(data, entries[data.draw(st.integers(0, len(entries) - 1))][field])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["pomdp", "decpomdp", "decpomdp-lifted", "lifted-decpomdp"]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_interned_parse_matches_an_uninterned_reference(kind, seed, data):
+    rng = np.random.default_rng(seed)
+    base = {
+        "pomdp": lambda: random_pomdp(rng, n_states=1 + seed % 3, n_obs=1 + seed % 2),
+        "decpomdp": lambda: random_team(rng, n_states=1 + seed % 3),
+        "decpomdp-lifted": lambda: ground(random_lifted(rng, sizes=(2, 1))),
+        "lifted-decpomdp": lambda: random_lifted(rng, sizes=(2,)),
+    }[kind]()
+    doc = json.loads(serialize_model(base))
+    _repeat_rows(data, doc["transition"], "next", doc["states"])
+    if doc["kind"] == "pomdp":
+        _repeat_rows(data, doc["sensor"], "row", doc["observations"])
+    elif data.draw(st.booleans()):
+        doc["initial_belief"] = _copy_of(data, doc["initial_belief"], doc["states"])
+    text = json.dumps(doc)
+
+    try:
+        expected = _reference_parse(text, base)
+    except SchemaError as err:
+        with pytest.raises(SchemaError) as got:
+            parse_model(text)
+        assert str(got.value) == str(err)
+        return
+    report = reference_report(expected)
+    assert str(validate_model(expected)) == report
+    if report != "ok":
+        with pytest.raises(ValidationError) as got:
+            parse_model(text)
+        n = len(report.splitlines())
+        assert str(got.value) == f"{doc['kind']} document breaks {n} invariant(s):\n{report}"
+        return
+    model = parse_model(text)
+    assert list(model.transition) == list(expected.transition)
+    for key, dist in expected.transition.items():
+        assert model.transition[key].probs.tobytes() == dist.probs.tobytes()
+    if doc["kind"] == "pomdp":
+        for state, dist in expected.sensor.items():
+            assert model.sensor[state].probs.tobytes() == dist.probs.tobytes()
+    else:
+        assert model.initial_belief.probs.tobytes() == expected.initial_belief.probs.tobytes()
+    assert serialize_model(model) == serialize_model(expected)
+    # two entries share one distribution exactly when their rows were read
+    # to the same bytes
+    read = [_reference_row(e["next"], doc["states"], "").tobytes() for e in doc["transition"]]
+    ids = [id(dist) for dist in model.transition.values()]
+    assert len(set(zip(read, ids))) == len(set(read)) == len(set(ids))
+
+
+def test_rows_merge_only_when_their_bytes_agree():
+    doc = {
+        "kind": "mdp",
+        "states": ["s0", "s1"],
+        "actions": {"s0": ["a", "b", "c", "d"], "s1": ["a"]},
+        "discount": 0.9,
+        "transition": [
+            {"state": "s0", "action": "a", "next": {"s0": 1.0, "s1": 0.0}},
+            {"state": "s0", "action": "b", "next": {"s0": 1.0, "s1": -0.0}},
+            {"state": "s0", "action": "c", "next": {"s0": 1}},
+            {"state": "s0", "action": "d", "next": {"s1": -0.0, "s0": 1.0}},
+            {"state": "s1", "action": "a", "next": {"s0": 1.0}},
+        ],
+        "reward": {"s0": 0.0, "s1": 1.0},
+    }
+    model = parse_model(json.dumps(doc))
+    rows = [model.transition[key] for key in [("s0", a) for a in "abcd"] + [("s1", "a")]]
+    assert rows[0] is rows[2] is rows[4]
+    assert rows[1] is rows[3]
+    assert rows[0] is not rows[1]
+    assert np.signbit(rows[1].probs[1]) and not np.signbit(rows[0].probs[1])
+    # the emitter omits zeros of either sign, so the text does not change
+    assert serialize_model(model) == serialize_model(parse_model(serialize_model(model)))
+
+
+def test_a_bad_copy_of_a_repeated_row_is_reported_at_its_own_entry():
+    doc = json.loads(serialize_model(random_team(np.random.default_rng(3))))
+    row = doc["transition"][0]["next"]
+    for entry in doc["transition"]:
+        entry["next"] = dict(row)
+    label = next(iter(row))
+    doc["transition"][5]["next"][label] = True
+    with pytest.raises(SchemaError, match=re.escape(f"transition[5].next['{label}']")):
+        parse_model(json.dumps(doc))
+    doc["transition"][5]["next"] = dict(row, zz=0.0)
+    doc["transition"][3]["next"][label] = float(row[label])  # equal to the others
+    with pytest.raises(SchemaError, match=re.escape("transition[5].next: unknown label 'zz'")):
+        parse_model(json.dumps(doc))
+
+
+def test_a_shared_broken_row_is_reported_at_every_entry():
+    doc = json.loads(serialize_model(random_mdp(np.random.default_rng(4), n_states=2)))
+    for entry in doc["transition"]:
+        entry["next"] = {"s0": 0.5, "s1": 0.25}
+    with pytest.raises(ValidationError) as err:
+        parse_model(json.dumps(doc))
+    assert str(err.value).count("sums to 0.75, expected 1") == len(doc["transition"])
+
+
+@pytest.mark.parametrize("kind", ["mdp", "pomdp"])
+def test_empty_transition_table_reports_missing_rows(kind):
+    model = sample_models()[kind]
+    doc = json.loads(serialize_model(model))
+    doc["transition"] = []
+    with pytest.raises(ValidationError, match="no transition row for") as err:
+        parse_model(json.dumps(doc))
+    empty = dataclasses.replace(model, transition={})
+    assert err.value.report.codes() == validate_model(empty).codes()
+
+
+def test_distinct_rows_of_an_empty_table():
+    codes, table = distinct_rows([])
+    assert codes.shape == (0,) and table.shape == (0, 0)
+
+
+@functools.lru_cache(maxsize=1)
+def chain_documents() -> tuple[str, str]:
+    """(generated, grounded) texts of the cli-session chain's nano model."""
+    params = NanoParams(marker_types=2, message_types=1, partition_size=3, **CHAIN_RATES)
+    generated = serialize_model(generate_nano(params))
+    return generated, serialize_model(ground(parse_model(generated)))
+
+
+def test_parsed_ground_document_holds_each_distinct_row_once():
+    _generated, grounded = chain_documents()
+    tracemalloc.start()
+    try:
+        model = parse_model(grounded)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(model.transition) == 8192
+    assert len({id(dist) for dist in model.transition.values()}) == 10
+    # one distribution per entry and the full (entries x states) table
+    # peaked at 18.4 MiB
+    assert peak < 12 * 2**20
