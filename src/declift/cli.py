@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .lifting import ground, lift, range_partition, symmetry_refine
-from .modelio import canonical_json, parse_model, serialize_model
+from .modelio import canonical_json, float_text, parse_model, serialize_model
 from .models import GroundDecPomdp, LiftedDecPomdp, Mdp, Pomdp
 from .nano import (
     NanoParams,
@@ -114,10 +114,6 @@ def _write(path: str, text: str):
         handle.write(text)
 
 
-def _fmt(value: float) -> str:
-    return format(float(value) + 0.0, ".17g")
-
-
 def _kind_name(model) -> str:
     if isinstance(model, LiftedDecPomdp):
         return "lifted-decpomdp"
@@ -196,7 +192,7 @@ def _print_size_table(params, report: SizeReport):
     )
     print(f"{'form':<12} {'log2(transition)':>20} {'log2(sensor)':>20}")
     for name, t, o in rows:
-        print(f"{name:<12} {_fmt(t):>20} {_fmt(o):>20}")
+        print(f"{name:<12} {float_text(t):>20} {float_text(o):>20}")
     counts = ", ".join(f"{a}/{o}" for a, o in report.exact_key_counts)
     print(f"exact keys per partition (actions/observations): {counts}")
 
@@ -338,7 +334,7 @@ def _solve_mdp(model: Mdp, command: Command):
     ]
     for state in model.states:
         lines.append(
-            f"  {state}: value {_fmt(table.values[state])}, play {policy[state]}"
+            f"  {state}: value {float_text(table.values[state])}, play {policy[state]}"
         )
     return doc, lines
 
@@ -427,7 +423,7 @@ def _solve_team(model, command: Command):
         "policy": _policy_doc(result, names, obs_ranges, role),
         "statistics": result.statistics,
     }
-    lines = [f"optimal value at horizon {command.horizon}: {_fmt(result.value)}"]
+    lines = [f"optimal value at horizon {command.horizon}: {float_text(result.value)}"]
     lines.extend(_policy_lines(result, names, obs_ranges))
     return doc, lines
 
@@ -480,9 +476,9 @@ def _cmd_verify_equivalence(command: Command) -> int:
         "pass": result.passed,
         "size_comparison": _size_doc(result.size_params, result.size_comparison),
     }
-    print(f"ground value:  {_fmt(result.ground_value)}")
-    print(f"lifted value:  {_fmt(result.lifted_value)}")
-    print(f"difference:    {_fmt(result.delta)}")
+    print(f"ground value:  {float_text(result.ground_value)}")
+    print(f"lifted value:  {float_text(result.lifted_value)}")
+    print(f"difference:    {float_text(result.delta)}")
     print(f"pass:          {'yes' if result.passed else 'no'}")
     if command.output_path:
         _write(command.output_path, canonical_json(doc))
@@ -503,28 +499,26 @@ _HANDLERS = {
 
 def run(command: Command) -> int:
     """Execute one command; returns the process exit code."""
+    return _exit_code(lambda: _HANDLERS[command.name](command))
+
+
+def _exit_code(call) -> int:
+    """call()'s exit code, or the code of the error it raises, reported on stderr."""
     try:
-        return _HANDLERS[command.name](command)
-    except CapacityExceeded as err:
-        _fail(err)
-        return 2
+        return call()
     except DecliftError as err:
-        _fail(err)
-        return 1
+        detail = ""
+        if (
+            isinstance(err, CapacityExceeded)
+            and err.measured is not None
+            and str(err.measured) not in str(err)
+        ):
+            detail = f" (measured {err.measured}, cap {err.cap})"
+        print(f"error [{err.code}]: {err}{detail}", file=sys.stderr)
+        return 2 if isinstance(err, CapacityExceeded) else 1
     except OSError as err:
         print(f"error [io]: {err}", file=sys.stderr)
         return 1
-
-
-def _fail(err: DecliftError):
-    detail = ""
-    if (
-        isinstance(err, CapacityExceeded)
-        and err.measured is not None
-        and str(err.measured) not in str(err)
-    ):
-        detail = f" (measured {err.measured}, cap {err.cap})"
-    print(f"error [{err.code}]: {err}{detail}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -647,18 +641,7 @@ def command_from_args(args: argparse.Namespace) -> Command:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        command = command_from_args(args)
-    except CapacityExceeded as err:
-        _fail(err)
-        return 2
-    except DecliftError as err:
-        _fail(err)
-        return 1
-    except OSError as err:
-        print(f"error [io]: {err}", file=sys.stderr)
-        return 1
-    return run(command)
+    return _exit_code(lambda: run(command_from_args(args)))
 
 
 if __name__ == "__main__":

@@ -107,12 +107,12 @@ def _format_scalar(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return _float_text(float(value))
+        return float_text(float(value))
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _float_text(value: float) -> str:
-    # fold -0.0 into 0.0 so the text round-trips
+def float_text(value: float) -> str:
+    """A float in 17 significant digits; -0.0 becomes 0.0 so the text round-trips."""
     return format(value + 0.0, ".17g")
 
 
@@ -150,7 +150,7 @@ class _Emitter:
 
     def __init__(self):
         self.strings = _Memo(json.encoder.encode_basestring_ascii)
-        self.floats = _Memo(_float_text)
+        self.floats = _Memo(float_text)
         self.float_dicts: dict = {}
 
     def key(self, key) -> str:

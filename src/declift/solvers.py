@@ -8,7 +8,8 @@ the optima.  Every solver reads transition rows through one dense table
 builder, `_transitions`, the team solvers read sensor rows through
 `_sensor`, and both refuse a missing row before any search.  Plan pools
 are per-depth (actions, children) integer arrays in declaration order,
-which is the tie-break of every team solver.
+built by one pool builder, `_plan_pool`; that order is the tie-break of
+every finite-horizon solver.
 
 Value convention, used consistently by every finite-horizon routine: a
 depth-d plan executed from state s collects the state reward now and the
@@ -22,18 +23,24 @@ policy assigns one conditional plan per agent.  In counting form agents of
 a partition are interchangeable, so only the multiset of member plans
 matters; the search enumerates those multisets and the evaluator never
 leaves histogram space.  Both evaluators back up one value vector over
-states per joint plan node.  The ground one is a tensor backup: the values
-of every tuple of agent plans at one depth form one array, filled from the
-previous depth's array by one gather per joint observation and one
-transition product per joint action.  The lifted one keeps one vector per
-joint occupancy (how many members of each partition sit at each plan node).
-Observation histograms are split over the plan nodes of a partition with
-multivariate hypergeometric weights, which is exactly the distribution
-induced by any permutation-invariant sensor; that split does not depend on
-the state, so it is cached per partition as an allocation kernel.  Depth-1
-vectors equal the reward, so a depth-2 vector depends only on the action
-histogram the occupancy induces.  Optimal values of the two forms
-therefore agree on liftable models.
+states per joint plan node.  The ground one is a tensor backup, `_backup`:
+the values of every tuple of agent plans at one depth form one array,
+filled from the previous depth's array by one gather per joint observation
+and one transition product per joint action.  The lifted one keeps one
+vector per joint occupancy (how many members of each partition sit at each
+plan node).  Observation histograms are split over the plan nodes of a
+partition with multivariate hypergeometric weights, which is exactly the
+distribution induced by any permutation-invariant sensor; that split does
+not depend on the state, so it is cached per partition as an allocation
+kernel.  Depth-1 vectors equal the reward, so a depth-2 vector depends only
+on the action histogram the occupancy induces.  Optimal values of the two
+forms therefore agree on liftable models.
+
+The POMDP solver is the one-agent case of the same backup step, pruned
+after every depth: `dominance_prune` returns the kept row indices, and
+those rows of the pool are the next depth's children.  `_backup` applies
+transitions as stacked matrix-vector products, which keeps POMDP values
+bit-identical to a per-candidate backup.
 """
 
 from __future__ import annotations
@@ -188,31 +195,40 @@ def plan_count(n_actions: int, n_obs: int, depth: int) -> int:
     return n_actions ** nodes
 
 
-def _indexed_plans(n_actions: int, n_obs: int, depth: int, cap: int):
-    """Per-depth pools of conditional plans as (actions, children) arrays.
+def _check_cap(count: int, cap: int, items: str, cap_name: str):
+    if count > cap:
+        raise CapacityExceeded(
+            f"{count} {items} exceed the {cap_name} cap {cap}", measured=count, cap=cap
+        )
 
-    pools[d-1] holds every depth-d plan q: actions[q] is its action index
-    and children[q, o] the index in pools[d-2] of its subplan after
-    observation o.  The order (action-major, then lexicographic over
-    children) is the declaration-order tie-break every solver relies on;
-    each action owns one contiguous block of equal size.
+
+def _plan_pool(n_actions: int, n_obs: int, n_children: int):
+    """One depth's plan pool over `n_children` subplans: (actions, children).
+
+    actions[q] is plan q's action index and children[q, o] the index of its
+    subplan after observation o.  The order (action-major, then
+    lexicographic over children) is the declaration-order tie-break every
+    solver relies on; each action owns one contiguous block of equal size.
+    With no observations over one subplan it is the depth-1 pool: one
+    childless plan per action.
+    """
+    block = n_children ** n_obs
+    children = np.indices((n_children,) * n_obs).reshape(n_obs, block).T
+    return np.repeat(np.arange(n_actions), block), np.tile(children, (n_actions, 1))
+
+
+def _indexed_plans(n_actions: int, n_obs: int, depth: int, cap: int):
+    """Per-depth pools of every conditional plan, from depth 1 to `depth`.
+
+    pools[d-1] is the `_plan_pool` of all depth-d plans, whose children
+    index pools[d-2]; depth-1 plans have no children.  Every depth's count
+    is checked against `cap` before any pool is built.
     """
     for d in range(1, depth + 1):
-        count = plan_count(n_actions, n_obs, d)
-        if count > cap:
-            raise CapacityExceeded(
-                f"{count} depth-{d} plans exceed the plan cap {cap}",
-                measured=count,
-                cap=cap,
-            )
-    pools = [(np.arange(n_actions), np.empty((n_actions, 0), dtype=np.intp))]
+        _check_cap(plan_count(n_actions, n_obs, d), cap, f"depth-{d} plans", "plan")
+    pools = [_plan_pool(n_actions, 0, 1)]
     for _ in range(depth - 1):
-        prev = len(pools[-1][0])
-        block = prev ** n_obs
-        children = np.indices((prev,) * n_obs).reshape(n_obs, block).T
-        pools.append(
-            (np.repeat(np.arange(n_actions), block), np.tile(children, (n_actions, 1)))
-        )
+        pools.append(_plan_pool(n_actions, n_obs, len(pools[-1][0])))
     return pools
 
 
@@ -246,6 +262,49 @@ def enumerate_plans(
 
 
 # ---------------------------------------------------------------------------
+# the backup step of the POMDP and ground team solvers
+
+def _backup(value, children, trans, sensor, reward, gamma, b0=None):
+    """One depth of the tensor backup over N agents' plan pools.
+
+    The POMDP solver calls it with N = 1.  value[q_1, ..., q_N, s] holds
+    the child depth's values, children[i] is agent i's child-index array
+    of the new depth (action-major, in equal blocks, as `_plan_pool`
+    builds it), trans[a_1, ..., a_N] the [state, next state] matrix of a
+    joint action index tuple and sensor[s', o_1, ..., o_N] the probability
+    of a joint observation in the next state.
+    The tuples of one joint action form a contiguous block; for each joint
+    observation with mass somewhere, the block's children's values are
+    gathered with `np.ix_`, weighted by the sensor and summed, and the
+    action's transition applies to the sum as a stacked matrix-vector
+    product.  A stacked matvec rounds each row as `T.dot(row)` does, which
+    a matrix product against the whole block does not, so the one-agent
+    case reproduces a per-candidate backup bit for bit.  Working block by
+    block keeps the temporaries at one block's size.  Returns the new
+    values V[q_1, ..., q_N, s] or, given the initial belief `b0` at the
+    root, each tuple's value V . b0.
+    """
+    n_states = len(reward)
+    observed = [tuple(jo) for jo in np.argwhere(sensor.any(axis=0))]
+    sizes = [len(c) // n_actions for c, n_actions in zip(children, trans.shape)]
+    shape = tuple(len(c) for c in children) + ((n_states,) if b0 is None else ())
+    backed_up = np.empty(shape)
+    for ja in np.ndindex(trans.shape[:-2]):
+        block = tuple(slice(a * size, (a + 1) * size) for a, size in zip(ja, sizes))
+        cont = np.zeros(tuple(sizes) + (n_states,))
+        for jo in observed:
+            rows = (c[sl, o] for c, sl, o in zip(children, block, jo))
+            gathered = value[np.ix_(*rows)]
+            gathered *= sensor[(slice(None),) + jo]
+            cont += gathered
+        alpha = np.matmul(trans[ja], cont[..., None])[..., 0]
+        alpha *= gamma
+        alpha += reward
+        backed_up[block] = alpha if b0 is None else alpha @ b0
+    return backed_up
+
+
+# ---------------------------------------------------------------------------
 # plan-set backup with dominance pruning
 
 @dataclass(frozen=True, eq=False)
@@ -260,8 +319,8 @@ def linprog(table: np.ndarray) -> float:
     Returns max over b on the probability simplex of min_j table[j] . b,
     for a table of k >= 1 rows and n >= 1 columns.  The columns are the
     coordinates the belief ranges over and each row is one payoff
-    difference; `dominance_prune` passes v - u_j for every other vector
-    u_j, so the result is the margin by which v can top all of them.
+    difference; `dominance_prune` passes v - u_j for every other row u_j,
+    so the result is the margin by which v can top all of them.
 
     The equality sum(b) = 1 is removed by substituting b[n-1] = 1 -
     sum(b[:n-1]), which leaves sum(b[:n-1]) <= 1.  The free margin t is
@@ -276,7 +335,10 @@ def linprog(table: np.ndarray) -> float:
     The loop ends when no reduced cost is below -LP_TOL, and the margin
     is read off the objective row.  Bland's rule cannot cycle in exact
     arithmetic; as a hard bound against rounding, more than
-    LP_PIVOT_FACTOR * (k + n) pivots raise NonConvergent.
+    LP_PIVOT_FACTOR * (k + n) pivots raise NonConvergent.  So does an
+    entering column with no entry above LP_TOL: the simplex row and the
+    table rows bound every variable, so only rounding can empty the
+    ratio test.
     `dominance_prune` looks this name up at call time, so it can be
     replaced to observe or count the LP calls.
     """
@@ -304,6 +366,10 @@ def linprog(table: np.ndarray) -> float:
             return float(floor + tableau[-1, -1])
         col = improving[0]
         rows = np.flatnonzero(tableau[:-1, col] > LP_TOL)
+        if not rows.size:
+            raise NonConvergent(
+                f"margin LP over a {k} x {n} table has no pivot row for column {col}"
+            )
         ratios = values[rows] / tableau[rows, col]
         ties = rows[ratios == ratios.min()]
         row = ties[np.argmin(basis[ties])]
@@ -345,38 +411,30 @@ def _prefilter(rows: np.ndarray, margin_tol: float) -> list[int]:
     return filtered
 
 
-def dominance_prune(
-    vectors: list[PlanValueVector], margin_tol: float = DOMINANCE_TOL
-) -> list[PlanValueVector]:
-    """Keep the vectors that top the value surface somewhere on the simplex.
+def dominance_prune(alphas: np.ndarray, margin_tol: float = DOMINANCE_TOL) -> list[int]:
+    """Indices, in order, of the rows that top the value surface somewhere.
 
+    `alphas` holds one value vector per row over the states (columns).
     Near-duplicates (within margin_tol everywhere) collapse onto their
-    earliest representative, and pointwise-dominated vectors go next.  A
-    vector that wins a corner of the simplex outright is then kept
-    without an LP, so corner-maximal vectors never disappear.  Every
-    other vector v faces one margin LP, `linprog(v - others)`, over the
-    table of its differences to all other survivors of the prefilter:
-    v stays iff max over beliefs b of min_u b . (v - u) is at least
-    -margin_tol.  `linprog` states the LP's own tolerance and its
-    termination rule.
+    earliest representative, and pointwise-dominated rows go next.  A row
+    that wins a corner of the simplex outright is then kept without an LP,
+    so corner-maximal rows never disappear.  Every other row v faces one
+    margin LP, `linprog(v - others)`, over the table of its differences to
+    all other survivors of the prefilter: v stays iff max over beliefs b
+    of min_u b . (v - u) is at least -margin_tol.  `linprog` states the
+    LP's own tolerance and its termination rule.
     """
-    if not vectors:
-        return []
-    rows = np.stack([v.alpha for v in vectors])
-    filtered = _prefilter(rows, margin_tol)
+    filtered = _prefilter(alphas, margin_tol)
     if len(filtered) <= 1:
-        return [vectors[i] for i in filtered]
-
-    stacked = rows[filtered]
+        return filtered
+    stacked = alphas[filtered]
     corner_winners = {int(np.argmax(stacked[:, s])) for s in range(stacked.shape[1])}
-
-    kept = []
-    for k, i in enumerate(filtered):
-        if k in corner_winners or linprog(
-            stacked[k] - np.delete(stacked, k, axis=0)
-        ) >= -margin_tol:
-            kept.append(vectors[i])
-    return kept
+    return [
+        i
+        for k, i in enumerate(filtered)
+        if k in corner_winners
+        or linprog(stacked[k] - np.delete(stacked, k, axis=0)) >= -margin_tol
+    ]
 
 
 def pomdp_plan_iteration(
@@ -387,19 +445,21 @@ def pomdp_plan_iteration(
 ) -> list[PlanValueVector]:
     """Exact finite-horizon plan-set backup.
 
-    Builds every depth-d plan from the depth-(d-1) survivors, computes its
-    value vector, prunes, and repeats up to `horizon`.  Candidate counts
-    are checked against `cap_plans` before each generation step.  When
-    `stats` is given, one (generated, surviving) pair is appended per
-    depth.  Plans may take any action in any state, so ValidationError is
-    raised before searching when a state lacks a sensor row or a transition
-    row for some action.
+    The one-agent case of the team backup: each depth's candidates are the
+    `_plan_pool` over the previous depth's survivors, valued in one
+    `_backup` call, pruned with `dominance_prune`, and the surviving rows
+    of (actions, children) become that depth's pool.  Plan objects are
+    built only for the survivors at `horizon`.  Candidate counts are
+    checked against `cap_plans` before each generation step.  When `stats`
+    is given, one (generated, surviving) pair is appended per depth.
+    Plans may take any action in any state, so ValidationError is raised
+    before searching when a state lacks a sensor row or a transition row
+    for some action.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     actions = model.action_union()
     states = list(model.states)
-    n = len(states)
     reward = np.array([model.reward[s] for s in states])
     n_obs = len(model.observations)
     omega = np.stack(  # [s', o]
@@ -410,34 +470,26 @@ def pomdp_plan_iteration(
     )
     trans = _transitions(model, states, actions, "transition row")
 
-    survivors: list[PlanValueVector] = []
+    pools = []
     for depth in range(1, horizon + 1):
         if depth == 1:
-            candidates = [
-                PlanValueVector(ConditionalPlan(a), reward.copy()) for a in actions
-            ]
+            pool = _plan_pool(len(actions), 0, 1)
+            candidates = np.tile(reward, (len(actions), 1))
         else:
-            n_candidates = len(actions) * len(survivors) ** n_obs
-            if n_candidates > cap_plans:
-                raise CapacityExceeded(
-                    f"{n_candidates} depth-{depth} candidate plans exceed the "
-                    f"plan cap {cap_plans}",
-                    measured=n_candidates,
-                    cap=cap_plans,
-                )
-            candidates = []
-            for a, matrix in zip(actions, trans):
-                for assignment in itertools.product(survivors, repeat=n_obs):
-                    cont = np.zeros(n)
-                    for o, pv in enumerate(assignment):
-                        cont += omega[:, o] * pv.alpha
-                    alpha = reward + model.discount * matrix.dot(cont)
-                    plan = ConditionalPlan(a, tuple(pv.plan for pv in assignment))
-                    candidates.append(PlanValueVector(plan, alpha))
-        survivors = dominance_prune(candidates)
+            n_candidates = len(actions) * len(value) ** n_obs
+            _check_cap(n_candidates, cap_plans, f"depth-{depth} candidate plans", "plan")
+            pool = _plan_pool(len(actions), n_obs, len(value))
+            candidates = _backup(value, [pool[1]], trans, omega, reward, model.discount)
+        kept = dominance_prune(candidates)
+        pools.append((pool[0][kept], pool[1][kept]))
+        value = candidates[kept]
         if stats is not None:
-            stats.append((len(candidates), len(survivors)))
-    return survivors
+            stats.append((len(candidates), len(kept)))
+    cache: dict = {}
+    return [
+        PlanValueVector(_materialize_plan(pools, actions, horizon, q, cache), alpha)
+        for q, alpha in enumerate(value)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -463,53 +515,6 @@ class SolveResult:
     statistics: dict = field(default_factory=dict)
 
 
-def _team_backup(pools, reward, gamma, b0, trans, sensor):
-    """Best joint plan-index tuple of a ground team, and its value from b0.
-
-    pools[i] holds agent i's `_indexed_plans`; trans[a_1, ..., a_N] is the
-    [state, next state] matrix of a joint action index tuple, and
-    sensor[s', o_1, ..., o_N] the probability of a joint observation in the
-    next state.  The value tensor V[q_1, ..., q_N, s] of every tuple of
-    depth-d plans is backed up in one step per depth and joint action.  The
-    pools are action-major with equal-sized action blocks, so the tuples of
-    one joint action form a contiguous block; for each joint observation
-    with mass somewhere, the block's children's values are gathered with
-    `np.ix_`, weighted by the sensor and summed, and the action's
-    transition applies to the sum.
-    Working block by block keeps the temporaries at one block's size, and
-    the root depth keeps only each tuple's value V . b0, not its vector.
-    The root takes the first maximum in C order, i.e. the earliest tuple
-    in declaration order.
-    """
-    n_states, horizon = len(reward), len(pools[0])
-    observed = [tuple(jo) for jo in np.argwhere(sensor.any(axis=0))]
-    value = np.broadcast_to(reward, tuple(len(p[0][0]) for p in pools) + (n_states,))
-    for depth in range(2, horizon + 1):
-        children = [p[depth - 1][1] for p in pools]
-        sizes = [len(c) // n_actions for c, n_actions in zip(children, trans.shape)]
-        root = depth == horizon
-        backed_up = np.empty(
-            tuple(len(c) for c in children) + (() if root else (n_states,))
-        )
-        for ja in np.ndindex(trans.shape[:-2]):
-            block = tuple(slice(a * size, (a + 1) * size) for a, size in zip(ja, sizes))
-            cont = np.zeros(tuple(sizes) + (n_states,))
-            for jo in observed:
-                rows = (c[sl, o] for c, sl, o in zip(children, block, jo))
-                gathered = value[np.ix_(*rows)]
-                gathered *= sensor[(slice(None),) + jo]
-                cont += gathered
-            alpha = cont @ trans[ja].T
-            alpha *= gamma
-            alpha += reward
-            backed_up[block] = alpha @ b0 if root else alpha
-        value = backed_up
-    if horizon == 1:
-        value = value @ b0
-    best = np.unravel_index(np.argmax(value), value.shape)
-    return tuple(int(q) for q in best), float(value[best])
-
-
 def decpomdp_exhaustive(
     model: GroundDecPomdp,
     horizon: int,
@@ -520,7 +525,8 @@ def decpomdp_exhaustive(
 
     Every tuple of per-agent depth-`horizon` plans is evaluated by the
     exact expectation over state and joint-observation trajectories from
-    the model's initial belief; no sampling, no pruning.  Ties fall to the
+    the model's initial belief, backed up one depth at a time by `_backup`
+    over the full per-agent pools; no sampling, no pruning.  Ties fall to the
     earliest tuple in declaration order.  Joint tuple counts are checked
     against `cap_joint` at every depth before anything is enumerated.
 
@@ -542,13 +548,7 @@ def decpomdp_exhaustive(
         joint = math.prod(
             plan_count(len(ar), len(orr), d) for ar, orr in zip(act_ranges, obs_ranges)
         )
-        if joint > cap_joint:
-            raise CapacityExceeded(
-                f"{joint} joint plan tuples at depth {d} exceed the joint cap "
-                f"{cap_joint}",
-                measured=joint,
-                cap=cap_joint,
-            )
+        _check_cap(joint, cap_joint, f"joint plan tuples at depth {d}", "joint")
 
     pools = [
         _indexed_plans(len(ar), len(orr), horizon, cap_plans)
@@ -561,11 +561,20 @@ def decpomdp_exhaustive(
         model, states, list(itertools.product(*act_ranges)), "transition row"
     )
     trans = trans.reshape(tuple(len(ar) for ar in act_ranges) + (n, n))
-    best_tup, best_value = _team_backup(pools, reward, model.discount, b0, trans, sensor)
+    value = np.broadcast_to(reward, tuple(len(p[0][0]) for p in pools) + (n,))
+    for depth in range(2, horizon + 1):
+        children = [p[depth - 1][1] for p in pools]
+        root_b0 = b0 if depth == horizon else None
+        value = _backup(value, children, trans, sensor, reward, model.discount, root_b0)
+    if horizon == 1:
+        value = value @ b0
+    # the first maximum in C order is the earliest tuple in declaration order
+    best_tup = np.unravel_index(np.argmax(value), value.shape)
+    best_value = float(value[best_tup])
 
     entries = []
     for i in range(len(agents)):
-        plan = _materialize_plan(pools[i], act_ranges[i], horizon, best_tup[i], {})
+        plan = _materialize_plan(pools[i], act_ranges[i], horizon, int(best_tup[i]), {})
         entries.append(((plan, 1),))
     policy = JointPolicy(horizon, tuple(entries))
     joint_tuples = [math.prod(len(p[d][0]) for p in pools) for d in range(horizon)]

@@ -469,18 +469,25 @@ def test_dominance_prune_keeps_upper_surface():
         vec(0.6, 0.6),  # wins around the middle of the simplex
         vec(-0.1, 0.9),  # pointwise dominated by (0, 1)
     ]
-    kept = dominance_prune(vectors)
+    kept = prune_vectors(vectors)
     surfaces = {tuple(v.alpha) for v in kept}
     assert surfaces == {(1.0, 0.0), (0.0, 1.0), (0.6, 0.6)}
 
 
 def test_dominance_prune_single_vector_kept():
     v = PlanValueVector(ConditionalPlan("a"), np.array([0.0, 0.0]))
-    assert dominance_prune([v]) == [v]
+    assert prune_vectors([v]) == [v]
 
 
 def test_dominance_prune_empty_input():
-    assert dominance_prune([]) == []
+    assert dominance_prune(np.empty((0, 2))) == []
+
+
+def prune_vectors(vectors):
+    """`dominance_prune` over the stacked alphas, mapped back to the vectors."""
+    if not vectors:
+        return []
+    return [vectors[i] for i in dominance_prune(np.stack([v.alpha for v in vectors]))]
 
 
 def loop_prefilter(vectors, margin_tol=DOMINANCE_TOL):
@@ -536,8 +543,8 @@ def test_dominance_prune_prefilter_matches_pairwise_loops(vectors):
         assert [id(v) for v in got] == [id(v) for v in expected]
     # the LP stage sees the prefilter's survivors in order, so pruning the
     # pairwise survivors again must give the same objects in the same order
-    kept = dominance_prune(vectors)
-    assert [id(v) for v in kept] == [id(v) for v in dominance_prune(expected)]
+    kept = prune_vectors(vectors)
+    assert [id(v) for v in kept] == [id(v) for v in prune_vectors(expected)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -550,7 +557,7 @@ def test_dominance_prune_keeps_every_vector_maximal_at_a_sampled_belief(vectors,
     rng = np.random.default_rng(seed)
     corners, centre = np.eye(n_states), np.full(n_states, 1.0 / n_states)
     beliefs = np.vstack([corners, centre, rng.dirichlet(np.ones(n_states), 30)])
-    kept = {id(v) for v in dominance_prune(vectors)}
+    kept = {id(v) for v in prune_vectors(vectors)}
     for values in beliefs @ rows.T:
         best = int(np.argmax(values))
         runner_up = np.delete(values, best).max(initial=-np.inf)
@@ -566,7 +573,7 @@ def test_dominance_prune_tolerance_boundary(offset, survivor):
         PlanValueVector(ConditionalPlan("a"), np.array([0.0, 1.0])),
         PlanValueVector(ConditionalPlan("b"), np.array([offset, 1.0])),
     ]
-    assert dominance_prune(vectors) == loop_prefilter(vectors) == [vectors[survivor]]
+    assert prune_vectors(vectors) == loop_prefilter(vectors) == [vectors[survivor]]
 
 
 def test_linprog_is_looked_up_by_module_name(monkeypatch):
@@ -582,7 +589,7 @@ def test_linprog_is_looked_up_by_module_name(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(solvers, "linprog", counting_linprog)
-    kept = dominance_prune(vectors)
+    kept = prune_vectors(vectors)
     # the two corner winners skip the LP; only the middle vector needs it
     assert calls == [(2, 2)]
     assert kept == vectors
@@ -640,6 +647,13 @@ def test_margin_lp_refuses_pivot_overrun_and_empty_tables(monkeypatch):
         solvers.linprog(np.empty((0, 2)))
 
 
+def test_margin_lp_refuses_an_empty_ratio_test(monkeypatch):
+    # a tolerance this coarse leaves an improving column with no pivot row
+    monkeypatch.setattr(solvers, "LP_TOL", 0.3)
+    with pytest.raises(NonConvergent, match=r"margin LP over a 3 x 3 table"):
+        solvers.linprog(np.array([[5.0, -2.0, 3.0], [2.0, -5.0, -1.0], [4.0, 1.0, -5.0]]))
+
+
 def test_scipy_never_loads_at_runtime(tmp_path):
     pomdp = tmp_path / "pomdp.json"
     pomdp.write_text(serialize_model(random_pomdp(np.random.default_rng(5), n_states=3)))
@@ -655,10 +669,8 @@ assert not scipy_loaded(), "import declift"
 from declift.cli import main
 assert main(["analyze-size", "--preset", "paper"]) == 0
 assert not scipy_loaded(), "analyze-size"
-from declift.solvers import ConditionalPlan, PlanValueVector, dominance_prune
-vectors = [PlanValueVector(ConditionalPlan("a"), np.array(alpha))
-           for alpha in ([1.0, 0.0], [0.0, 1.0], [0.6, 0.6])]
-assert len(dominance_prune(vectors)) == 3
+from declift.solvers import dominance_prune
+assert len(dominance_prune(np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.6]]))) == 3
 assert not scipy_loaded(), "pruning LP"
 assert main(["solve", sys.argv[1], "--horizon", "4"]) == 0
 assert not scipy_loaded(), "POMDP solve"
@@ -711,6 +723,50 @@ def test_plan_iteration_survivors_match_highs_pruning(monkeypatch):
         assert shipped_stats == oracle_stats, seed
     # the generated models reach the LP stage, not only the prefilter
     assert len(oracle_calls) >= 100
+
+
+def per_candidate_plan_iteration(model, horizon):
+    """Plan-set backup one candidate at a time: a reference for the batched one."""
+    actions = model.action_union()
+    states = list(model.states)
+    reward = np.array([model.reward[s] for s in states])
+    omega = np.stack([model.sensor[s].probs for s in states])
+    survivors, stats = [], []
+    for depth in range(1, horizon + 1):
+        if depth == 1:
+            candidates = [PlanValueVector(ConditionalPlan(a), reward.copy()) for a in actions]
+        else:
+            candidates = []
+            for a in actions:
+                matrix = np.stack([model.transition[(s, a)].probs for s in states])
+                for assignment in itertools.product(
+                    survivors, repeat=len(model.observations)
+                ):
+                    cont = np.zeros(len(states))
+                    for o, pv in enumerate(assignment):
+                        cont += omega[:, o] * pv.alpha
+                    alpha = reward + model.discount * matrix.dot(cont)
+                    plan = ConditionalPlan(a, tuple(pv.plan for pv in assignment))
+                    candidates.append(PlanValueVector(plan, alpha))
+        survivors = prune_vectors(candidates)
+        stats.append((len(candidates), len(survivors)))
+    return survivors, stats
+
+
+def test_plan_iteration_matches_the_per_candidate_loop_bit_for_bit():
+    for seed in range(80):
+        rng = np.random.default_rng(400 + seed)
+        n_states, n_actions, n_obs = 2 + seed % 3, 2 + seed // 3 % 2, 2 + seed // 6 % 2
+        model = random_pomdp(rng, n_states, n_actions, n_obs)
+        horizon = 1 + seed % 4
+        stats = []
+        survivors = pomdp_plan_iteration(model, horizon, stats=stats)
+        expected, expected_stats = per_candidate_plan_iteration(model, horizon)
+        assert [v.plan for v in survivors] == [v.plan for v in expected], seed
+        assert [v.alpha.tobytes() for v in survivors] == [
+            v.alpha.tobytes() for v in expected
+        ], seed
+        assert stats == expected_stats, seed
 
 
 @pytest.mark.parametrize("seed", range(6))
