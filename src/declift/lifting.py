@@ -14,12 +14,24 @@ Transition tables hold one distribution object per distinct row (the
 parser and `ground` share them), and the swap checks of symmetry_refine
 and the row checks of lift work on those objects: entries holding the
 same object agree, and two different objects are compared once.
+
+Both symmetry_refine and lift intern the (state, joint tuple) keys of a
+table once (`_Keys`): one int code per distinct state and per distinct
+joint tuple, so per-entry work is array work over codes, and Python
+work runs once per distinct tuple (512 for the 8,192 transition entries
+of nine two-action agents).  A swap check permutes two columns of the
+distinct tuples' label codes, finds each swapped tuple among them, and
+looks up one int64 (state, tuple) code per entry; lift keys each
+distinct tuple's histogram once and groups entries by (state, key)
+codes.  The model types keep their dict tables; only these passes use
+the codes.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from operator import itemgetter
 
 import numpy as np
 
@@ -82,41 +94,161 @@ def range_partition(model: GroundDecPomdp) -> Partitioning:
     )
 
 
-class _KeyTable:
-    """(state, joint tuple) keys as rows of integer label codes.
+def _intern(values: tuple) -> tuple[list, np.ndarray]:
+    """(distinct, codes): the distinct values in order of first use, and the
+    code of each value."""
+    distinct = list(dict.fromkeys(values))
+    code = dict(zip(distinct, range(len(distinct))))
+    return distinct, np.fromiter(map(code.__getitem__, values), np.int64, len(values))
 
-    Every label has one code, so exchanging two joint columns of a code row
-    gives the codes of the swapped key.  Rows are found again by a binary
-    search over their raw bytes, with no Python loop over the rows.
+
+class _Keys:
+    """The (state, joint tuple) keys of one table, interned once.
+
+    `states[k]` and `tuples[k]` are the key of entry k.  Every distinct
+    state and joint tuple gets one code, in order of first use: `state[k]`
+    and `joint[k]` are the codes of entry k, `joints` lists the distinct
+    tuples and `first[c]` is the first entry using tuple c.  Equal tuples
+    share a code whether or not they are one object.
     """
 
-    def __init__(self, keys, n_agents: int):
-        for state, joint in keys:
-            if len(joint) != n_agents:
-                raise RangeMismatch(
-                    f"row for state {state!r}: joint tuple {joint!r} has "
-                    f"{len(joint)} values for {n_agents} agents"
-                )
-        labels = [lbl for state, joint in keys for lbl in (state, *joint)]
-        codes = {lbl: k for k, lbl in enumerate(dict.fromkeys(labels))}
-        self.rows = np.fromiter(
-            map(codes.__getitem__, labels), dtype=np.int32, count=len(labels)
-        ).reshape(-1, n_agents + 1)
-        self._row_bytes = np.dtype((np.void, self.rows.itemsize * (n_agents + 1)))
-        row_bytes = self._as_bytes(self.rows)
-        self._order = np.argsort(row_bytes)
-        self._sorted = row_bytes[self._order]
+    def __init__(self, states: tuple, tuples: tuple):
+        self.states, self.tuples = states, tuples
+        _, self.state = _intern(states)
+        self.joints, self.joint = _intern(tuples)
+        _, self.first = np.unique(self.joint, return_index=True)
+
+    def arity(self, n_agents: int, where: str) -> tuple[int, RangeMismatch | None]:
+        """(m, error): the joint tuples before the first that does not hold
+        one value per agent, and that tuple's error (None if there is none).
+
+        `where` is a format string naming the row of the tuple's first
+        entry from its state.
+        """
+        lengths = np.fromiter(map(len, self.joints), np.int64, len(self.joints))
+        short = np.flatnonzero(lengths != n_agents)
+        if not short.size:
+            return len(self.joints), None
+        m = int(short[0])
+        joint, state = self.joints[m], self.states[self.first[m]]
+        return m, RangeMismatch(
+            f"{where.format(state)}: joint tuple {joint!r} has {len(joint)} values "
+            f"for {n_agents} agents"
+        )
+
+    def labels(self, m: int, n_agents: int) -> tuple[list, np.ndarray]:
+        """(labels, table): the distinct labels of the first m joint tuples,
+        and the (m x n_agents) table of their label codes."""
+        labels, codes = _intern(tuple(itertools.chain.from_iterable(self.joints[:m])))
+        return labels, codes.reshape(m, n_agents)
+
+    def histograms(self, n_agents: int, blocks, positions, where: str):
+        """(keys, codes, error): the histogram key of each joint tuple.
+
+        keys lists the distinct histogram keys in order of first use and
+        codes[c] is the key of joint tuple c, for every tuple before the
+        first that has no key; error is that tuple's RangeMismatch, or
+        None.  `positions` holds one `range_positions` map per block.  The
+        tuples' labels are coded once, each block's counts are taken over
+        the code table, and only the distinct keys become tuples.
+        """
+        m, error = self.arity(n_agents, where)
+        labels, table = self.labels(m, n_agents)
+        counts, outside = [], np.zeros(m, dtype=bool)
+        for block, pos in zip(blocks, positions):
+            at = np.array([pos.get(label, -1) for label in labels], dtype=np.int64)
+            at = at[table[:, list(block)]]
+            outside |= (at < 0).any(axis=1)
+            counts += [(at == k).sum(axis=1) for k in range(len(pos))]
+        bad = np.flatnonzero(outside)
+        n = int(bad[0]) if bad.size else m  # tuples before the first without a key
+        if n < m:
+            try:
+                _joint_to_key(self.joints[n], blocks, positions)
+            except RangeMismatch as err:
+                error = err
+        if not n:
+            return [], np.zeros(0, dtype=np.int64), error
+        counts = np.stack(counts, axis=1)[:n]
+        first, codes = _groups(counts.view(np.dtype((np.void, counts.itemsize * counts.shape[1]))).ravel())
+        widths = np.cumsum([0] + [len(pos) for pos in positions])
+        keys = [
+            tuple(tuple(row[a:b]) for a, b in zip(widths, widths[1:]))
+            for row in counts[first].tolist()
+        ]
+        return keys, codes, error
+
+
+def _sensor_values(model: GroundDecPomdp) -> list:
+    return list(itertools.chain.from_iterable(row.values() for row in model.sensor.values()))
+
+
+def _transition_keys(model: GroundDecPomdp) -> _Keys:
+    keys = model.transition.keys()
+    return _Keys(tuple(map(itemgetter(0), keys)), tuple(map(itemgetter(1), keys)))
+
+
+def _sensor_keys(model: GroundDecPomdp) -> _Keys:
+    rows = model.sensor.items()
+    states = tuple(itertools.chain.from_iterable(itertools.repeat(s, len(r)) for s, r in rows))
+    return _Keys(states, tuple(itertools.chain.from_iterable(model.sensor.values())))
+
+
+def _groups(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, group) of entries with equal ids.
+
+    Groups are numbered in order of their first entry: first[g] is that
+    entry and group[k] the group of entry k.
+    """
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse.ravel()]
+
+
+class _SwapTable:
+    """A table's interned keys, set up for finding each key's agent swap.
+
+    The distinct joint tuples become rows of integer label codes, so
+    trading two agents trades two columns, and each swapped row is found
+    among the distinct rows by a binary search over their raw bytes.  An
+    entry's swap is then one int64 (state, joint) code looked up among
+    the table's sorted entry codes.
+    """
+
+    def __init__(self, keys: _Keys, n_agents: int):
+        self.keys = keys
+        m, error = keys.arity(n_agents, "row for state {!r}")
+        if error:
+            raise error
+        _, self.labels = keys.labels(m, n_agents)
+        self._row_bytes = np.dtype((np.void, self.labels.itemsize * n_agents))
+        rows = self._as_bytes(self.labels)
+        self._row_order = np.argsort(rows)
+        self._sorted_rows = rows[self._row_order]
+        codes = self.keys.state * len(self.keys.joints) + self.keys.joint
+        self._order = np.argsort(codes)
+        self._sorted = codes[self._order]
 
     def _as_bytes(self, rows: np.ndarray) -> np.ndarray:
         return rows.view(self._row_bytes).ravel()
 
+    def _find(self, sorted_values, query):
+        """Position of each query value in sorted_values, or -1 where absent."""
+        pos = np.searchsorted(sorted_values, query).clip(max=len(sorted_values) - 1)
+        return np.where(sorted_values[pos] == query, pos, -1)
+
     def swapped(self, i: int, j: int) -> np.ndarray:
-        """Row of each key with agents i and j traded, or -1 where there is none."""
-        query = self.rows.copy()
-        query[:, [i + 1, j + 1]] = self.rows[:, [j + 1, i + 1]]
-        query = self._as_bytes(query)
-        pos = np.searchsorted(self._sorted, query).clip(max=len(query) - 1)
-        return np.where(self._sorted[pos] == query, self._order[pos], -1)
+        """Entry of each key with agents i and j traded, or -1 where there is none."""
+        if not len(self._sorted):
+            return np.zeros(0, dtype=np.int64)
+        query = self.labels.copy()
+        query[:, [i, j]] = self.labels[:, [j, i]]
+        row = self._find(self._sorted_rows, self._as_bytes(query))
+        joint = np.where(row >= 0, self._row_order[row], -1)[self.keys.joint]
+        entry = self._find(self._sorted, self.keys.state * len(self.keys.joints) + joint)
+        return np.where((joint >= 0) & (entry >= 0), self._order[entry], -1)
 
 
 class _SwapCheck:
@@ -124,15 +256,10 @@ class _SwapCheck:
 
     def __init__(self, model: GroundDecPomdp):
         n_agents = len(model.agents)
-        self.transition = _KeyTable(model.transition, n_agents)
+        self.transition = _SwapTable(_transition_keys(model), n_agents)
         self.codes, self.rows = distinct_rows(list(model.transition.values()))
-        entries = [
-            ((state, joint), prob)
-            for state, row in model.sensor.items()
-            for joint, prob in row.items()
-        ]
-        self.sensor = _KeyTable([key for key, _ in entries], n_agents)
-        self.sensor_probs = np.array([prob for _, prob in entries], dtype=float)
+        self.sensor = _SwapTable(_sensor_keys(model), n_agents)
+        self.sensor_probs = np.array(_sensor_values(model), dtype=float)
 
     def invariant(self, i: int, j: int, tol: float) -> bool:
         """Is the model unchanged when agents at positions i and j trade places?
@@ -221,22 +348,22 @@ def _row_gaps(rows: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarr
     return gaps
 
 
-def _check_same_rows(rows: list, first: list[int], tol: float) -> None:
+def _check_same_rows(keys: _Keys, dists: list, first: np.ndarray, tol: float) -> None:
     """Raise NotLiftable at the first transition row off its key's first row.
 
-    rows are ((state, joint), distribution) items and first[i] the position
-    of the first row with row i's key; rows holding the same distribution
-    object agree, and each distinct pair of row objects is compared once.
+    dists[i] is the row of entry i of `keys` and first[i] the first entry
+    with entry i's histogram key; rows holding the same distribution object
+    agree, and each distinct pair of row objects is compared once.
     """
-    if not rows:
+    if not dists:
         return
-    codes, table = distinct_rows([dist for _, dist in rows])
+    codes, table = distinct_rows(dists)
     diff = _row_gaps(table, codes, codes[first])
     over = np.flatnonzero(diff > tol)
     if over.size:
         i = int(over[0])
-        (state, joint), _ = rows[i]
-        witness = rows[first[i]][0][1]
+        state, joint = keys.states[i], keys.tuples[i]
+        witness = keys.tuples[first[i]]
         raise NotLiftable(
             f"transition rows for {witness!r} and {joint!r} in state "
             f"{state!r} differ by {float(diff[i]):g}",
@@ -264,76 +391,71 @@ def lift(
 
     n_agents = len(model.agents)
 
-    def keyer(positions):
-        """Histogram key of a joint tuple, computed once per distinct tuple."""
-        keys: dict = {}
-
-        def key_of(joint, row):
-            key = keys.get(joint)
-            if key is None:
-                if len(joint) != n_agents:
-                    raise RangeMismatch(
-                        f"{row}: joint tuple {joint!r} has {len(joint)} values for "
-                        f"{n_agents} agents"
-                    )
-                key = keys[joint] = _joint_to_key(joint, blocks, positions)
-            return key
-
-        return key_of
-
-    action_key = keyer(action_positions)
-    rows = list(model.transition.items())
-    first: list[int] = []  # per row, the position of its key's first row
-    groups: dict = {}  # (state, key) -> position of its first row
-    try:
-        for i, ((state, joint), _dist) in enumerate(rows):
-            key = action_key(joint, f"transition row for state {state!r}")
-            first.append(groups.setdefault((state, key), i))
-    except RangeMismatch:
-        # a row read before the bad joint tuple that differs from its key's
-        # first row is reported first, as a row-by-row pass would
-        _check_same_rows(rows[: len(first)], first, tol)
-        raise
-    _check_same_rows(rows, first, tol)
-    counts = np.bincount(first, minlength=len(rows)).tolist()
-    for (state, key), i in groups.items():
-        expected = key_multiplicity(key)
-        if counts[i] != expected:
+    dists = list(model.transition.values())
+    keys = _transition_keys(model)
+    action_keys, codes, error = keys.histograms(
+        n_agents, blocks, action_positions, "transition row for state {!r}"
+    )
+    # entries before the first joint tuple without a key
+    n = len(dists) if error is None else int(keys.first[len(codes)])
+    first, group = _groups(keys.state[:n] * len(action_keys) + codes[keys.joint[:n]])
+    # a row read before the bad joint tuple that differs from its key's
+    # first row is reported first, as a row-by-row pass would
+    _check_same_rows(keys, dists[:n], first[group], tol)
+    if error:
+        raise error
+    counts = np.bincount(group, minlength=len(first)).tolist()
+    transition = {}
+    multiplicity = [key_multiplicity(key) for key in action_keys]
+    for count, i in zip(counts, first.tolist()):
+        state = keys.states[i]
+        code = codes[keys.joint[i]]
+        key, expected = action_keys[code], multiplicity[code]
+        if count != expected:
             raise NotLiftable(
-                f"state {state!r} has transition rows for {counts[i]} of the "
+                f"state {state!r} has transition rows for {count} of the "
                 f"{expected} joint actions behind key {key!r}",
                 detail={"state": state, "key": key},
             )
-    transition = {key: rows[i][1] for key, i in groups.items()}
+        transition[(state, key)] = dists[i]
 
-    observation_key = keyer(obs_positions)
-    sensor: dict = {}
-    for state, row in model.sensor.items():
-        where = f"sensor row {state!r}"
-        sums: dict = {}  # key -> [total, count, lowest, highest, first tuple]
-        for joint, prob in row.items():
-            key = observation_key(joint, where)
-            entry = sums.get(key)
-            if entry is None:
-                sums[key] = [0.0 + prob, 1, prob, prob, joint]
-            else:
-                entry[0] += prob
-                entry[1] += 1
-                entry[2] = min(entry[2], prob)
-                entry[3] = max(entry[3], prob)
-        lifted_row = {}
-        for key, (total, count, lo, hi, first_joint) in sums.items():
-            if count < key_multiplicity(key):
-                lo = min(lo, 0.0)  # absent tuples carry zero mass
-            if hi - lo > tol:
-                raise NotLiftable(
-                    f"sensor probabilities behind key {key!r} in state {state!r} "
-                    f"spread over [{lo:g}, {hi:g}] (first tuple {first_joint!r})",
-                    detail={"state": state, "key": key},
-                )
-            if total != 0.0:
-                lifted_row[key] = total
-        sensor[state] = lifted_row
+    sensor = {state: {} for state in model.sensor}
+    keys = _sensor_keys(model)
+    values = _sensor_values(model)
+    obs_keys, codes, error = keys.histograms(
+        n_agents, blocks, obs_positions, "sensor row {!r}"
+    )
+    # whole rows before the one holding the first joint tuple without a key
+    n = len(values)
+    if error:
+        bad = keys.state[keys.first[len(codes)]]
+        n = int(np.searchsorted(keys.state, bad))
+    first, group = _groups(keys.state[:n] * len(obs_keys) + codes[keys.joint[:n]])
+    # summed in entry order, as a row-by-row pass adds them
+    totals = np.bincount(group, values[:n], len(first)).tolist()
+    members = [[] for _ in range(len(first))]
+    for g, value in zip(group.tolist(), values):
+        members[g].append(value)
+    multiplicity = [key_multiplicity(key) for key in obs_keys]
+    for g, i in enumerate(first.tolist()):
+        state, joint = keys.states[i], keys.tuples[i]
+        code = codes[keys.joint[i]]
+        key = obs_keys[code]
+        # min and max keep the first of equal values, as a running fold
+        # does, so NaN and signed zeros come out as a row-by-row pass has them
+        lo, hi = min(members[g]), max(members[g])
+        if len(members[g]) < multiplicity[code]:
+            lo = min(lo, 0.0)  # absent tuples carry zero mass
+        if hi - lo > tol:
+            raise NotLiftable(
+                f"sensor probabilities behind key {key!r} in state {state!r} "
+                f"spread over [{lo:g}, {hi:g}] (first tuple {joint!r})",
+                detail={"state": state, "key": key},
+            )
+        if totals[g] != 0.0:
+            sensor[state][key] = totals[g]
+    if error:
+        raise error
 
     return LiftedDecPomdp(
         agents=model.agents,

@@ -20,11 +20,16 @@ array, canonicalises them with one `canonical_rows` call, and gives every
 entry whose row read to the same float64 bytes the same distribution
 object (so 0.0 and -0.0 stay apart).  The initial belief is a one-row
 table on the same path.  Key texts are parsed once per distinct text.
-When a row object is malformed, the first one is read again on its own,
-so the SchemaError raised is the one a row-by-row reader would meet
-first.  The emitter encodes each distinct string, float and key once,
-writes a dict of floats in one join, and writes a row object shared by
-many entries once per indent.
+A transition entry passes one screen (exactly its three fields, string
+state and action, a new key), and the text naming where an entry sits
+is built only for an entry that fails it.  When an entry or a row object
+is malformed, the first one is read again on its own, so the SchemaError
+raised is the one a row-by-row reader would meet first.  The emitter
+encodes each distinct string, float and key once; the objects of one
+list share one head (indented key and colon) per key, built once per
+key order met; a dict of floats is a row, written in one join once per
+object and indent and reused by identity before its values are looked
+at, so a row shared by many entries is encoded once.
 
 Error taxonomy: ParseError for text that is not JSON, SchemaError for
 structure the grammar does not allow (unknown fields, malformed keys,
@@ -143,15 +148,18 @@ class _Memo(dict):
 class _Emitter:
     """One canonical_json call: the caches behind its text.
 
-    Strings and floats are encoded once per distinct value.  A dict whose
-    values are all floats is emitted in one join, and once per object and
-    indent, so a row shared by many table entries is encoded once.
+    Strings and floats are encoded once per distinct value.  The objects
+    of one list share their key heads (the indented, encoded key and its
+    colon), built once per key order met.  An object whose values are all
+    floats is a row: its text is kept per object and indent, and a row
+    met again is written from that text before its values are looked at,
+    so a row shared by many table entries is encoded once.
     """
 
     def __init__(self):
         self.strings = _Memo(json.encoder.encode_basestring_ascii)
         self.floats = _Memo(float_text)
-        self.float_dicts: dict = {}
+        self.rows: dict = {}
 
     def key(self, key) -> str:
         return self.strings[key] if type(key) is str else json.dumps(key)
@@ -162,38 +170,48 @@ class _Emitter:
         if type(value) is float:
             return self.floats[value]
         if isinstance(value, dict):
-            if not value:
-                return "{}"
-            inner = indent + "  "
-            if all(type(v) is float for v in value.values()):
-                return self.float_dict(value, indent, inner)
-            key, text = self.key, self.text
-            body = ",\n".join(
-                f"{inner}{key(k)}: {text(value[k], inner)}"
-                for k in _sorted_keys(value)
-            )
-            return f"{{\n{body}\n{indent}}}"
+            return self.rows.get((id(value), indent)) or self.object(value, indent, {})
         if isinstance(value, (list, tuple)):
             if not value:
                 return "[]"
             inner = indent + "  "
-            text = self.text
-            body = ",\n".join(inner + text(item, inner) for item in value)
+            heads: dict = {}  # shared by the list's objects
+            rows, text, obj = self.rows, self.text, self.object
+            body = ",\n".join(
+                [
+                    inner
+                    + (
+                        rows.get((id(item), inner)) or obj(item, inner, heads)
+                        if isinstance(item, dict)
+                        else text(item, inner)
+                    )
+                    for item in value
+                ]
+            )
             return f"[\n{body}\n{indent}]"
         return _format_scalar(value)
 
-    def float_dict(self, value: dict, indent: str, inner: str) -> str:
-        # the object is alive for the whole call, so its id cannot be reused
-        memo_key = (id(value), indent)
-        text = self.float_dicts.get(memo_key)
-        if text is None:
-            floats, key = self.floats, self.key
-            body = ",\n".join(
-                f"{inner}{key(k)}: {floats[value[k]]}"
-                for k in _sorted_keys(value)
-            )
-            text = self.float_dicts[memo_key] = f"{{\n{body}\n{indent}}}"
-        return text
+    def object(self, value: dict, indent: str, heads: dict) -> str:
+        """The text of an object not yet written as a row at this indent.
+
+        `heads` holds the key heads of each key order met.
+        """
+        if not value:
+            return "{}"
+        order = tuple(value)
+        head = heads.get(order)
+        if head is None:
+            inner = indent + "  "
+            head = heads[order] = [(k, f"{inner}{self.key(k)}: ") for k in _sorted_keys(value)]
+        if {float}.issuperset(map(type, value.values())):
+            floats = self.floats
+            body = ",\n".join([h + floats[value[k]] for k, h in head])
+            # the object is alive for the whole call, so its id cannot be reused
+            text = self.rows[(id(value), indent)] = f"{{\n{body}\n{indent}}}"
+            return text
+        inner, text = indent + "  ", self.text
+        body = ",\n".join([h + text(value[k], inner) for k, h in head])
+        return f"{{\n{body}\n{indent}}}"
 
 
 def canonical_json(value) -> str:
@@ -256,14 +274,14 @@ def _check_dense_row(mapping, index: dict, where: str) -> None:
         _number(value, f"{where}[{label!r}]")
 
 
-def _dense_table(mappings: list, labels, wheres: list) -> tuple[np.ndarray, np.ndarray]:
+def _dense_table(mappings: list, labels, where) -> tuple[np.ndarray, np.ndarray]:
     """(codes, table): {label: number} row objects as distinct dense rows.
 
     table holds one (labels-wide) row per distinct row and codes[i] is the
     row of mappings[i]; rows merge only when their float64 bytes are equal,
     so -0.0 stays apart from 0.0.  Labels and value types are screened for
     every object, and the first object that fails is read again on its own,
-    so the error raised is the first a row-by-row reader meets; `wheres[i]`
+    so the error raised is the first a row-by-row reader meets; `where(i)`
     names object i in errors.
     """
     index = {label: i for i, label in enumerate(labels)}
@@ -275,7 +293,7 @@ def _dense_table(mappings: list, labels, wheres: list) -> tuple[np.ndarray, np.n
             and mapping.keys() <= index.keys()
             and _plain_numbers(mapping.values())
         ):
-            _check_dense_row(mapping, index, wheres[i])
+            _check_dense_row(mapping, index, where(i))
         # equal items give equal bytes, except a zero's sign: such rows are
         # left to the byte comparison below
         group = i if 0 in mapping.values() else tuple(mapping.items())
@@ -311,7 +329,7 @@ def _distributions(table: np.ndarray) -> list[DiscreteDistribution]:
 
 def _belief(doc: dict, states: StateSpace, where: str) -> Belief:
     value = _field(doc, "initial_belief", where)
-    (code,), table = _dense_table([value], states, [f"{where}.initial_belief"])
+    (code,), table = _dense_table([value], states, lambda _: f"{where}.initial_belief")
     probs, _reasons = canonical_rows(table)
     return Belief(states, probs[code])
 
@@ -326,53 +344,71 @@ def _reward(doc: dict, where: str) -> dict[str, float]:
 
 
 def _table_entries(doc: dict, field: str, where: str):
+    """(position, entry) of each object in a table field's list."""
     value = _field(doc, field, where)
     if not isinstance(value, list):
         raise SchemaError(f"{where}.{field}: expected a list of entries")
     for i, entry in enumerate(value):
-        entry_where = f"{where}.{field}[{i}]"
         if not isinstance(entry, dict):
-            raise SchemaError(f"{entry_where}: expected an object")
-        yield entry_where, entry
+            raise SchemaError(f"{where}.{field}[{i}]: expected an object")
+        yield i, entry
 
 
-def _dense_rows(entries, labels, parse_key) -> dict:
-    """{parse_key(key): distribution} of (where, key, row object) entries.
+def _dense_rows(entries, labels, parse_key, where) -> dict:
+    """{parse_key(key): distribution} of (key, row object) entries.
 
     The entries are read first and their distinct rows converted as one
     table; entries with bit-identical rows share one distribution.  A
     key is parsed after its entry's row is taken, and when reading an entry
     fails the rows taken before it are checked first, so errors come in the
-    order a row-by-row reader meets them.
+    order a row-by-row reader meets them.  `where(i)` names the row object
+    of entry i in errors.
     """
-    keys, rows, wheres = [], [], []
+    keys, rows = [], []
     try:
-        for where, key, row in entries:
+        for key, row in entries:
             rows.append(row)
-            wheres.append(where)
             keys.append(parse_key(key))
     except SchemaError:
-        _dense_table(rows, labels, wheres)
+        _dense_table(rows, labels, where)
         raise
-    codes, table = _dense_table(rows, labels, wheres)
+    codes, table = _dense_table(rows, labels, where)
     dists = _distributions(table)
     return dict(zip(keys, map(dists.__getitem__, codes.tolist())))
 
 
+_TRANSITION_FIELDS = {"state", "action", "next"}
+
+
+def _transition_entry(entry: dict, seen: set, where: str):
+    """((state, action), next object) of one transition entry, checked field by field."""
+    _no_unknown(entry, _TRANSITION_FIELDS, where)
+    state = _field(entry, "state", where)
+    action = _field(entry, "action", where)
+    if not isinstance(state, str) or not isinstance(action, str):
+        raise SchemaError(f"{where}: state and action must be strings")
+    if (state, action) in seen:
+        raise SchemaError(f"{where}: duplicate row for ({state!r}, {action!r})")
+    seen.add((state, action))
+    return (state, action), _field(entry, "next", where)
+
+
 def _transition_entries(doc: dict, where: str):
-    seen = set()
-    for entry_where, entry in _table_entries(doc, "transition", where):
-        _no_unknown(entry, {"state", "action", "next"}, entry_where)
-        state = _field(entry, "state", entry_where)
-        action = _field(entry, "action", entry_where)
-        if not isinstance(state, str) or not isinstance(action, str):
-            raise SchemaError(f"{entry_where}: state and action must be strings")
-        if (state, action) in seen:
-            raise SchemaError(
-                f"{entry_where}: duplicate row for ({state!r}, {action!r})"
-            )
-        seen.add((state, action))
-        yield f"{entry_where}.next", (state, action), _field(entry, "next", entry_where)
+    """((state, action), next object) of each transition entry.
+
+    An entry with exactly the three fields, two strings and a new key
+    passes one screen; any other is read again field by field, which
+    raises the error a field-by-field reader meets first.
+    """
+    seen: set = set()
+    for i, entry in _table_entries(doc, "transition", where):
+        if entry.keys() == _TRANSITION_FIELDS:
+            key = entry["state"], entry["action"]
+            if type(key[0]) is str and type(key[1]) is str and key not in seen:
+                seen.add(key)
+                yield key, entry["next"]
+                continue
+        yield _transition_entry(entry, seen, f"{where}.transition[{i}]")
 
 
 def _transition_table(doc: dict, states: StateSpace, where: str, action_key) -> dict:
@@ -381,12 +417,14 @@ def _transition_table(doc: dict, states: StateSpace, where: str, action_key) -> 
         _transition_entries(doc, where),
         states,
         lambda key: (key[0], action_key(key[1])),
+        lambda i: f"{where}.transition[{i}].next",
     )
 
 
 def _sensor_entries(doc: dict, where: str):
     seen = set()
-    for entry_where, entry in _table_entries(doc, "sensor", where):
+    for i, entry in _table_entries(doc, "sensor", where):
+        entry_where = f"{where}.sensor[{i}]"
         _no_unknown(entry, {"state", "row"}, entry_where)
         state = _field(entry, "state", entry_where)
         if not isinstance(state, str):
@@ -439,7 +477,10 @@ def _parse_mdp(doc: dict, kind: str):
         _field(doc, "observations", where), f"{where}.observations"
     )
     sensor = _dense_rows(
-        _sensor_entries(doc, where), observations, lambda state: state
+        ((state, row) for _, state, row in _sensor_entries(doc, where)),
+        observations,
+        lambda state: state,
+        lambda i: f"{where}.sensor[{i}].row",
     )
     return Pomdp(
         states, actions, transition, reward, discount, observations, sensor

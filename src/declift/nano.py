@@ -23,6 +23,14 @@ detection rates into binomial histogram rows.  Three error rates shape
 detection: a false positive fires with nothing present, a cross-type
 response fires on the wrong type, and a false negative misses a present
 target.
+
+A transition row depends only on the marker bits, on whether assembly is
+enabled (all markers present and every sensor partition past the release
+threshold) and on the release bits the key sets, so the generator builds
+one row per such input and every (state, key) entry with that input
+holds the same distribution object, as a parsed model does.  The
+2-marker, 1-message, size-3 instance has 1,024 transition entries and 10
+rows.
 """
 
 from __future__ import annotations
@@ -273,6 +281,26 @@ def _detect_rate(own: bool, other: bool, params: NanoParams) -> float:
     return params.false_positive
 
 
+def _next_row(params: NanoParams, index: dict, markers, enabled: bool, released) -> np.ndarray:
+    """Next-state row from the marker bits, the assembly switch and the release bits.
+
+    `index` maps a state's bits (markers, messages, released) to its position.
+    """
+    options = [
+        _bit_options(bit, params.marker_persist, params.marker_appear) for bit in markers
+    ]
+    options += [
+        _bit_options(0, 0.0, params.assemble_prob if enabled else 0.0)
+        for _ in range(params.message_types)
+    ]
+    options += [[(bit, 1.0)] for bit in released]
+    row = np.zeros(len(index))
+    for combo in itertools.product(*options):
+        bits = tuple(b for b, _ in combo)
+        row[index[bits]] += math.prod(p for _, p in combo)
+    return row
+
+
 def generate_nano(params: NanoParams, cap: int = DEFAULT_JOINT_CAP) -> LiftedDecPomdp:
     """Materialize the scenario as a counting-form team model.
 
@@ -293,42 +321,33 @@ def generate_nano(params: NanoParams, cap: int = DEFAULT_JOINT_CAP) -> LiftedDec
 
     states = nano_states(params)
     labels = StateSpace(tuple(ns.label for ns in states))
-    index = {ns.label: i for i, ns in enumerate(states)}
-    threshold = math.ceil(params.release_threshold * n)
+    index = {ns.markers + ns.messages + ns.released: i for i, ns in enumerate(states)}
     histograms = [(c, n - c) for c in range(n, -1, -1)]
+    keys = list(itertools.product(histograms, repeat=n_partitions))
 
+    # A row depends on the marker bits, on whether assembly is enabled and
+    # on the release bits the key sets, so it is built once per such input
+    # and shared by every (state, key) entry with that input.
+    threshold = math.ceil(params.release_threshold * n)
+    fires = [all(key[i][0] >= threshold for i in range(params.marker_types)) for key in keys]
+    release_bits = [
+        tuple(int(h[0] > 0) for h in key[params.marker_types :])
+        if params.tracks_releases
+        else ()
+        for key in keys
+    ]
+    rows: dict = {}
     transition = {}
     for ns in states:
-        all_markers = all(ns.markers)
-        for key in itertools.product(histograms, repeat=n_partitions):
-            sensors_fire = all(
-                key[i][0] >= threshold for i in range(params.marker_types)
-            )
-            enabled = all_markers and sensors_fire
-            options = [
-                _bit_options(bit, params.marker_persist, params.marker_appear)
-                for bit in ns.markers
-            ]
-            options += [
-                _bit_options(0, 0.0, params.assemble_prob if enabled else 0.0)
-                for _ in ns.messages
-            ]
-            if params.tracks_releases:
-                options += [
-                    [(1 if key[params.marker_types + m][0] > 0 else 0, 1.0)]
-                    for m in range(params.message_types)
-                ]
-            row = np.zeros(len(states))
-            for combo in itertools.product(*options):
-                bits = tuple(b for b, _ in combo)
-                prob = math.prod(p for _, p in combo)
-                target = NanoState(
-                    bits[: params.marker_types],
-                    bits[params.marker_types : params.marker_types + params.message_types],
-                    bits[params.marker_types + params.message_types :],
+        name, all_markers = ns.label, all(ns.markers)
+        for key, fire, released in zip(keys, fires, release_bits):
+            enabled = all_markers and fire
+            row = rows.get((ns.markers, enabled, released))
+            if row is None:
+                row = rows[(ns.markers, enabled, released)] = DiscreteDistribution(
+                    _next_row(params, index, ns.markers, enabled, released)
                 )
-                row[index[target.label]] += prob
-            transition[(ns.label, key)] = DiscreteDistribution(row)
+            transition[(name, key)] = row
 
     sensor = {}
     for ns in states:

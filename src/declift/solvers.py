@@ -472,12 +472,12 @@ def pomdp_plan_iteration(
 
     pools = []
     for depth in range(1, horizon + 1):
+        n_candidates = len(actions) * (len(value) ** n_obs if depth > 1 else 1)
+        _check_cap(n_candidates, cap_plans, f"depth-{depth} candidate plans", "plan")
         if depth == 1:
             pool = _plan_pool(len(actions), 0, 1)
             candidates = np.tile(reward, (len(actions), 1))
         else:
-            n_candidates = len(actions) * len(value) ** n_obs
-            _check_cap(n_candidates, cap_plans, f"depth-{depth} candidate plans", "plan")
             pool = _plan_pool(len(actions), n_obs, len(value))
             candidates = _backup(value, [pool[1]], trans, omega, reward, model.discount)
         kept = dominance_prune(candidates)

@@ -197,21 +197,22 @@ def test_symmetry_refine_without_transition_rows(sensor, blocks):
     assert symmetry_refine(model, range_partition(model)).blocks == blocks
 
 
+def swapped(values, i, j):
+    """values with the entries at positions i and j traded."""
+    out = list(values)
+    out[i], out[j] = out[j], out[i]
+    return tuple(out)
+
+
 def loop_swap_invariant(model, i, j, tol):
     """Row-by-row form of the swap check behind `symmetry_refine`."""
-
-    def swap(values):
-        out = list(values)
-        out[i], out[j] = out[j], out[i]
-        return tuple(out)
-
     for (state, joint), dist in model.transition.items():
-        other = model.transition.get((state, swap(joint)))
+        other = model.transition.get((state, swapped(joint, i, j)))
         if other is None or np.max(np.abs(dist.probs - other.probs)) > tol:
             return False
     for row in model.sensor.values():
         for joint, prob in row.items():
-            if abs(prob - row.get(swap(joint), 0.0)) > tol:
+            if abs(prob - row.get(swapped(joint, i, j), 0.0)) > tol:
                 return False
     return True
 
@@ -220,10 +221,12 @@ def loop_swap_invariant(model, i, j, tol):
 @given(data=st.data())
 def test_swap_check_matches_row_by_row_loop(data):
     # a count-symmetric three-agent model, then edits that break symmetry
-    # by a missing row, a shift around the tolerance or a foreign label
-    states = StateSpace(("lo", "hi"))
+    # by a missing row, a joint tuple missing from every state, a shift
+    # around the tolerance or a foreign label
+    states = StateSpace(data.draw(st.sampled_from([("lo", "hi"), ("x", "hi")])))
     agents = ("a0", "a1", "a2")
-    last_actions = data.draw(st.sampled_from([("x", "y"), ("x", "z")]))
+    # the last agent shares the label "x" with the others, at either position
+    last_actions = data.draw(st.sampled_from([("x", "y"), ("x", "z"), ("z", "x")]))
     actions = {"a0": ("x", "y"), "a1": ("x", "y"), "a2": last_actions}
     observations = {a: ("o", "n") for a in agents}
     # with a zero slope all rows are equal, so only a missing row can tell
@@ -237,15 +240,38 @@ def test_swap_check_matches_row_by_row_loop(data):
         s: {jo: 0.125 for jo in itertools.product(("o", "n"), repeat=3)} for s in states
     }
     shift = st.sampled_from([0.5, 0.99, 1.01, 3.0]).map(lambda f: f * PROB_TOL)
+    edits = [
+        "drop-row", "shift-row", "drop-joint", "orphan", "drop-obs", "shift-obs", "drop-obs-joint"
+    ]
     for _ in range(data.draw(st.integers(0, 3))):
-        edit = data.draw(st.sampled_from(["drop-row", "shift-row", "drop-obs", "shift-obs"]))
-        if edit.endswith("row"):
+        edit = data.draw(st.sampled_from(edits))
+        if edit == "orphan" and transition:
+            # a joint action kept in one state only, whose agent swaps have
+            # no row in any state
+            state, joint = data.draw(st.sampled_from(sorted(transition)))
+            swaps = {swapped(joint, i, j) for i, j in itertools.combinations(range(3), 2)}
+            swaps.discard(joint)
+            transition = {
+                (s, jt): row
+                for (s, jt), row in transition.items()
+                if jt not in swaps and (jt != joint or s == state)
+            }
+        elif edit == "drop-joint" and transition:
+            # no state keeps a row for this joint action, so its swap is
+            # missing from the table's distinct tuples
+            _, joint = data.draw(st.sampled_from(sorted(transition)))
+            transition = {key: row for key, row in transition.items() if key[1] != joint}
+        elif edit == "drop-obs-joint":
+            joint = data.draw(st.sampled_from(sorted(itertools.product(("o", "n"), repeat=3))))
+            for row in sensor.values():
+                row.pop(joint, None)
+        elif edit.endswith("row") and transition:
             key = data.draw(st.sampled_from(sorted(transition)))
             if edit == "drop-row":
                 del transition[key]
             else:
                 transition[key] = transition[key] + data.draw(shift) * np.array([1.0, -1.0])
-        else:
+        elif edit.endswith("obs"):
             row = sensor[data.draw(st.sampled_from(states.labels))]
             if row:
                 joint = data.draw(st.sampled_from(sorted(row)))
@@ -253,6 +279,18 @@ def test_swap_check_matches_row_by_row_loop(data):
                     del row[joint]
                 else:
                     row[joint] += data.draw(shift)
+    if data.draw(st.booleans()):
+        # entries in any order, so codes given in order of first use vary
+        transition = dict(data.draw(st.permutations(list(transition.items()))))
+    # equal joint tuples as one object, as in a parsed model, or each key
+    # with its own copy
+    if data.draw(st.booleans()):
+        one = {}
+        transition = {(s, one.setdefault(j, j)): row for (s, j), row in transition.items()}
+        sensor = {s: {one.setdefault(j, j): p for j, p in r.items()} for s, r in sensor.items()}
+    else:
+        transition = {(s, tuple(list(j))): row for (s, j), row in transition.items()}
+        sensor = {s: {tuple(list(j)): p for j, p in r.items()} for s, r in sensor.items()}
     # equal rows share one object, as in a parsed model, or none do
     rows = {} if data.draw(st.booleans()) else None
     for key, row in transition.items():
@@ -267,7 +305,7 @@ def test_swap_check_matches_row_by_row_loop(data):
         observations=observations,
         transition=transition,
         sensor=sensor,
-        reward={"lo": 0.0, "hi": 1.0},
+        reward={s: float(i) for i, s in enumerate(states)},
         discount=0.9,
         initial_belief=Belief(states, np.array([1.0, 0.0])),
     )
@@ -367,6 +405,18 @@ def test_lift_rejects_joint_values_outside_the_declared_range(table):
     else:
         model.sensor["lo"][("zz", "o")] = 0.0
     with pytest.raises(RangeMismatch, match="'zz'"):
+        lift(model, range_partition(model))
+
+
+@pytest.mark.parametrize("bad, message", [(("zz", "o"), "'zz'"), (("o",), "1 values for 2")])
+def test_lift_reads_a_whole_sensor_row_before_judging_its_keys(bad, message):
+    # the bad tuple sits between the two tuples behind key (1, 1), so a pass
+    # that stopped at it would see that key short of a tuple
+    model = symmetric_pair()
+    row = list(model.sensor["lo"].items())
+    row.insert(2, (bad, 0.0))
+    model.sensor["lo"] = dict(row)
+    with pytest.raises(RangeMismatch, match=message):
         lift(model, range_partition(model))
 
 
@@ -687,9 +737,15 @@ def test_lift_reports_the_row_by_row_witness(shape, data):
     shift = st.sampled_from([0.5, 2.0, 1e6]).map(lambda f: f * PROB_TOL)
     for _ in range(data.draw(st.integers(0, 3))):
         edit = data.draw(
-            st.sampled_from(["shift-row", "drop-row", "shift-obs", "drop-obs", "foreign", "short"])
+            st.sampled_from(
+                ["shift-row", "drop-row", "drop-joint", "shift-obs", "drop-obs", "foreign", "short"]
+            )
         )
-        if edit in ("shift-row", "drop-row") and transition:
+        if edit == "drop-joint" and transition:
+            # a joint action without a row in any state
+            _, joint = data.draw(st.sampled_from(list(transition)))
+            transition = {key: row for key, row in transition.items() if key[1] != joint}
+        elif edit in ("shift-row", "drop-row") and transition:
             key = data.draw(st.sampled_from(list(transition)))
             if edit == "drop-row":
                 del transition[key]
@@ -720,6 +776,11 @@ def test_lift_reports_the_row_by_row_witness(shape, data):
         transition = {
             key: DiscreteDistribution(dist.probs.copy()) for key, dist in transition.items()
         }
+    if data.draw(st.booleans()):
+        # equal joint tuples as one object, as in a parsed model
+        one = {}
+        transition = {(s, one.setdefault(j, j)): row for (s, j), row in transition.items()}
+        sensor = {s: {one.setdefault(j, j): p for j, p in r.items()} for s, r in sensor.items()}
     broken = dataclasses.replace(model, transition=transition, sensor=sensor)
     partitioning = data.draw(st.sampled_from([part, range_partition(model)]))
     assert outcome(lift, broken, partitioning) == outcome(reference_lift, broken, partitioning)

@@ -359,6 +359,9 @@ def _reference_emit(value, indent, out):
         if not value:
             out.append("{}")
             return
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"cannot serialize object key {key!r}")
         out.append("{\n")
         inner = indent + "  "
         for i, key in enumerate(sorted(value)):
@@ -424,6 +427,63 @@ def test_canonical_json_matches_the_recursive_emitter(value, shared):
     # per indent, with the same text as emitting each occurrence
     doc = {"a": shared, "b": [shared, {"c": shared}], "d": value, "e": [[shared]]}
     assert canonical_json(doc) == reference_json(doc)
+
+
+record_keys = st.lists(
+    st.sampled_from(["state", "action", "next", "row", "", "é"]), max_size=4, unique=True
+)
+
+
+@st.composite
+def record_lists(draw):
+    """Documents whose lists hold objects over a few key sets.
+
+    Objects of one key set come with their keys inserted in different
+    orders; the lists also hold empty objects, scalars and one float row
+    object that appears at two indents, and one row holds a non-float.
+    One object may get a key that is not a string.
+    """
+    shared = draw(float_rows.filter(bool))
+    key_sets = draw(st.lists(record_keys, min_size=1, max_size=3))
+    values = json_scalars | float_rows | st.just(shared)
+    items = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["object", "object", "empty", "scalar", "row"]))
+        if kind == "object":
+            keys = draw(st.permutations(draw(st.sampled_from(key_sets))))
+            items.append({key: draw(values) for key in keys})
+        elif kind == "empty":
+            items.append({})
+        elif kind == "scalar":
+            items.append(draw(json_scalars))
+        else:
+            items.append(shared)
+    mixed = dict(shared)
+    mixed[draw(json_keys)] = draw(st.integers(-5, 5) | st.none() | st.text(max_size=3))
+    doc = {"list": items, "rows": [shared, {"next": shared}], "mixed": [mixed, shared]}
+    if draw(st.booleans()):
+        objects = [item for item in items if isinstance(item, dict) and item is not shared]
+        target = draw(st.sampled_from(objects)) if objects else mixed
+        entries = list(target.items())
+        bad = draw(st.sampled_from([1, 1.5, None, (1, 2)]))
+        entries.insert(draw(st.integers(0, len(entries))), (bad, 0.5))
+        target.clear()
+        target.update(entries)
+    return doc
+
+
+def emitted(emit, value):
+    """The text an emitter writes, or the TypeError it raises."""
+    try:
+        return emit(value)
+    except TypeError as err:
+        return "TypeError", str(err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=record_lists())
+def test_canonical_json_lists_of_objects_match_the_recursive_emitter(doc):
+    assert emitted(canonical_json, doc) == emitted(reference_json, doc)
 
 
 def test_canonical_json_edge_values_match_the_recursive_emitter():

@@ -13,6 +13,9 @@ from declift.models import validate_model
 from declift.nano import (
     NanoParams,
     NanoState,
+    _binomial_histograms,
+    _bit_options,
+    _detect_rate,
     generate_nano,
     nano_desk_preset,
     nano_paper_preset,
@@ -260,3 +263,98 @@ def test_parameter_validation():
 def test_marker_initial_defaults_to_appear_rate():
     assert NanoParams(marker_appear=0.3).initial_marker_rate == 0.3
     assert NanoParams(marker_appear=0.3, marker_initial=0.7).initial_marker_rate == 0.7
+
+
+def reference_tables(params):
+    """The per-entry transition and sensor builder `generate_nano` replaced.
+
+    Every (state, key) entry gets its own row, built from the state's
+    marker bits, the key's sensor counts and its bot counts.
+    """
+    n = params.partition_size
+    states = nano_states(params)
+    index = {ns.label: i for i, ns in enumerate(states)}
+    threshold = math.ceil(params.release_threshold * n)
+    histograms = [(c, n - c) for c in range(n, -1, -1)]
+    transition = {}
+    for ns in states:
+        all_markers = all(ns.markers)
+        for key in itertools.product(histograms, repeat=params.partition_count):
+            sensors_fire = all(key[i][0] >= threshold for i in range(params.marker_types))
+            enabled = all_markers and sensors_fire
+            options = [
+                _bit_options(bit, params.marker_persist, params.marker_appear)
+                for bit in ns.markers
+            ]
+            options += [
+                _bit_options(0, 0.0, params.assemble_prob if enabled else 0.0)
+                for _ in ns.messages
+            ]
+            if params.tracks_releases:
+                options += [
+                    [(1 if key[params.marker_types + m][0] > 0 else 0, 1.0)]
+                    for m in range(params.message_types)
+                ]
+            row = np.zeros(len(states))
+            for combo in itertools.product(*options):
+                bits = tuple(b for b, _ in combo)
+                target = NanoState(
+                    bits[: params.marker_types],
+                    bits[params.marker_types : params.marker_types + params.message_types],
+                    bits[params.marker_types + params.message_types :],
+                )
+                row[index[target.label]] += math.prod(p for _, p in combo)
+            transition[(ns.label, key)] = row
+    sensor = {}
+    for ns in states:
+        per_partition = []
+        for bits in (ns.markers, ns.messages):
+            for i, own in enumerate(bits):
+                other = any(b for j, b in enumerate(bits) if j != i)
+                per_partition.append(
+                    _binomial_histograms(n, _detect_rate(bool(own), other, params))
+                )
+        sensor[ns.label] = {
+            tuple(h for h, _ in combo): math.prod(p for _, p in combo)
+            for combo in itertools.product(*per_partition)
+        }
+    return transition, sensor
+
+
+@pytest.mark.parametrize("release_cost", [1.5, 0.0])
+@pytest.mark.parametrize(
+    "shape", [(1, 1, 1), (2, 1, 3), (1, 2, 2), (2, 2, 2)]
+)
+def test_shared_rows_match_a_per_entry_rebuild(shape, release_cost):
+    marker_types, message_types, size = shape
+    rng = np.random.default_rng(sum(shape) + int(release_cost))
+    params = NanoParams(
+        marker_types=marker_types,
+        message_types=message_types,
+        partition_size=size,
+        release_cost=release_cost,
+        **random_rates(rng),
+    )
+    assert params.tracks_releases == (release_cost > 0)
+    model = generate_nano(params)
+    transition, sensor = reference_tables(params)
+    assert list(model.transition) == list(transition)
+    for key, row in transition.items():
+        assert model.transition[key].probs.tobytes() == row.tobytes()
+    assert list(model.sensor) == list(sensor)
+    for state, row in sensor.items():
+        assert list(model.sensor[state].items()) == list(row.items())
+    # one row object per input: marker bits, plus the assembly switch where
+    # all markers are present, times the bots' release bits
+    releases = 2**message_types if params.tracks_releases else 1
+    rows = {id(dist) for dist in model.transition.values()}
+    assert len(rows) == (2**marker_types + 1) * releases
+
+
+def test_cli_session_model_builds_few_rows():
+    from test_modelio import CHAIN_RATES
+
+    params = NanoParams(marker_types=2, message_types=1, partition_size=3, **CHAIN_RATES)
+    model = generate_nano(params)
+    assert len(model.transition) == 1_024
+    assert len({id(dist) for dist in model.transition.values()}) <= 40

@@ -882,6 +882,18 @@ def test_plan_iteration_reports_stats_and_respects_cap():
         pomdp_plan_iteration(model, 3, cap_plans=1)
 
 
+def test_plan_iteration_checks_the_cap_at_depth_one():
+    # the team solvers' pools refuse depth 1 too (enumerate_plans)
+    model = random_pomdp(np.random.default_rng(0), n_actions=3)
+    with pytest.raises(CapacityExceeded) as err:
+        pomdp_plan_iteration(model, 1, cap_plans=1)
+    assert str(err.value) == "3 depth-1 candidate plans exceed the plan cap 1"
+    assert (err.value.measured, err.value.cap) == (3, 1)
+    stats = []
+    pomdp_plan_iteration(model, 1, cap_plans=3, stats=stats)
+    assert stats == [(3, 1)]
+
+
 @pytest.mark.parametrize("table", ["transition", "sensor"])
 def test_plan_iteration_refuses_a_missing_row_before_searching(table, monkeypatch):
     model = random_pomdp(np.random.default_rng(5), n_states=3)
