@@ -10,21 +10,24 @@ expands a histogram-keyed model back out (ground).
 Keys of lifted tables are tuples of per-partition count vectors, e.g.
 ((2, 0), (1, 1)) for two partitions; the serialized form is "[2,0]|[1,1]".
 
-Transition tables hold one distribution object per distinct row (the
-parser and `ground` share them), and the swap checks of symmetry_refine
-and the row checks of lift work on those objects: entries holding the
-same object agree, and two different objects are compared once.
+Under a partition of the agents into blocks, a joint tuple matters only
+through its labels sorted within each block.  All three passes group
+joint tuples by that one fact (`_collapse`): the tuples become rows of
+integer label codes, each block's columns are sorted, and rows with
+equal bytes form one group, numbered in order of first use.  lift
+groups a table's distinct tuples under the partition's blocks and keys
+each group by its first tuple; symmetry_refine groups them under the
+pair block (i, j), so a group holds a tuple and its swap; ground groups
+the product of the declared ranges, coded by position.  Python work runs
+once per group (64 keys for the 512 distinct tuples behind the 8,192
+transition entries of nine two-action agents); the rest is array work
+over codes (`_Keys`: one int code per distinct state and joint tuple).
+The model types keep their dict tables; only these passes use the codes.
 
-Both symmetry_refine and lift intern the (state, joint tuple) keys of a
-table once (`_Keys`): one int code per distinct state and per distinct
-joint tuple, so per-entry work is array work over codes, and Python
-work runs once per distinct tuple (512 for the 8,192 transition entries
-of nine two-action agents).  A swap check permutes two columns of the
-distinct tuples' label codes, finds each swapped tuple among them, and
-looks up one int64 (state, tuple) code per entry; lift keys each
-distinct tuple's histogram once and groups entries by (state, key)
-codes.  The model types keep their dict tables; only these passes use
-the codes.
+Transition tables hold one distribution object per distinct row (the
+parser and `ground` share them), and the row checks of symmetry_refine
+and lift work on those objects: entries holding the same object agree,
+and two different objects are compared once.
 """
 
 from __future__ import annotations
@@ -69,12 +72,6 @@ def _joint_to_key(joint: tuple, blocks, positions) -> tuple[tuple[int, ...], ...
     )
 
 
-def _joint_keys(joints, blocks, ranges) -> list:
-    """Histogram-tuple keys of joint tuples over the given block ranges."""
-    positions = [range_positions(r) for r in ranges]
-    return [_joint_to_key(joint, blocks, positions) for joint in joints]
-
-
 def range_partition(model: GroundDecPomdp) -> Partitioning:
     """Coarsest grouping of agents by identical declared ranges.
 
@@ -100,6 +97,32 @@ def _intern(values: tuple) -> tuple[list, np.ndarray]:
     distinct = list(dict.fromkeys(values))
     code = dict(zip(distinct, range(len(distinct))))
     return distinct, np.fromiter(map(code.__getitem__, values), np.int64, len(values))
+
+
+def _groups(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, group) of entries with equal ids.
+
+    Groups are numbered in order of their first entry: first[g] is that
+    entry and group[k] the group of entry k.
+    """
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse.ravel()]
+
+
+def _collapse(codes: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """(first, group) of joint tuples equal up to reordering inside blocks.
+
+    codes[t] holds tuple t's label codes, one column per agent, with equal
+    labels under equal codes within each block.  Each block's columns are
+    sorted and rows with equal bytes form one group, numbered as `_groups`
+    numbers them.
+    """
+    rows = np.concatenate([np.sort(codes[:, list(b)], axis=1) for b in blocks], axis=1)
+    rows = np.ascontiguousarray(rows)
+    return _groups(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel())
 
 
 class _Keys:
@@ -136,11 +159,11 @@ class _Keys:
             f"for {n_agents} agents"
         )
 
-    def labels(self, m: int, n_agents: int) -> tuple[list, np.ndarray]:
-        """(labels, table): the distinct labels of the first m joint tuples,
-        and the (m x n_agents) table of their label codes."""
-        labels, codes = _intern(tuple(itertools.chain.from_iterable(self.joints[:m])))
-        return labels, codes.reshape(m, n_agents)
+    def labels(self, m: int, n_agents: int) -> np.ndarray:
+        """The (m x n_agents) table of the first m joint tuples' label codes,
+        one code per distinct label."""
+        _, codes = _intern(tuple(itertools.chain.from_iterable(self.joints[:m])))
+        return codes.reshape(m, n_agents)
 
     def histograms(self, n_agents: int, blocks, positions, where: str):
         """(keys, codes, error): the histogram key of each joint tuple.
@@ -148,35 +171,21 @@ class _Keys:
         keys lists the distinct histogram keys in order of first use and
         codes[c] is the key of joint tuple c, for every tuple before the
         first that has no key; error is that tuple's RangeMismatch, or
-        None.  `positions` holds one `range_positions` map per block.  The
-        tuples' labels are coded once, each block's counts are taken over
-        the code table, and only the distinct keys become tuples.
+        None.  `positions` holds one `range_positions` map per block.  Only
+        the first tuple of each collapsed group is keyed: a group's tuples
+        hold the same labels per block, so they are all in range or all out
+        of it, and the first group out of range starts at the first tuple
+        without a key.
         """
         m, error = self.arity(n_agents, where)
-        labels, table = self.labels(m, n_agents)
-        counts, outside = [], np.zeros(m, dtype=bool)
-        for block, pos in zip(blocks, positions):
-            at = np.array([pos.get(label, -1) for label in labels], dtype=np.int64)
-            at = at[table[:, list(block)]]
-            outside |= (at < 0).any(axis=1)
-            counts += [(at == k).sum(axis=1) for k in range(len(pos))]
-        bad = np.flatnonzero(outside)
-        n = int(bad[0]) if bad.size else m  # tuples before the first without a key
-        if n < m:
+        first, group = _collapse(self.labels(m, n_agents), blocks)
+        keys = []
+        for t in first.tolist():
             try:
-                _joint_to_key(self.joints[n], blocks, positions)
+                keys.append(_joint_to_key(self.joints[t], blocks, positions))
             except RangeMismatch as err:
-                error = err
-        if not n:
-            return [], np.zeros(0, dtype=np.int64), error
-        counts = np.stack(counts, axis=1)[:n]
-        first, codes = _groups(counts.view(np.dtype((np.void, counts.itemsize * counts.shape[1]))).ravel())
-        widths = np.cumsum([0] + [len(pos) for pos in positions])
-        keys = [
-            tuple(tuple(row[a:b]) for a, b in zip(widths, widths[1:]))
-            for row in counts[first].tolist()
-        ]
-        return keys, codes, error
+                return keys, group[:t], err
+        return keys, group, error
 
 
 def _sensor_values(model: GroundDecPomdp) -> list:
@@ -194,72 +203,38 @@ def _sensor_keys(model: GroundDecPomdp) -> _Keys:
     return _Keys(states, tuple(itertools.chain.from_iterable(model.sensor.values())))
 
 
-def _groups(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, group) of entries with equal ids.
-
-    Groups are numbered in order of their first entry: first[g] is that
-    entry and group[k] the group of entry k.
-    """
-    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return first[order], rank[inverse.ravel()]
-
-
-class _SwapTable:
-    """A table's interned keys, set up for finding each key's agent swap.
-
-    The distinct joint tuples become rows of integer label codes, so
-    trading two agents trades two columns, and each swapped row is found
-    among the distinct rows by a binary search over their raw bytes.  An
-    entry's swap is then one int64 (state, joint) code looked up among
-    the table's sorted entry codes.
-    """
-
-    def __init__(self, keys: _Keys, n_agents: int):
-        self.keys = keys
-        m, error = keys.arity(n_agents, "row for state {!r}")
-        if error:
-            raise error
-        _, self.labels = keys.labels(m, n_agents)
-        self._row_bytes = np.dtype((np.void, self.labels.itemsize * n_agents))
-        rows = self._as_bytes(self.labels)
-        self._row_order = np.argsort(rows)
-        self._sorted_rows = rows[self._row_order]
-        codes = self.keys.state * len(self.keys.joints) + self.keys.joint
-        self._order = np.argsort(codes)
-        self._sorted = codes[self._order]
-
-    def _as_bytes(self, rows: np.ndarray) -> np.ndarray:
-        return rows.view(self._row_bytes).ravel()
-
-    def _find(self, sorted_values, query):
-        """Position of each query value in sorted_values, or -1 where absent."""
-        pos = np.searchsorted(sorted_values, query).clip(max=len(sorted_values) - 1)
-        return np.where(sorted_values[pos] == query, pos, -1)
-
-    def swapped(self, i: int, j: int) -> np.ndarray:
-        """Entry of each key with agents i and j traded, or -1 where there is none."""
-        if not len(self._sorted):
-            return np.zeros(0, dtype=np.int64)
-        query = self.labels.copy()
-        query[:, [i, j]] = self.labels[:, [j, i]]
-        row = self._find(self._sorted_rows, self._as_bytes(query))
-        joint = np.where(row >= 0, self._row_order[row], -1)[self.keys.joint]
-        entry = self._find(self._sorted, self.keys.state * len(self.keys.joints) + joint)
-        return np.where((joint >= 0) & (entry >= 0), self._order[entry], -1)
-
-
 class _SwapCheck:
-    """A ground model's tables, stacked once for testing agent swaps."""
+    """A ground model's tables, coded once for testing agent swaps.
+
+    Collapsed under the pair block (i, j), a joint tuple shares its group
+    with its swap, which is the tuple itself when agents i and j hold the
+    same label.  So the model is unchanged by the swap when each (state,
+    group) holds both tuples and their entries agree.
+    """
 
     def __init__(self, model: GroundDecPomdp):
-        n_agents = len(model.agents)
-        self.transition = _SwapTable(_transition_keys(model), n_agents)
+        self.n_agents = len(model.agents)
+        self.transition = self._coded(_transition_keys(model))
         self.codes, self.rows = distinct_rows(list(model.transition.values()))
-        self.sensor = _SwapTable(_sensor_keys(model), n_agents)
+        self.sensor = self._coded(_sensor_keys(model))
         self.sensor_probs = np.array(_sensor_values(model), dtype=float)
+
+    def _coded(self, keys: _Keys) -> tuple[_Keys, np.ndarray]:
+        m, error = keys.arity(self.n_agents, "row for state {!r}")
+        if error:
+            raise error
+        return keys, keys.labels(m, self.n_agents)
+
+    def _pairs(self, table, i: int, j: int):
+        """(first, group, short) of a table's entries by state and tuple
+        collapsed under the pair block (i, j); short[g] tells that group g
+        lacks the swap of its tuple."""
+        keys, labels = table
+        blocks = [(i, j)] + [(k,) for k in range(self.n_agents) if k not in (i, j)]
+        _, joint = _collapse(labels, blocks)
+        first, group = _groups(keys.state * len(labels) + joint[keys.joint])
+        multiplicity = np.where(labels[:, i] != labels[:, j], 2, 1)[keys.joint[first]]
+        return first, group, np.bincount(group, minlength=len(first)) < multiplicity
 
     def invariant(self, i: int, j: int, tol: float) -> bool:
         """Is the model unchanged when agents at positions i and j trade places?
@@ -267,14 +242,19 @@ class _SwapCheck:
         A transition row without a swapped counterpart breaks invariance; a
         missing sensor entry reads as probability 0.
         """
-        perm = self.transition.swapped(i, j)
-        if (perm < 0).any():
+        first, group, short = self._pairs(self.transition, i, j)
+        if short.any():
             return False
-        if (_row_gaps(self.rows, self.codes[perm], self.codes) > tol).any():
+        if (_row_gaps(self.rows, self.codes[first[group]], self.codes) > tol).any():
             return False
-        perm = self.sensor.swapped(i, j)
-        other = np.where(perm >= 0, self.sensor_probs[perm], 0.0)
-        return not (np.abs(self.sensor_probs - other) > tol).any()
+        _, group, short = self._pairs(self.sensor, i, j)
+        lo = np.where(short, 0.0, np.inf)
+        hi = -lo
+        # NaN propagates into the spread and fails `> tol`, as |p - q| does
+        with np.errstate(invalid="ignore"):
+            np.minimum.at(lo, group, self.sensor_probs)
+            np.maximum.at(hi, group, self.sensor_probs)
+            return not (hi - lo > tol).any()
 
 
 def symmetry_refine(
@@ -286,8 +266,9 @@ def symmetry_refine(
     generated by their swaps with a shared third), so grouping members
     against one representative per emerging sub-block reaches the fixed
     point in a single pass with O(block size) swap checks per block in the
-    fully symmetric case.  The tables are stacked once per call; each swap
-    check is then one key lookup and one array comparison.
+    fully symmetric case.  The tables are coded once per call; each swap
+    check then groups their entries under the pair block and compares
+    each group's entries.
     """
     check = _SwapCheck(model)
     blocks: list[tuple[int, ...]] = []
@@ -470,6 +451,22 @@ def lift(
     )
 
 
+def _product_keys(ranges, blocks, block_ranges) -> tuple[list, list, list]:
+    """(joints, keys, group): the joint tuples over the agents' ranges in
+    `itertools.product` order, the histogram keys in order of first use,
+    and the key of each tuple.
+
+    The tuples are coded by position in their ranges, which the members
+    of a block share, and only each collapsed group's first tuple is keyed.
+    """
+    joints = list(itertools.product(*ranges))
+    codes = np.indices([len(r) for r in ranges]).reshape(len(ranges), -1).T
+    first, group = _collapse(codes, blocks)
+    positions = [range_positions(r) for r in block_ranges]
+    keys = [_joint_to_key(joints[t], blocks, positions) for t in first.tolist()]
+    return joints, keys, group.tolist()
+
+
 def ground(model: LiftedDecPomdp, cap: int = DEFAULT_JOINT_CAP) -> GroundDecPomdp:
     """Expand a lifted model back to per-agent joint tuples.
 
@@ -479,7 +476,6 @@ def ground(model: LiftedDecPomdp, cap: int = DEFAULT_JOINT_CAP) -> GroundDecPomd
     Row counts are checked against `cap` before anything is materialized.
     """
     part = model.partitioning
-    n_agents = part.agent_count()
     agent_actions: dict[str, tuple[str, ...]] = {}
     agent_observations: dict[str, tuple[str, ...]] = {}
     for block, acts, obs in zip(part.blocks, part.action_ranges, part.observation_ranges):
@@ -503,28 +499,24 @@ def ground(model: LiftedDecPomdp, cap: int = DEFAULT_JOINT_CAP) -> GroundDecPomd
                 cap=cap,
             )
 
-    # each joint tuple is keyed once, not once per state
-    action_joints = list(itertools.product(*action_ranges))
-    action_keys = _joint_keys(action_joints, part.blocks, part.action_ranges)
+    # each group of joint tuples is keyed and looked up once per state
+    joints, keys, group = _product_keys(action_ranges, part.blocks, part.action_ranges)
     transition: dict = {}
     for state in model.states:
-        for joint, key in zip(action_joints, action_keys):
-            row = model.transition.get((state, key))
-            if row is not None:
-                transition[(state, joint)] = row
+        rows = [model.transition.get((state, key)) for key in keys]
+        for joint, g in zip(joints, group):
+            if rows[g] is not None:
+                transition[(state, joint)] = rows[g]
 
-    obs_joints = list(itertools.product(*obs_ranges))
-    obs_keys = _joint_keys(obs_joints, part.blocks, part.observation_ranges)
+    joints, keys, group = _product_keys(obs_ranges, part.blocks, part.observation_ranges)
+    multiplicity = [key_multiplicity(key) for key in keys]
     sensor: dict = {}
     for state in model.states:
         lifted_row = model.sensor.get(state, {})
-        split = {key: value / key_multiplicity(key) for key, value in lifted_row.items()}
-        row = {}
-        for joint, key in zip(obs_joints, obs_keys):
-            prob = split.get(key)
-            if prob is not None and prob != 0.0:
-                row[joint] = prob
-        sensor[state] = row
+        shares = [lifted_row.get(key, 0.0) / n for key, n in zip(keys, multiplicity)]
+        sensor[state] = {
+            joint: shares[g] for joint, g in zip(joints, group) if shares[g] != 0.0
+        }
 
     return GroundDecPomdp(
         agents=model.agents,

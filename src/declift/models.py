@@ -516,6 +516,15 @@ def _validate_mdp(model: Mdp, out: list[Violation]):
 
 def _validate_pomdp(model: Pomdp, out: list[Violation]):
     _validate_mdp(model, out)
+    # the agent cannot see the state, so every state must allow every action
+    union = model.action_union()
+    for state in model.states:
+        if state in model.actions and set(model.actions[state]) != set(union):
+            out.append(Violation(
+                "range",
+                f"state {state!r} declares actions {model.actions[state]!r}, "
+                f"not all of {union!r}",
+            ))
     _check_range(out, "model", "observations", model.observations)
     for state in model.states:
         if state not in model.sensor:

@@ -699,13 +699,7 @@ def lifted_exhaustive(
         count = pool_size if peak_only else math.comb(pool_size + size - 1, size)
         multiset_counts.append(count)
     total_candidates = math.prod(multiset_counts)
-    if total_candidates > cap_joint:
-        raise CapacityExceeded(
-            f"{total_candidates} joint plan-multiset candidates exceed the joint "
-            f"cap {cap_joint}",
-            measured=total_candidates,
-            cap=cap_joint,
-        )
+    _check_cap(total_candidates, cap_joint, "joint plan-multiset candidates", "joint")
 
     def action_histogram(k, depth, occ_k):
         # occ_k: sorted ((node_index, count), ...) over the depth-`depth` pool

@@ -8,7 +8,14 @@ import pytest
 from declift.cli import Command, main
 from declift.errors import InvalidParams
 from declift.modelio import parse_model, serialize_model
-from declift.models import GroundDecPomdp
+from declift.models import (
+    DiscreteDistribution,
+    GroundDecPomdp,
+    Mdp,
+    Pomdp,
+    StateSpace,
+    validate_model,
+)
 from declift.lifting import LiftedDecPomdp
 
 from test_solvers import count_based_team, random_team
@@ -44,6 +51,33 @@ def test_validate_reports_violations(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["validate", str(path)]) == 1
     assert "discount" in capsys.readouterr().out
+
+
+def test_validate_requires_every_action_in_every_pomdp_state(tmp_path, capsys):
+    # the agent cannot see the state, so solving needs a row for every
+    # action in every state; state "b" lacks action "y"
+    states = StateSpace(("a", "b"))
+    model = Pomdp(
+        states=states,
+        actions={"a": ("x", "y"), "b": ("x",)},
+        transition={
+            ("a", "x"): DiscreteDistribution([1.0, 0.0]),
+            ("a", "y"): DiscreteDistribution([0.0, 1.0]),
+            ("b", "x"): DiscreteDistribution([0.5, 0.5]),
+        },
+        reward={"a": 0.0, "b": 1.0},
+        discount=0.9,
+        observations=("o",),
+        sensor={s: DiscreteDistribution([1.0]) for s in states},
+    )
+    assert validate_model(model).codes() == ["range"]
+    path = tmp_path / "pomdp.json"
+    path.write_text(serialize_model(model))
+    assert main(["validate", str(path)]) == 1
+    assert "state 'b' declares actions ('x',), not all of ('x', 'y')" in capsys.readouterr().out
+    # an MDP keeps its per-state ranges
+    mdp = Mdp(model.states, model.actions, model.transition, model.reward, model.discount)
+    assert validate_model(mdp).ok
 
 
 def test_validate_parse_error(tmp_path, capsys):

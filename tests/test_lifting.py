@@ -318,9 +318,116 @@ def test_symmetry_refine_rejects_short_joint_tuples():
     model = symmetric_pair()
     transition = dict(model.transition)
     transition[("lo", ("x",))] = DiscreteDistribution([1.0, 0.0])
-    model = dataclasses.replace(model, transition=transition)
+    short = dataclasses.replace(model, transition=transition)
     with pytest.raises(RangeMismatch, match="1 values for 2 agents"):
-        symmetry_refine(model, range_partition(model))
+        symmetry_refine(short, range_partition(short))
+    sensor = {s: dict(row) for s, row in model.sensor.items()}
+    sensor["lo"][("o",)] = 0.0
+    short = dataclasses.replace(model, sensor=sensor)
+    message = "row for state 'lo': joint tuple ('o',) has 1 values for 2 agents"
+    with pytest.raises(RangeMismatch, match=re.escape(message)):
+        symmetry_refine(short, range_partition(short))
+
+
+def swap_team(data):
+    """A three-agent model drawn like those of
+    `test_swap_check_matches_row_by_row_loop`: count-symmetric, then edited
+    to break symmetry by missing rows or joint tuples and by shifts around
+    the tolerance."""
+    states = StateSpace(data.draw(st.sampled_from([("lo", "hi"), ("x", "hi")])))
+    agents = ("a0", "a1", "a2")
+    last_actions = data.draw(st.sampled_from([("x", "y"), ("x", "z"), ("z", "x")]))
+    actions = {"a0": ("x", "y"), "a1": ("x", "y"), "a2": last_actions}
+    slope = data.draw(st.sampled_from([0.0, 0.1]))
+    transition = {}
+    for s in states:
+        for joint in itertools.product(*(actions[a] for a in agents)):
+            p = 0.2 + slope * (joint.count("x") + (s == "hi"))
+            transition[(s, joint)] = np.array([p, 1.0 - p])
+    sensor = {
+        s: {jo: 0.125 for jo in itertools.product(("o", "n"), repeat=3)} for s in states
+    }
+    shift = st.sampled_from([0.5, 0.99, 1.01, 3.0]).map(lambda f: f * PROB_TOL)
+    edits = [
+        "drop-row", "shift-row", "drop-joint", "orphan", "drop-obs", "shift-obs", "drop-obs-joint"
+    ]
+    for _ in range(data.draw(st.integers(0, 3))):
+        edit = data.draw(st.sampled_from(edits))
+        if edit == "orphan" and transition:
+            state, joint = data.draw(st.sampled_from(sorted(transition)))
+            swaps = {swapped(joint, i, j) for i, j in itertools.combinations(range(3), 2)}
+            swaps.discard(joint)
+            transition = {
+                (s, jt): row
+                for (s, jt), row in transition.items()
+                if jt not in swaps and (jt != joint or s == state)
+            }
+        elif edit == "drop-joint" and transition:
+            _, joint = data.draw(st.sampled_from(sorted(transition)))
+            transition = {key: row for key, row in transition.items() if key[1] != joint}
+        elif edit == "drop-obs-joint":
+            joint = data.draw(st.sampled_from(sorted(itertools.product(("o", "n"), repeat=3))))
+            for row in sensor.values():
+                row.pop(joint, None)
+        elif edit.endswith("row") and transition:
+            key = data.draw(st.sampled_from(sorted(transition)))
+            if edit == "drop-row":
+                del transition[key]
+            else:
+                transition[key] = transition[key] + data.draw(shift) * np.array([1.0, -1.0])
+        elif edit.endswith("obs"):
+            row = sensor[data.draw(st.sampled_from(states.labels))]
+            if row:
+                joint = data.draw(st.sampled_from(sorted(row)))
+                if edit == "drop-obs":
+                    del row[joint]
+                else:
+                    row[joint] += data.draw(shift)
+    if data.draw(st.booleans()):
+        transition = dict(data.draw(st.permutations(list(transition.items()))))
+    rows = {} if data.draw(st.booleans()) else None
+    for key, row in transition.items():
+        dist = DiscreteDistribution(row)
+        if rows is not None:
+            dist = rows.setdefault(row.tobytes(), dist)
+        transition[key] = dist
+    return GroundDecPomdp(
+        agents=agents,
+        states=states,
+        actions=actions,
+        observations={a: ("o", "n") for a in agents},
+        transition=transition,
+        sensor=sensor,
+        reward={s: float(i) for i, s in enumerate(states)},
+        discount=0.9,
+        initial_belief=Belief(states, np.array([1.0, 0.0])),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_swap_check_agrees_with_lift_of_the_pair(data):
+    # agents i and j are interchangeable exactly when the model lifts under
+    # the pair block (i, j) with every other agent on its own
+    model = swap_team(data)
+    check = _SwapCheck(model)
+    for i, j in itertools.combinations(range(3), 2):
+        agent_i, agent_j = model.agents[i], model.agents[j]
+        if model.actions[agent_i] != model.actions[agent_j]:
+            continue
+        blocks = ((i, j),) + tuple((k,) for k in range(3) if k not in (i, j))
+        part = Partitioning(
+            blocks,
+            tuple(model.actions[model.agents[b[0]]] for b in blocks),
+            tuple(model.observations[model.agents[b[0]]] for b in blocks),
+        )
+        try:
+            lift(model, part)
+        except NotLiftable:
+            liftable = False
+        else:
+            liftable = True
+        assert check.invariant(i, j, PROB_TOL) == liftable
 
 
 def test_lift_aggregates_sensor_mass():
