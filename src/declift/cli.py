@@ -5,6 +5,12 @@ instance, lift or ground a team model, solve any model kind, compare
 table sizes, and check that a lifted model and its ground expansion
 agree on the optimal value.
 
+Argparse describes each subcommand once, in `build_parser`: its
+arguments, their defaults, which of them are required, and its handler,
+which each subparser names with `set_defaults(handler=...)`.  `main`
+parses, runs the value checks argparse cannot express (`_check_values`)
+and hands the parsed namespace to the handler.
+
 Exit codes: 0 success, 1 for model or validation problems, 2 when an
 enumeration would exceed its capacity cap.  Errors print one line on
 stderr in the form `error [<code>]: <message>`.  Result documents are
@@ -18,7 +24,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 
 from .errors import (
     CapacityExceeded,
@@ -48,57 +53,7 @@ from .solvers import (
     verify_equivalence,
 )
 
-SUBCOMMANDS = (
-    "validate",
-    "gen-nano",
-    "lift",
-    "ground",
-    "solve",
-    "analyze-size",
-    "verify-equivalence",
-)
-
-_NEEDS_INPUT = {"validate", "lift", "ground", "solve", "verify-equivalence"}
-_NEEDS_OUTPUT = {"gen-nano", "lift", "ground"}
-_NEEDS_HORIZON = {"verify-equivalence"}
-
-
-@dataclass(frozen=True)
-class Command:
-    """One parsed invocation; invariants checked on construction."""
-
-    name: str
-    input_path: str | None = None
-    output_path: str | None = None
-    horizon: int | None = None
-    epsilon: float = 1e-6
-    peak_only: bool = False
-    preset: str | None = None
-    nano: NanoParams | None = None
-    cap_plans: int = DEFAULT_PLAN_CAP
-    cap_joint: int = DEFAULT_JOINT_CAP
-
-    def __post_init__(self):
-        if self.name not in SUBCOMMANDS:
-            raise InvalidParams(f"unknown subcommand {self.name!r}")
-        if self.name in _NEEDS_INPUT and not self.input_path:
-            raise InvalidParams(f"{self.name} needs an input path")
-        if self.name in _NEEDS_OUTPUT and not self.output_path:
-            raise InvalidParams(f"{self.name} needs --out")
-        if self.name in _NEEDS_HORIZON and self.horizon is None:
-            raise InvalidParams(f"{self.name} needs --horizon")
-        if self.horizon is not None and (
-            not isinstance(self.horizon, int) or self.horizon < 1
-        ):
-            raise InvalidParams("horizon must be an integer >= 1")
-        if not self.epsilon > 0:
-            raise InvalidParams("epsilon must be positive")
-        if self.cap_plans < 1 or self.cap_joint < 1:
-            raise InvalidParams("caps must be positive")
-        if self.name == "gen-nano" and self.nano is None:
-            raise InvalidParams("gen-nano needs generator parameters")
-        if self.name == "analyze-size" and bool(self.input_path) == bool(self.preset):
-            raise InvalidParams("analyze-size needs a model path or --preset, not both")
+_PRESETS = {"paper": nano_paper_preset, "desk": nano_desk_preset}
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +155,9 @@ def _print_size_table(params, report: SizeReport):
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
-def _cmd_validate(command: Command) -> int:
+def _cmd_validate(args) -> int:
     try:
-        model = parse_model(_read(command.input_path))
+        model = parse_model(_read(args.input))
     except ValidationError as err:
         print(err.report if err.report is not None else err)
         return 1
@@ -215,28 +170,17 @@ def _cmd_validate(command: Command) -> int:
     return 0
 
 
-_RATE_FIELDS = (
-    "marker_appear",
-    "marker_persist",
-    "assemble_prob",
-    "false_positive",
-    "cross_type",
-    "false_negative",
-    "reward_good",
-    "reward_bad",
-    "release_cost",
-    "discount",
-    "marker_initial",
-)
+# a rates file may set every generator field but the four the flags set
+_RATE_FIELDS = {f.name for f in dataclasses.fields(NanoParams)} - {
+    "marker_types",
+    "message_types",
+    "partition_size",
+    "release_threshold",
+}
 
 
 def _nano_params_from_args(args) -> NanoParams:
-    if args.preset == "paper":
-        params = nano_paper_preset()
-    elif args.preset == "desk":
-        params = nano_desk_preset()
-    else:
-        params = NanoParams()
+    params = _PRESETS[args.preset]() if args.preset else NanoParams()
     if args.rates:
         try:
             rates = json.loads(_read(args.rates))
@@ -244,7 +188,7 @@ def _nano_params_from_args(args) -> NanoParams:
             raise SchemaError(f"rates file is not valid JSON: {err}") from None
         if not isinstance(rates, dict):
             raise SchemaError("rates file must hold one JSON object")
-        unknown = set(rates) - set(_RATE_FIELDS)
+        unknown = set(rates) - _RATE_FIELDS
         if unknown:
             raise SchemaError(
                 f"rates file has unknown fields: {', '.join(sorted(unknown))}"
@@ -264,24 +208,24 @@ def _nano_params_from_args(args) -> NanoParams:
     return params
 
 
-def _cmd_gen_nano(command: Command) -> int:
+def _cmd_gen_nano(args) -> int:
     try:
-        model = generate_nano(command.nano, cap=command.cap_joint)
+        model = generate_nano(args.nano, cap=args.cap_joint)
     except CapacityExceeded as err:
         # too large to materialize; emit the size parameters instead so the
         # instance can still be analyzed
-        params = nano_size_params(command.nano)
+        params = nano_size_params(args.nano)
         doc = {"kind": "size-params", **_params_doc(params)}
-        _write(command.output_path, canonical_json(doc))
+        _write(args.out, canonical_json(doc))
         print(
             f"above capacity ({err.measured} > {err.cap} keys); wrote size "
-            f"parameters to {command.output_path}"
+            f"parameters to {args.out}"
         )
         return 0
-    _write(command.output_path, serialize_model(model))
+    _write(args.out, serialize_model(model))
     print(
         f"wrote lifted-decpomdp with {len(model.states)} states and "
-        f"{len(model.partitioning.blocks)} partitions to {command.output_path}"
+        f"{len(model.partitioning.blocks)} partitions to {args.out}"
     )
     return 0
 
@@ -290,39 +234,37 @@ def _lift_chain(model: GroundDecPomdp) -> LiftedDecPomdp:
     return lift(model, symmetry_refine(model, range_partition(model)))
 
 
-def _cmd_lift(command: Command) -> int:
-    model = parse_model(_read(command.input_path))
+def _cmd_lift(args) -> int:
+    model = parse_model(_read(args.input))
     if not isinstance(model, GroundDecPomdp):
         raise InvalidParams("lift needs a decpomdp document")
     lifted = _lift_chain(model)
-    _write(command.output_path, serialize_model(lifted))
+    _write(args.out, serialize_model(lifted))
     sizes = ", ".join(str(s) for s in lifted.partitioning.sizes)
     print(
         f"lifted {len(model.agents)} agents into "
         f"{len(lifted.partitioning.blocks)} partitions (sizes {sizes}); "
-        f"wrote {command.output_path}"
+        f"wrote {args.out}"
     )
     return 0
 
 
-def _cmd_ground(command: Command) -> int:
-    model = parse_model(_read(command.input_path))
+def _cmd_ground(args) -> int:
+    model = parse_model(_read(args.input))
     if not isinstance(model, LiftedDecPomdp):
         raise InvalidParams("ground needs a lifted-decpomdp document")
-    expanded = ground(model, cap=command.cap_joint)
-    _write(command.output_path, serialize_model(expanded))
-    print(
-        f"grounded to {len(expanded.agents)} agents; wrote {command.output_path}"
-    )
+    expanded = ground(model, cap=args.cap_joint)
+    _write(args.out, serialize_model(expanded))
+    print(f"grounded to {len(expanded.agents)} agents; wrote {args.out}")
     return 0
 
 
-def _solve_mdp(model: Mdp, command: Command):
-    table, policy = mdp_value_iteration(model, epsilon=command.epsilon)
+def _solve_mdp(model: Mdp, args):
+    table, policy = mdp_value_iteration(model, epsilon=args.epsilon)
     doc = {
         "kind": "solution",
         "model_kind": "mdp",
-        "epsilon": command.epsilon,
+        "epsilon": args.epsilon,
         "iterations": table.iterations,
         "converged": table.converged,
         "values": table.values,
@@ -339,15 +281,15 @@ def _solve_mdp(model: Mdp, command: Command):
     return doc, lines
 
 
-def _solve_pomdp(model: Pomdp, command: Command):
+def _solve_pomdp(model: Pomdp, args):
     stats: list = []
     vectors = pomdp_plan_iteration(
-        model, command.horizon, cap_plans=command.cap_plans, stats=stats
+        model, args.horizon, cap_plans=args.cap_plans, stats=stats
     )
     doc = {
         "kind": "solution",
         "model_kind": "pomdp",
-        "horizon": command.horizon,
+        "horizon": args.horizon,
         "vectors": [
             {
                 "plan": _plan_doc(v.plan, model.observations),
@@ -360,7 +302,7 @@ def _solve_pomdp(model: Pomdp, command: Command):
             for d, (g, s) in enumerate(stats)
         ],
     }
-    lines = [f"plan iteration to horizon {command.horizon}:"]
+    lines = [f"plan iteration to horizon {args.horizon}:"]
     for d, (g, s) in enumerate(stats):
         lines.append(f"  depth {d + 1}: {g} candidates, {s} undominated")
     lines.append(f"{len(vectors)} value vectors survive")
@@ -391,16 +333,14 @@ def _policy_lines(result, names, obs_ranges):
     return lines
 
 
-def _solve_team(model, command: Command):
-    if command.horizon is None:
-        raise InvalidParams("solve needs --horizon for this model kind")
+def _solve_team(model, args):
     if isinstance(model, LiftedDecPomdp):
         result = lifted_exhaustive(
             model,
-            command.horizon,
-            peak_only=command.peak_only,
-            cap_plans=command.cap_plans,
-            cap_joint=command.cap_joint,
+            args.horizon,
+            peak_only=args.peak_only,
+            cap_plans=args.cap_plans,
+            cap_joint=args.cap_joint,
         )
         names = model.partition_names
         obs_ranges = model.partitioning.observation_ranges
@@ -408,9 +348,9 @@ def _solve_team(model, command: Command):
     else:
         result = decpomdp_exhaustive(
             model,
-            command.horizon,
-            cap_plans=command.cap_plans,
-            cap_joint=command.cap_joint,
+            args.horizon,
+            cap_plans=args.cap_plans,
+            cap_joint=args.cap_joint,
         )
         names = model.agents
         obs_ranges = tuple(model.observations[a] for a in model.agents)
@@ -418,58 +358,57 @@ def _solve_team(model, command: Command):
     doc = {
         "kind": "solution",
         "model_kind": _kind_name(model),
-        "horizon": command.horizon,
+        "horizon": args.horizon,
         "value": result.value,
         "policy": _policy_doc(result, names, obs_ranges, role),
         "statistics": result.statistics,
     }
-    lines = [f"optimal value at horizon {command.horizon}: {float_text(result.value)}"]
+    lines = [f"optimal value at horizon {args.horizon}: {float_text(result.value)}"]
     lines.extend(_policy_lines(result, names, obs_ranges))
     return doc, lines
 
 
-def _cmd_solve(command: Command) -> int:
-    model = parse_model(_read(command.input_path))
-    if isinstance(model, (GroundDecPomdp, LiftedDecPomdp)):
-        doc, lines = _solve_team(model, command)
+def _cmd_solve(args) -> int:
+    model = parse_model(_read(args.input))
+    if _kind_name(model) == "mdp":
+        doc, lines = _solve_mdp(model, args)
+    elif args.horizon is None:
+        raise InvalidParams("solve needs --horizon for this model kind")
     elif isinstance(model, Pomdp):
-        if command.horizon is None:
-            raise InvalidParams("solve needs --horizon for this model kind")
-        doc, lines = _solve_pomdp(model, command)
+        doc, lines = _solve_pomdp(model, args)
     else:
-        doc, lines = _solve_mdp(model, command)
+        doc, lines = _solve_team(model, args)
     for line in lines:
         print(line)
-    if command.output_path:
-        _write(command.output_path, canonical_json(doc))
-        print(f"wrote {command.output_path}")
+    if args.out:
+        _write(args.out, canonical_json(doc))
+        print(f"wrote {args.out}")
     return 0
 
 
-def _cmd_analyze_size(command: Command) -> int:
-    if command.preset:
-        preset = nano_paper_preset() if command.preset == "paper" else nano_desk_preset()
-        params = nano_size_params(preset)
+def _cmd_analyze_size(args) -> int:
+    if args.preset:
+        params = nano_size_params(_PRESETS[args.preset]())
     else:
-        params = params_from_model(parse_model(_read(command.input_path)))
+        params = params_from_model(parse_model(_read(args.input)))
     report = size_report(params)
     _print_size_table(params, report)
-    if command.output_path:
-        _write(command.output_path, canonical_json(_size_doc(params, report)))
-        print(f"wrote {command.output_path}")
+    if args.out:
+        _write(args.out, canonical_json(_size_doc(params, report)))
+        print(f"wrote {args.out}")
     return 0
 
 
-def _cmd_verify_equivalence(command: Command) -> int:
+def _cmd_verify_equivalence(args) -> int:
     result = verify_equivalence(
-        parse_model(_read(command.input_path)),
-        command.horizon,
-        cap_plans=command.cap_plans,
-        cap_joint=command.cap_joint,
+        parse_model(_read(args.input)),
+        args.horizon,
+        cap_plans=args.cap_plans,
+        cap_joint=args.cap_joint,
     )
     doc = {
         "kind": "equivalence-report",
-        "horizon": command.horizon,
+        "horizon": args.horizon,
         "ground_value": result.ground_value,
         "lifted_value": result.lifted_value,
         "delta": result.delta,
@@ -480,32 +419,37 @@ def _cmd_verify_equivalence(command: Command) -> int:
     print(f"lifted value:  {float_text(result.lifted_value)}")
     print(f"difference:    {float_text(result.delta)}")
     print(f"pass:          {'yes' if result.passed else 'no'}")
-    if command.output_path:
-        _write(command.output_path, canonical_json(doc))
-        print(f"wrote {command.output_path}")
+    if args.out:
+        _write(args.out, canonical_json(doc))
+        print(f"wrote {args.out}")
     return 0 if result.passed else 1
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "gen-nano": _cmd_gen_nano,
-    "lift": _cmd_lift,
-    "ground": _cmd_ground,
-    "solve": _cmd_solve,
-    "analyze-size": _cmd_analyze_size,
-    "verify-equivalence": _cmd_verify_equivalence,
-}
+def _check_values(args) -> None:
+    """The checks argparse cannot express, in the order they are reported.
+
+    gen-nano builds its generator parameters first, so their own errors
+    come before these.
+    """
+    if args.name == "gen-nano":
+        args.nano = _nano_params_from_args(args)
+    horizon = getattr(args, "horizon", None)
+    if horizon is not None and horizon < 1:
+        raise InvalidParams("horizon must be an integer >= 1")
+    if not getattr(args, "epsilon", 1.0) > 0:
+        raise InvalidParams("epsilon must be positive")
+    if min(getattr(args, "cap_plans", 1), getattr(args, "cap_joint", 1)) < 1:
+        raise InvalidParams("caps must be positive")
+    if args.name == "analyze-size" and bool(args.input) == bool(args.preset):
+        raise InvalidParams("analyze-size needs a model path or --preset, not both")
 
 
-def run(command: Command) -> int:
-    """Execute one command; returns the process exit code."""
-    return _exit_code(lambda: _HANDLERS[command.name](command))
-
-
-def _exit_code(call) -> int:
-    """call()'s exit code, or the code of the error it raises, reported on stderr."""
+def _exit_code(args) -> int:
+    """The exit code of one parsed invocation; an error it raises is
+    reported on stderr."""
     try:
-        return call()
+        _check_values(args)
+        return args.handler(args)
     except DecliftError as err:
         detail = ""
         if (
@@ -557,9 +501,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="name", required=True, metavar="SUBCOMMAND")
 
     p = sub.add_parser("validate", help="check a model document")
+    p.set_defaults(handler=_cmd_validate)
     p.add_argument("input", help="model file")
 
     p = sub.add_parser("gen-nano", help="generate a nano-delivery instance")
+    p.set_defaults(handler=_cmd_gen_nano)
     p.add_argument("--kappa", type=int, default=None, help="marker type count")
     p.add_argument("--iota", type=int, default=None, help="message type count")
     p.add_argument(
@@ -575,21 +521,24 @@ def build_parser() -> argparse.ArgumentParser:
         "--rates", default=None, help="JSON file of rate and reward overrides"
     )
     p.add_argument(
-        "--preset", choices=("paper", "desk"), default=None, help="named instance"
+        "--preset", choices=_PRESETS, default=None, help="named instance"
     )
     p.add_argument("--out", required=True, help="output model file")
     _add_cap_joint(p)
 
     p = sub.add_parser("lift", help="rewrite a ground team model over counts")
+    p.set_defaults(handler=_cmd_lift)
     p.add_argument("input", help="decpomdp file")
     p.add_argument("--out", required=True, help="output model file")
 
     p = sub.add_parser("ground", help="expand a lifted model to ground form")
+    p.set_defaults(handler=_cmd_ground)
     p.add_argument("input", help="lifted-decpomdp file")
     p.add_argument("--out", required=True, help="output model file")
     _add_cap_joint(p)
 
     p = sub.add_parser("solve", help="solve any model kind")
+    p.set_defaults(handler=_cmd_solve)
     p.add_argument("input", help="model file")
     p.add_argument("--horizon", type=int, default=None, help="plan depth")
     p.add_argument(
@@ -604,9 +553,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_caps(p)
 
     p = sub.add_parser("analyze-size", help="compare table sizes across forms")
+    p.set_defaults(handler=_cmd_analyze_size)
     p.add_argument("input", nargs="?", default=None, help="model file")
     p.add_argument(
-        "--preset", choices=("paper", "desk"), default=None, help="named instance"
+        "--preset", choices=_PRESETS, default=None, help="named instance"
     )
     p.add_argument("--out", default=None, help="write the size report here")
 
@@ -614,6 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-equivalence",
         help="solve ground and lifted forms and compare optima",
     )
+    p.set_defaults(handler=_cmd_verify_equivalence)
     p.add_argument("input", help="decpomdp or lifted-decpomdp file")
     p.add_argument("--horizon", type=int, required=True, help="plan depth")
     p.add_argument("--out", default=None, help="write the report here")
@@ -622,26 +573,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def command_from_args(args: argparse.Namespace) -> Command:
-    fields = {
-        "name": args.name,
-        "input_path": getattr(args, "input", None),
-        "output_path": getattr(args, "out", None),
-        "horizon": getattr(args, "horizon", None),
-        "epsilon": getattr(args, "epsilon", 1e-6),
-        "peak_only": getattr(args, "peak_only", False),
-        "preset": getattr(args, "preset", None),
-        "cap_plans": getattr(args, "cap_plans", DEFAULT_PLAN_CAP),
-        "cap_joint": getattr(args, "cap_joint", DEFAULT_JOINT_CAP),
-    }
-    if args.name == "gen-nano":
-        fields["nano"] = _nano_params_from_args(args)
-    return Command(**fields)
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return _exit_code(lambda: run(command_from_args(args)))
+    return _exit_code(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -118,8 +118,10 @@ def _collapse(codes: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
     codes[t] holds tuple t's label codes, one column per agent, with equal
     labels under equal codes within each block.  Each block's columns are
     sorted and rows with equal bytes form one group, numbered as `_groups`
-    numbers them.
+    numbers them; rows with no columns are all one group.
     """
+    if not codes.shape[1]:
+        return np.zeros(min(len(codes), 1), np.int64), np.zeros(len(codes), np.int64)
     rows = np.concatenate([np.sort(codes[:, list(b)], axis=1) for b in blocks], axis=1)
     rows = np.ascontiguousarray(rows)
     return _groups(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel())
@@ -460,7 +462,8 @@ def _product_keys(ranges, blocks, block_ranges) -> tuple[list, list, list]:
     of a block share, and only each collapsed group's first tuple is keyed.
     """
     joints = list(itertools.product(*ranges))
-    codes = np.indices([len(r) for r in ranges]).reshape(len(ranges), -1).T
+    sizes = [len(r) for r in ranges]
+    codes = np.indices(sizes).reshape(len(ranges), math.prod(sizes)).T
     first, group = _collapse(codes, blocks)
     positions = [range_positions(r) for r in block_ranges]
     keys = [_joint_to_key(joints[t], blocks, positions) for t in first.tolist()]

@@ -258,9 +258,6 @@ class Partitioning:
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.blocks)
 
-    def agent_count(self) -> int:
-        return sum(self.sizes)
-
 
 @dataclass(frozen=True)
 class LiftedDecPomdp:
@@ -414,12 +411,15 @@ def _sparse_clean(row: dict, bad_keys: set) -> bool:
     return abs(math.fsum(values) - 1.0) <= PROB_TOL
 
 
-def _check_team_transitions(out, model, key_ok, row_name: str, key_problem: str) -> int:
+def _check_team_transitions(
+    out, model, key_ok, row_name: str, key_problem: str, n_keys: int, all_keys, cap: int
+) -> None:
     """Report the transition rows of a ground or lifted team model.
 
-    `key_ok` is tested once per distinct key.  Returns how many rows have a
-    known state and a good key: as those keys are distinct, the table is
-    complete exactly when they number |states| x |keys|.
+    `key_ok` is tested once per distinct key.  `all_keys()` lists the
+    `n_keys` keys each state needs a row for; missing rows are looked for
+    only when `n_keys` is at most `cap` and the rows with a known state and
+    a good key, which are distinct, number fewer than |states| x `n_keys`.
     """
     known = set(model.states.labels)
     items = list(model.transition.items())
@@ -436,7 +436,15 @@ def _check_team_transitions(out, model, key_ok, row_name: str, key_problem: str)
         if key in bad_keys:
             out.append(Violation("key", f"{name}: {key_problem}"))
         _check_row(out, name, dist, len(model.states))
-    return len(items) - int(outside.sum())
+    in_range = len(items) - int(outside.sum())
+    if n_keys <= cap and in_range < len(model.states) * n_keys:
+        keys = list(all_keys())
+        for state in model.states:
+            for key in keys:
+                if (state, key) not in model.transition:
+                    out.append(
+                        Violation("missing-row", f"no {row_name} for ({state!r}, {key!r})")
+                    )
 
 
 def _check_team_sensor(out, model, key_ok, row_name: str) -> None:
@@ -556,35 +564,24 @@ def _validate_ground(model: GroundDecPomdp, out: list[Violation], cap: int):
     action_ranges = [model.actions.get(a, ()) for a in model.agents]
     obs_ranges = [model.observations.get(a, ()) for a in model.agents]
 
-    def action_tuple_ok(joint):
+    def tuple_ok(joint, ranges):
         return (
             isinstance(joint, tuple)
             and len(joint) == len(model.agents)
-            and all(v in r for v, r in zip(joint, action_ranges))
+            and all(v in r for v, r in zip(joint, ranges))
         )
 
-    def obs_tuple_ok(joint):
-        return (
-            isinstance(joint, tuple)
-            and len(joint) == len(model.agents)
-            and all(v in r for v, r in zip(joint, obs_ranges))
-        )
-
-    in_range = _check_team_transitions(
-        out, model, action_tuple_ok, "transition row", "joint action outside the ranges"
+    _check_team_transitions(
+        out,
+        model,
+        lambda joint: tuple_ok(joint, action_ranges),
+        "transition row",
+        "joint action outside the ranges",
+        math.prod(len(r) for r in action_ranges),
+        lambda: itertools.product(*action_ranges),
+        cap,
     )
-    n_joint_actions = math.prod(len(r) for r in action_ranges)
-    if n_joint_actions <= cap and in_range < len(model.states) * n_joint_actions:
-        for state in model.states:
-            for joint in itertools.product(*action_ranges):
-                if (state, joint) not in model.transition:
-                    out.append(
-                        Violation(
-                            "missing-row",
-                            f"no transition row for ({state!r}, {joint!r})",
-                        )
-                    )
-    _check_team_sensor(out, model, obs_tuple_ok, "sensor row")
+    _check_team_sensor(out, model, lambda joint: tuple_ok(joint, obs_ranges), "sensor row")
     _check_belief(out, model.initial_belief, model.states)
 
 
@@ -630,25 +627,16 @@ def validate_lifted(model: LiftedDecPomdp, out: list, cap: int = DEFAULT_JOINT_C
                 return False
         return True
 
-    in_range = _check_team_transitions(
+    _check_team_transitions(
         out,
         model,
         lambda key: key_ok(key, part.action_ranges),
         "lifted transition row",
         "malformed histogram key",
+        model.action_key_count(),
+        model.action_keys,
+        cap,
     )
-    n_action_keys = model.action_key_count()
-    if n_action_keys <= cap and in_range < len(model.states) * n_action_keys:
-        action_keys = model.action_keys()
-        for state in model.states:
-            for key in action_keys:
-                if (state, key) not in model.transition:
-                    out.append(
-                        Violation(
-                            "missing-row",
-                            f"no lifted transition row for ({state!r}, {key!r})",
-                        )
-                    )
     _check_team_sensor(
         out,
         model,

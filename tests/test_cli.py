@@ -1,12 +1,14 @@
 """Command line driver: exit codes, artifacts, determinism."""
 
+import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from declift.cli import Command, main
-from declift.errors import InvalidParams
+from declift.cli import main
 from declift.modelio import parse_model, serialize_model
 from declift.models import (
     DiscreteDistribution,
@@ -144,6 +146,14 @@ def test_gen_nano_rejects_unknown_rate(tmp_path, capsys):
     code = main(["gen-nano", "--rates", str(rates), "--out", str(out)])
     assert code == 1
     assert "turbo" in capsys.readouterr().err
+
+
+def test_gen_nano_rates_cannot_set_flag_fields(tmp_path, capsys):
+    rates = tmp_path / "rates.json"
+    rates.write_text('{"marker_types": 2, "discount": 0.5}')
+    code = main(["gen-nano", "--rates", str(rates), "--out", str(tmp_path / "m.json")])
+    assert code == 1
+    assert "rates file has unknown fields: marker_types\n" in capsys.readouterr().err
 
 
 def test_gen_nano_rejects_bad_params(tmp_path, capsys):
@@ -345,15 +355,47 @@ def test_usage_error_exits_one(desk_file, team_file, tmp_path):
         assert exc.value.code == 1
 
 
-def test_command_invariants():
-    with pytest.raises(InvalidParams):
-        Command(name="solve")  # no input path
-    with pytest.raises(InvalidParams):
-        Command(name="solve", input_path="x.json", horizon=0)
-    with pytest.raises(InvalidParams):
-        Command(name="solve", input_path="x.json", epsilon=0.0)
-    with pytest.raises(InvalidParams):
-        Command(name="gen-nano", output_path="x.json")
-    with pytest.raises(InvalidParams):
-        Command(name="nope")
+def test_command_invariants(tmp_path, capsys):
+    # value checks run before the handler opens its input
+    missing = str(tmp_path / "x.json")
+    for argv, message in (
+        (["solve", missing, "--horizon", "0"], "horizon must be an integer >= 1"),
+        (["solve", missing, "--epsilon", "0"], "epsilon must be positive"),
+        (["solve", missing, "--horizon", "1", "--cap-plans", "0"], "caps must be positive"),
+    ):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error [invalid-params]: {message}\n"
+    for argv, message in (
+        (["solve"], "the following arguments are required: input"),
+        (["nope"], "argument SUBCOMMAND: invalid choice: 'nope'"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert f"error [usage]: {message}" in capsys.readouterr().err
+
+
+def test_gen_nano_reports_generator_errors_before_caps(tmp_path, capsys):
+    out = str(tmp_path / "m.json")
+    assert main(["gen-nano", "--kappa", "0", "--cap-joint", "0", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err == "error [invalid-params]: marker_types must be >= 1, got 0\n"
+    assert main(["gen-nano", "--cap-joint", "0", "--out", out]) == 1
+    assert capsys.readouterr().err == "error [invalid-params]: caps must be positive\n"
+
+
+def test_tracer_wrap_points_resolve():
+    # the benchmark tracer wraps these names where the CLI looks them up, so
+    # a refactor that unbinds one would silently drop its metrics
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.LAYERS
+    unbound = [
+        (module, attr)
+        for module, attr, *_ in tracer.LAYERS
+        if not hasattr(importlib.import_module(module), attr)
+    ]
+    assert unbound == []
 

@@ -815,6 +815,17 @@ def test_ground_of_lift_equals_the_model_table_for_table(shape):
             assert back.sensor[state][joint] == pytest.approx(prob, rel=1e-15, abs=0)
 
 
+def test_lift_and_ground_round_trip_a_team_without_agents():
+    # the one joint tuple () is one collapsed group, in both directions
+    model, part = interchangeable_team(np.random.default_rng(0), (), 2, ("x", "y"))
+    lifted = lift(model, part)
+    same_tables(lifted, reference_lift(model, part))
+    back = ground(lifted)
+    same_tables(back, reference_ground(lifted))
+    assert back.transition == model.transition
+    assert back.sensor == model.sensor
+
+
 def outcome(fn, *args):
     """The tables a call returns, or the type, text and detail of its error."""
     try:
