@@ -9,7 +9,10 @@ Argparse describes each subcommand once, in `build_parser`: its
 arguments, their defaults, which of them are required, and its handler,
 which each subparser names with `set_defaults(handler=...)`.  `main`
 parses, runs the value checks argparse cannot express (`_check_values`)
-and hands the parsed namespace to the handler.
+and hands the parsed namespace to the handler.  A handler writes its
+files and returns its exit code and the lines it reports; `_exit_code`
+prints them, so a reader that closes stdout early (`| head -2`) ends the
+output quietly without losing a written file or the exit code.
 
 Exit codes: 0 success, 1 for model or validation problems, 2 when an
 enumeration would exceed its capacity cap.  Errors print one line on
@@ -23,6 +26,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from .errors import (
@@ -44,6 +48,7 @@ from .nano import (
 )
 from .sizes import SizeReport, params_from_model, size_report
 from .solvers import (
+    DEFAULT_EPSILON,
     DEFAULT_JOINT_CAP,
     DEFAULT_PLAN_CAP,
     decpomdp_exhaustive,
@@ -135,39 +140,46 @@ def _size_doc(params, report: SizeReport) -> dict:
     }
 
 
-def _print_size_table(params, report: SizeReport):
+def _size_table_lines(params, report: SizeReport) -> list[str]:
     rows = [
         ("ground", report.ground_transition, report.ground_sensor),
         ("lifted", report.lifted_transition, report.lifted_sensor),
         ("peak-shaped", report.peak_transition, report.peak_sensor),
     ]
-    print(
+    lines = [
         f"instance: {params.states} states, {params.agents} agents, "
-        f"{params.partitions} partitions of {params.partition_size}"
-    )
-    print(f"{'form':<12} {'log2(transition)':>20} {'log2(sensor)':>20}")
+        f"{params.partitions} partitions of {params.partition_size}",
+        f"{'form':<12} {'log2(transition)':>20} {'log2(sensor)':>20}",
+    ]
     for name, t, o in rows:
-        print(f"{name:<12} {float_text(t):>20} {float_text(o):>20}")
+        lines.append(f"{name:<12} {float_text(t):>20} {float_text(o):>20}")
     counts = ", ".join(f"{a}/{o}" for a, o in report.exact_key_counts)
-    print(f"exact keys per partition (actions/observations): {counts}")
+    lines.append(f"exact keys per partition (actions/observations): {counts}")
+    return lines
+
+
+def _with_document(args, doc, lines) -> list[str]:
+    """Write `doc` to the optional `--out` file; the lines to report."""
+    if not args.out:
+        return lines
+    _write(args.out, canonical_json(doc))
+    return [*lines, f"wrote {args.out}"]
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns (exit code, lines for stdout)
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args):
     try:
         model = parse_model(_read(args.input))
     except ValidationError as err:
-        print(err.report if err.report is not None else err)
-        return 1
+        return 1, [str(err.report if err.report is not None else err)]
     extra = ""
     if isinstance(model, LiftedDecPomdp):
         extra = f", {len(model.partitioning.blocks)} partitions"
     elif isinstance(model, GroundDecPomdp):
         extra = f", {len(model.agents)} agents"
-    print(f"ok: {_kind_name(model)} with {len(model.states)} states{extra}")
-    return 0
+    return 0, [f"ok: {_kind_name(model)} with {len(model.states)} states{extra}"]
 
 
 # a rates file may set every generator field but the four the flags set
@@ -208,7 +220,7 @@ def _nano_params_from_args(args) -> NanoParams:
     return params
 
 
-def _cmd_gen_nano(args) -> int:
+def _cmd_gen_nano(args):
     try:
         model = generate_nano(args.nano, cap=args.cap_joint)
     except CapacityExceeded as err:
@@ -217,54 +229,55 @@ def _cmd_gen_nano(args) -> int:
         params = nano_size_params(args.nano)
         doc = {"kind": "size-params", **_params_doc(params)}
         _write(args.out, canonical_json(doc))
-        print(
+        return 0, [
             f"above capacity ({err.measured} > {err.cap} keys); wrote size "
             f"parameters to {args.out}"
-        )
-        return 0
+        ]
     _write(args.out, serialize_model(model))
-    print(
+    return 0, [
         f"wrote lifted-decpomdp with {len(model.states)} states and "
         f"{len(model.partitioning.blocks)} partitions to {args.out}"
-    )
-    return 0
+    ]
 
 
 def _lift_chain(model: GroundDecPomdp) -> LiftedDecPomdp:
     return lift(model, symmetry_refine(model, range_partition(model)))
 
 
-def _cmd_lift(args) -> int:
+def _cmd_lift(args):
     model = parse_model(_read(args.input))
     if not isinstance(model, GroundDecPomdp):
         raise InvalidParams("lift needs a decpomdp document")
     lifted = _lift_chain(model)
     _write(args.out, serialize_model(lifted))
     sizes = ", ".join(str(s) for s in lifted.partitioning.sizes)
-    print(
+    return 0, [
         f"lifted {len(model.agents)} agents into "
         f"{len(lifted.partitioning.blocks)} partitions (sizes {sizes}); "
         f"wrote {args.out}"
-    )
-    return 0
+    ]
 
 
-def _cmd_ground(args) -> int:
+def _cmd_ground(args):
     model = parse_model(_read(args.input))
     if not isinstance(model, LiftedDecPomdp):
         raise InvalidParams("ground needs a lifted-decpomdp document")
     expanded = ground(model, cap=args.cap_joint)
     _write(args.out, serialize_model(expanded))
-    print(f"grounded to {len(expanded.agents)} agents; wrote {args.out}")
-    return 0
+    return 0, [f"grounded to {len(expanded.agents)} agents; wrote {args.out}"]
+
+
+def _given(value, default):
+    return default if value is None else value
 
 
 def _solve_mdp(model: Mdp, args):
-    table, policy = mdp_value_iteration(model, epsilon=args.epsilon)
+    epsilon = _given(args.epsilon, DEFAULT_EPSILON)
+    table, policy = mdp_value_iteration(model, epsilon=epsilon)
     doc = {
         "kind": "solution",
         "model_kind": "mdp",
-        "epsilon": args.epsilon,
+        "epsilon": epsilon,
         "iterations": table.iterations,
         "converged": table.converged,
         "values": table.values,
@@ -284,7 +297,10 @@ def _solve_mdp(model: Mdp, args):
 def _solve_pomdp(model: Pomdp, args):
     stats: list = []
     vectors = pomdp_plan_iteration(
-        model, args.horizon, cap_plans=args.cap_plans, stats=stats
+        model,
+        args.horizon,
+        cap_plans=_given(args.cap_plans, DEFAULT_PLAN_CAP),
+        stats=stats,
     )
     doc = {
         "kind": "solution",
@@ -334,24 +350,19 @@ def _policy_lines(result, names, obs_ranges):
 
 
 def _solve_team(model, args):
+    caps = {
+        "cap_plans": _given(args.cap_plans, DEFAULT_PLAN_CAP),
+        "cap_joint": _given(args.cap_joint, DEFAULT_JOINT_CAP),
+    }
     if isinstance(model, LiftedDecPomdp):
         result = lifted_exhaustive(
-            model,
-            args.horizon,
-            peak_only=args.peak_only,
-            cap_plans=args.cap_plans,
-            cap_joint=args.cap_joint,
+            model, args.horizon, peak_only=bool(args.peak_only), **caps
         )
         names = model.partition_names
         obs_ranges = model.partitioning.observation_ranges
         role = "partition"
     else:
-        result = decpomdp_exhaustive(
-            model,
-            args.horizon,
-            cap_plans=args.cap_plans,
-            cap_joint=args.cap_joint,
-        )
+        result = decpomdp_exhaustive(model, args.horizon, **caps)
         names = model.agents
         obs_ranges = tuple(model.observations[a] for a in model.agents)
         role = "agent"
@@ -368,9 +379,27 @@ def _solve_team(model, args):
     return doc, lines
 
 
-def _cmd_solve(args) -> int:
+# the optional flags `solve` reads for each model kind; the others default
+# to None, so a given flag the kind does not read is refused
+_SOLVE_FLAGS = {
+    "mdp": ("epsilon",),
+    "pomdp": ("horizon", "cap_plans"),
+    "decpomdp": ("horizon", "cap_plans", "cap_joint"),
+    "lifted-decpomdp": ("horizon", "peak_only", "cap_plans", "cap_joint"),
+}
+
+
+def _cmd_solve(args):
     model = parse_model(_read(args.input))
-    if _kind_name(model) == "mdp":
+    kind = _kind_name(model)
+    unread = [
+        "--" + name.replace("_", "-")
+        for name in ("horizon", "epsilon", "peak_only", "cap_plans", "cap_joint")
+        if getattr(args, name) is not None and name not in _SOLVE_FLAGS[kind]
+    ]
+    if unread:
+        raise InvalidParams(f"solve does not read {', '.join(unread)} on {kind} models")
+    if kind == "mdp":
         doc, lines = _solve_mdp(model, args)
     elif args.horizon is None:
         raise InvalidParams("solve needs --horizon for this model kind")
@@ -378,28 +407,20 @@ def _cmd_solve(args) -> int:
         doc, lines = _solve_pomdp(model, args)
     else:
         doc, lines = _solve_team(model, args)
-    for line in lines:
-        print(line)
-    if args.out:
-        _write(args.out, canonical_json(doc))
-        print(f"wrote {args.out}")
-    return 0
+    return 0, _with_document(args, doc, lines)
 
 
-def _cmd_analyze_size(args) -> int:
+def _cmd_analyze_size(args):
     if args.preset:
         params = nano_size_params(_PRESETS[args.preset]())
     else:
         params = params_from_model(parse_model(_read(args.input)))
     report = size_report(params)
-    _print_size_table(params, report)
-    if args.out:
-        _write(args.out, canonical_json(_size_doc(params, report)))
-        print(f"wrote {args.out}")
-    return 0
+    lines = _size_table_lines(params, report)
+    return 0, _with_document(args, _size_doc(params, report), lines)
 
 
-def _cmd_verify_equivalence(args) -> int:
+def _cmd_verify_equivalence(args):
     result = verify_equivalence(
         parse_model(_read(args.input)),
         args.horizon,
@@ -415,14 +436,13 @@ def _cmd_verify_equivalence(args) -> int:
         "pass": result.passed,
         "size_comparison": _size_doc(result.size_params, result.size_comparison),
     }
-    print(f"ground value:  {float_text(result.ground_value)}")
-    print(f"lifted value:  {float_text(result.lifted_value)}")
-    print(f"difference:    {float_text(result.delta)}")
-    print(f"pass:          {'yes' if result.passed else 'no'}")
-    if args.out:
-        _write(args.out, canonical_json(doc))
-        print(f"wrote {args.out}")
-    return 0 if result.passed else 1
+    lines = [
+        f"ground value:  {float_text(result.ground_value)}",
+        f"lifted value:  {float_text(result.lifted_value)}",
+        f"difference:    {float_text(result.delta)}",
+        f"pass:          {'yes' if result.passed else 'no'}",
+    ]
+    return (0 if result.passed else 1), _with_document(args, doc, lines)
 
 
 def _check_values(args) -> None:
@@ -436,9 +456,11 @@ def _check_values(args) -> None:
     horizon = getattr(args, "horizon", None)
     if horizon is not None and horizon < 1:
         raise InvalidParams("horizon must be an integer >= 1")
-    if not getattr(args, "epsilon", 1.0) > 0:
+    epsilon = getattr(args, "epsilon", None)
+    if epsilon is not None and not epsilon > 0:
         raise InvalidParams("epsilon must be positive")
-    if min(getattr(args, "cap_plans", 1), getattr(args, "cap_joint", 1)) < 1:
+    caps = [getattr(args, name, None) for name in ("cap_plans", "cap_joint")]
+    if any(cap is not None and cap < 1 for cap in caps):
         raise InvalidParams("caps must be positive")
     if args.name == "analyze-size" and bool(args.input) == bool(args.preset):
         raise InvalidParams("analyze-size needs a model path or --preset, not both")
@@ -446,10 +468,10 @@ def _check_values(args) -> None:
 
 def _exit_code(args) -> int:
     """The exit code of one parsed invocation; an error it raises is
-    reported on stderr."""
+    reported on stderr, its lines on stdout."""
     try:
         _check_values(args)
-        return args.handler(args)
+        code, lines = args.handler(args)
     except DecliftError as err:
         detail = ""
         if (
@@ -463,6 +485,18 @@ def _exit_code(args) -> int:
     except OSError as err:
         print(f"error [io]: {err}", file=sys.stderr)
         return 1
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout after taking what it wanted; the files are
+        # written, and stdout now points at the null device so the
+        # interpreter's last flush has nowhere to fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -477,23 +511,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_cap_joint(sub):
+def _add_cap_joint(sub, default=DEFAULT_JOINT_CAP):
     sub.add_argument(
         "--cap-joint",
         type=int,
-        default=DEFAULT_JOINT_CAP,
+        default=default,
         help="joint enumeration cap",
     )
 
 
-def _add_caps(sub):
+def _add_caps(sub, plans=DEFAULT_PLAN_CAP, joint=DEFAULT_JOINT_CAP):
     sub.add_argument(
         "--cap-plans",
         type=int,
-        default=DEFAULT_PLAN_CAP,
+        default=plans,
         help="per-range plan enumeration cap",
     )
-    _add_cap_joint(sub)
+    _add_cap_joint(sub, joint)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -540,17 +574,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve any model kind")
     p.set_defaults(handler=_cmd_solve)
     p.add_argument("input", help="model file")
+    # every optional flag defaults to None: `_cmd_solve` refuses one the
+    # model kind does not read, and the solver call fills in its default
     p.add_argument("--horizon", type=int, default=None, help="plan depth")
     p.add_argument(
-        "--epsilon", type=float, default=1e-6, help="value-iteration accuracy"
+        "--epsilon", type=float, default=None, help="value-iteration accuracy"
     )
     p.add_argument(
         "--peak-only",
         action="store_true",
+        default=None,
         help="restrict partitions to one shared plan each",
     )
     p.add_argument("--out", default=None, help="write the solution document here")
-    _add_caps(p)
+    _add_caps(p, plans=None, joint=None)
 
     p = sub.add_parser("analyze-size", help="compare table sizes across forms")
     p.set_defaults(handler=_cmd_analyze_size)

@@ -34,7 +34,8 @@ distribution induced by any permutation-invariant sensor; that split does
 not depend on the state, so it is cached per partition as an allocation
 kernel.  Depth-1 vectors equal the reward, so a depth-2 vector depends only
 on the action histogram the occupancy induces.  Optimal values of the two
-forms therefore agree on liftable models.
+forms therefore agree on liftable models.  A root search at horizon 1 or 2
+values each joint action histogram once, not every candidate behind it.
 
 The POMDP solver is the one-agent case of the same backup step, pruned
 after every depth: `dominance_prune` returns the kept row indices, and
@@ -64,6 +65,7 @@ from .models import DEFAULT_JOINT_CAP, PROB_TOL, GroundDecPomdp, LiftedDecPomdp,
 from .sizes import SizeParams, SizeReport, params_from_model, size_report
 
 DEFAULT_PLAN_CAP = 1_000_000
+DEFAULT_EPSILON = 1e-6
 DOMINANCE_TOL = 1e-12
 LP_TOL = 1e-12
 LP_PIVOT_FACTOR = 50
@@ -118,7 +120,7 @@ class UtilityTable:
 
 
 def mdp_value_iteration(
-    model: Mdp, epsilon: float = 1e-6, max_iterations: int | None = None
+    model: Mdp, epsilon: float = DEFAULT_EPSILON, max_iterations: int | None = None
 ) -> tuple[UtilityTable, dict[str, str]]:
     """Value iteration with the standard contraction stopping rule.
 
@@ -663,8 +665,12 @@ def lifted_exhaustive(
     (depth, occupancy, observation histogram) to child occupancies and
     their probabilities, do not depend on the state and are built once per
     entry.  Depth-1 vectors equal the reward, so a depth-2 vector depends
-    on the action histogram alone and is memoised by it.  Root vectors are
-    not memoised: every candidate is visited once.
+    on the action histogram alone and is memoised by it.  The root search
+    scans per-partition classes, not the product of candidates: at horizon
+    1 or 2 the first candidate of each action histogram in declaration
+    order, so each joint histogram is valued once; deeper, every candidate,
+    whose root vector is not memoised.  `joint_candidates` counts the
+    policy class searched, not the vectors valued.
 
     Raises ValidationError before searching when a state lacks a sensor
     row, a sensor row's mass is not 1, or a (state, action histogram)
@@ -795,21 +801,25 @@ def lifted_exhaustive(
                     counts[i] = counts.get(i, 0) + 1
                 yield tuple(sorted(counts.items()))
 
-    per_partition = [
-        [(occ_k, action_histogram(k, horizon, occ_k)) for occ_k in candidates(k)]
-        for k in range(n_partitions)
-    ]
-    shallow_values: dict = {}
+    # Root classes: the candidates of one partition the root search must
+    # tell apart, each class as its first candidate in declaration order.  A
+    # depth-1 or depth-2 value depends on the action histogram alone, so
+    # there a class is every candidate sharing one; deeper, each candidate
+    # is its own class.  The product of classes visits, in order, the first
+    # candidate of every joint class, so the first strict maximum is the
+    # candidate a scan over the whole product would keep.
+    per_partition = []
+    for k in range(n_partitions):
+        classes: dict = {}
+        for occ_k in candidates(k):
+            hist = action_histogram(k, horizon, occ_k)
+            classes.setdefault(hist if horizon <= 2 else occ_k, (occ_k, hist))
+        per_partition.append(list(classes.values()))
+    evaluate = alpha if horizon <= 2 else backup
     best_occ, best_value = None, None
     for combo in itertools.product(*per_partition):
         occ, action_key = zip(*combo)
-        if horizon > 2:
-            v = value_of(backup(horizon, occ, action_key))
-        else:
-            # depth-1 and depth-2 values depend on the action histogram alone
-            v = shallow_values.get(action_key)
-            if v is None:
-                v = shallow_values[action_key] = value_of(alpha(horizon, occ, action_key))
+        v = value_of(evaluate(horizon, occ, action_key))
         if best_value is None or v > best_value:
             best_occ, best_value = occ, v
 

@@ -3,6 +3,9 @@
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +23,20 @@ from declift.models import (
 )
 from declift.lifting import LiftedDecPomdp
 
-from test_solvers import count_based_team, random_team
+from test_solvers import count_based_team, random_pomdp, random_team
+
+CHAIN_MDP = {
+    "kind": "mdp",
+    "states": ["s0", "s1"],
+    "actions": {"s0": ["stay", "hop"], "s1": ["stay"]},
+    "discount": 0.9,
+    "transition": [
+        {"state": "s0", "action": "stay", "next": {"s0": 1.0}},
+        {"state": "s0", "action": "hop", "next": {"s1": 1.0}},
+        {"state": "s1", "action": "stay", "next": {"s1": 1.0}},
+    ],
+    "reward": {"s0": 0.0, "s1": 1.0},
+}
 
 
 @pytest.fixture
@@ -199,20 +215,8 @@ def test_ground_capacity_exit(desk_file, tmp_path, capsys):
 
 
 def test_solve_mdp(tmp_path, capsys):
-    doc = {
-        "kind": "mdp",
-        "states": ["s0", "s1"],
-        "actions": {"s0": ["stay", "hop"], "s1": ["stay"]},
-        "discount": 0.9,
-        "transition": [
-            {"state": "s0", "action": "stay", "next": {"s0": 1.0}},
-            {"state": "s0", "action": "hop", "next": {"s1": 1.0}},
-            {"state": "s1", "action": "stay", "next": {"s1": 1.0}},
-        ],
-        "reward": {"s0": 0.0, "s1": 1.0},
-    }
     path = tmp_path / "chain.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(CHAIN_MDP))
     out = tmp_path / "sol.json"
     assert main(["solve", str(path), "--out", str(out)]) == 0
     solution = json.loads(out.read_text())
@@ -266,6 +270,112 @@ def test_solve_capacity_exit(desk_file, capsys):
     code = main(["solve", desk_file, "--horizon", "3", "--cap-joint", "5"])
     assert code == 2
     assert "error [capacity]" in capsys.readouterr().err
+
+
+# the optional flags solve reads per model kind; --horizon is passed to every
+# kind but the MDP, which it does not read
+SOLVE_READS = {
+    "mdp": {"--epsilon"},
+    "pomdp": {"--horizon", "--cap-plans"},
+    "decpomdp": {"--horizon", "--cap-plans", "--cap-joint"},
+    "lifted-decpomdp": {"--horizon", "--peak-only", "--cap-plans", "--cap-joint"},
+}
+SOLVE_FLAGS = {
+    "--horizon": ["--horizon", "1"],
+    "--epsilon": ["--epsilon", "1e-6"],
+    "--peak-only": ["--peak-only"],
+    "--cap-plans": ["--cap-plans", "1000000"],
+    "--cap-joint": ["--cap-joint", "10000000"],
+}
+
+
+@pytest.fixture
+def kind_files(tmp_path, team_file, desk_file):
+    mdp = tmp_path / "chain.json"
+    mdp.write_text(json.dumps(CHAIN_MDP))
+    pomdp = tmp_path / "pomdp.json"
+    pomdp.write_text(serialize_model(random_pomdp(np.random.default_rng(0))))
+    return {
+        "mdp": str(mdp),
+        "pomdp": str(pomdp),
+        "decpomdp": team_file,
+        "lifted-decpomdp": desk_file,
+    }
+
+
+@pytest.mark.parametrize("flag", SOLVE_FLAGS)
+@pytest.mark.parametrize("kind", SOLVE_READS)
+def test_solve_refuses_flags_its_model_kind_does_not_read(kind, flag, kind_files, capsys):
+    base = ["solve", kind_files[kind]]
+    if kind != "mdp":
+        base += SOLVE_FLAGS["--horizon"]
+    assert main(base) == 0
+    plain = capsys.readouterr()
+    if flag == "--horizon" and kind != "mdp":
+        return
+    code = main(base + SOLVE_FLAGS[flag])
+    captured = capsys.readouterr()
+    if flag in SOLVE_READS[kind]:
+        # a read flag given at its default value changes nothing
+        assert code == 0
+        assert captured.out == plain.out and captured.err == ""
+    else:
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"error [invalid-params]: solve does not read {flag} on {kind} models\n"
+        )
+
+
+def test_solve_names_every_unread_flag_in_declaration_order(kind_files, capsys):
+    argv = ["solve", kind_files["mdp"], "--cap-joint", "3", "--peak-only", "--horizon", "2"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error [invalid-params]: solve does not read --horizon, --peak-only, "
+        "--cap-joint on mdp models\n"
+    )
+
+
+def _run_with_closed_stdout(argv, buffered):
+    # the read end of stdout's pipe is closed before the command starts, as
+    # when `declift ... | head -2` has already taken its lines
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")])
+    )
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "declift.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+def test_closed_stdout_ends_quietly_and_keeps_the_document(team_file, tmp_path, buffered):
+    out = tmp_path / "sol.json"
+    code, err = _run_with_closed_stdout(
+        ["solve", team_file, "--horizon", "2", "--out", str(out)], buffered
+    )
+    assert (code, err) == (0, "")
+    reference = tmp_path / "reference.json"
+    assert main(["solve", team_file, "--horizon", "2", "--out", str(reference)]) == 0
+    assert out.read_bytes() == reference.read_bytes()
+
+
+def test_closed_stdout_keeps_the_exit_code(tmp_path):
+    doc = json.loads(serialize_model(count_based_team()))
+    doc["discount"] = 1.5
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert _run_with_closed_stdout(["validate", str(path)], buffered=False) == (1, "")
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,7 @@ from declift.models import (
     validate_model,
 )
 from declift import solvers
+from declift.nano import generate_nano, nano_desk_preset
 from declift.solvers import (
     DOMINANCE_TOL,
     ConditionalPlan,
@@ -1191,6 +1193,128 @@ def test_lifted_leaf_actions_tie_break_to_first_action(sizes, horizon):
     for entry in result.policy.plans:
         for plan, _ in entry:
             assert leaves(plan) == {"x"}
+
+
+def product_order_root_scan(model, horizon, peak_only=False):
+    """A horizon-1 or -2 root search over every joint candidate in product order.
+
+    At those horizons a candidate is worth the reward, or the reward plus
+    one discounted transition of it under the candidate's action histogram.
+    Returns the value, policy plans and statistics of the first strict
+    maximum, valued with the solver's own expression.
+    """
+    part = model.partitioning
+    states = list(model.states)
+    reward = np.array([model.reward[s] for s in states])
+    b0 = model.initial_belief.probs
+    support = np.nonzero(b0)[0]
+    pools, per_partition = [], []
+    for actions, observations, size in zip(
+        part.action_ranges, part.observation_ranges, part.sizes
+    ):
+        plans = enumerate_plans(actions, len(observations), horizon)
+        pools.append(plans)
+        indices = range(len(plans))
+        if peak_only:
+            per_partition.append([(i,) * size for i in indices])
+        else:
+            per_partition.append(list(itertools.combinations_with_replacement(indices, size)))
+    vectors: dict = {}
+    best = None
+    for combo in itertools.product(*per_partition):
+        key = tuple(
+            tuple(sum(pools[k][i].action == a for i in multiset) for a in part.action_ranges[k])
+            for k, multiset in enumerate(combo)
+        )
+        if key not in vectors:
+            vec = reward
+            if horizon == 2:
+                trans = np.array([model.transition[(s, key)].probs for s in states])
+                vec = reward + model.discount * trans.dot(reward)
+            vectors[key] = math.fsum((b0[support] * vec[support]).tolist())
+        if best is None or vectors[key] > best[0]:
+            best = (vectors[key], combo)
+    value, combo = best
+    plans = tuple(
+        tuple((pools[k][i], multiset.count(i)) for i in sorted(set(multiset)))
+        for k, multiset in enumerate(combo)
+    )
+    statistics = {
+        "per_partition_plans": [len(plans_k) for plans_k in pools],
+        "per_partition_candidates": [len(c) for c in per_partition],
+        "joint_candidates": math.prod(len(c) for c in per_partition),
+        "peak_only": peak_only,
+    }
+    return value, plans, statistics
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.sampled_from(
+        [(1,), (2,), (3,), (1, 1), (2, 1), (1, 2), (2, 2), (1, 1, 1), (2, 1, 1)]
+    ),
+    horizon=st.sampled_from([1, 2]),
+    peak_only=st.booleans(),
+)
+def test_shallow_root_search_matches_the_product_order_scan(seed, sizes, horizon, peak_only):
+    # the solver values each joint action histogram once; the reference
+    # scans every candidate, so value bits, tie-broken policy and
+    # statistics must all agree
+    lifted = random_lifted(np.random.default_rng(seed), sizes)
+    result = lifted_exhaustive(lifted, horizon, peak_only=peak_only)
+    value, plans, statistics = product_order_root_scan(lifted, horizon, peak_only)
+    assert result.value.hex() == value.hex()
+    assert result.policy.plans == plans
+    assert result.statistics == statistics
+
+
+def test_shallow_root_ties_fall_to_the_first_partitions_first_candidate():
+    # two singleton partitions over actions (x, y): the joint histograms
+    # (x, y) and (y, x) tie for the optimum.  A depth-2 pool holds plans
+    # 0-3 with action x and 4-7 with y, so (x, y) is first met at candidate
+    # (0, 4) and (y, x) at (4, 0): partition 0 decides for (x, y), although
+    # partition 1 alone would pick (y, x)
+    lifted = random_lifted(np.random.default_rng(2), (1, 1))
+    to_s0 = DiscreteDistribution(np.array([1.0, 0.0]))
+    to_s1 = DiscreteDistribution(np.array([0.0, 1.0]))
+    x, y = (1, 0), (0, 1)
+    rows = {(x, y): to_s0, (y, x): to_s0, (x, x): to_s1, (y, y): to_s1}
+    tied = dataclasses.replace(
+        lifted,
+        transition={(s, key): rows[key] for s in lifted.states for key in rows},
+        reward={"s0": 1.0, "s1": 0.0},
+    )
+    result = lifted_exhaustive(tied, 2)
+    plans = enumerate_plans(("x", "y"), 2, 2)
+    assert result.policy.plans == (((plans[0], 1),), ((plans[4], 1),))
+    value, reference_plans, _ = product_order_root_scan(tied, 2)
+    assert (result.value, result.policy.plans) == (value, reference_plans)
+
+
+def test_shallow_root_search_values_each_joint_histogram_once(monkeypatch):
+    # the size-4 desk preset at horizon 2: two partitions of 330 plan
+    # multisets each, whose actions form 5 histograms each
+    model = generate_nano(dataclasses.replace(nano_desk_preset(), partition_size=4))
+    yielded = []
+
+    def product(*iterables):
+        for combo in itertools.product(*iterables):
+            yielded.append(combo)
+            yield combo
+
+    monkeypatch.setattr(
+        solvers,
+        "itertools",
+        types.SimpleNamespace(
+            product=product,
+            combinations_with_replacement=itertools.combinations_with_replacement,
+        ),
+    )
+    result = lifted_exhaustive(model, 2)
+    assert len(yielded) == 25
+    assert result.statistics["joint_candidates"] == 108_900
+    assert result.value == 0.0
 
 
 @settings(max_examples=30, deadline=None)
