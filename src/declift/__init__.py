@@ -8,153 +8,112 @@ lifted form.  The modules here provide the two representations, the
 compilers between them, exact solvers for both, the table-size algebra
 that quantifies the gap, and a parameterized generator for a nanoscale
 drug-delivery scenario that motivates the whole exercise.
+
+Importing the package loads none of its modules: `_EXPORTS` names the
+module of each public name, and the first use of a name imports that
+module alone (PEP 562).  `counting`, `errors`, `sizes` and `nano` load
+no numpy; the model types, the model format, lifting and the solvers do.
 """
 
-from .counting import (
-    enumerate_histograms,
-    format_histogram_tuple_key,
-    histogram_count,
-    histogram_multiplicity,
-    is_peak_shaped,
-    parse_histogram_key,
-    parse_histogram_tuple_key,
-    range_positions,
-    tuple_to_histogram,
-)
-from .errors import (
-    CapacityExceeded,
-    DecliftError,
-    InvalidParams,
-    NonConvergent,
-    NotLiftable,
-    ParseError,
-    RangeMismatch,
-    SchemaError,
-    ValidationError,
-    ZeroProbabilityObservation,
-)
-from .lifting import ground, lift, range_partition, symmetry_refine
-from .modelio import canonical_json, parse_model, serialize_model
-from .models import (
-    Belief,
-    DiscreteDistribution,
-    GroundDecPomdp,
-    LiftedDecPomdp,
-    Mdp,
-    Partitioning,
-    Pomdp,
-    StateSpace,
-    ValidationReport,
-    belief_update,
-    joint_space,
-    joint_space_size,
-    validate_lifted,
-    validate_model,
-)
-from .nano import (
-    NanoParams,
-    NanoState,
-    generate_nano,
-    nano_desk_preset,
-    nano_paper_preset,
-    nano_size_params,
-    nano_states,
-)
-from .sizes import (
-    SizeParams,
-    SizeReport,
-    ground_sizes,
-    lifted_sizes,
-    params_from_model,
-    peak_sizes,
-    size_report,
-)
-from .solvers import (
-    ConditionalPlan,
-    EquivalenceReport,
-    JointPolicy,
-    PlanValueVector,
-    SolveResult,
-    UtilityTable,
-    decpomdp_exhaustive,
-    dominance_prune,
-    enumerate_plans,
-    lifted_exhaustive,
-    mdp_value_iteration,
-    plan_count,
-    pomdp_plan_iteration,
-    verify_equivalence,
-)
+from __future__ import annotations
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Belief",
-    "CapacityExceeded",
-    "ConditionalPlan",
-    "DecliftError",
-    "DiscreteDistribution",
-    "EquivalenceReport",
-    "GroundDecPomdp",
-    "InvalidParams",
-    "JointPolicy",
-    "LiftedDecPomdp",
-    "Mdp",
-    "NanoParams",
-    "NanoState",
-    "NonConvergent",
-    "NotLiftable",
-    "ParseError",
-    "Partitioning",
-    "PlanValueVector",
-    "Pomdp",
-    "RangeMismatch",
-    "SchemaError",
-    "SizeParams",
-    "SizeReport",
-    "SolveResult",
-    "StateSpace",
-    "UtilityTable",
-    "ValidationError",
-    "ValidationReport",
-    "ZeroProbabilityObservation",
-    "belief_update",
-    "canonical_json",
-    "decpomdp_exhaustive",
-    "dominance_prune",
-    "enumerate_histograms",
-    "enumerate_plans",
-    "format_histogram_tuple_key",
-    "generate_nano",
-    "ground",
-    "ground_sizes",
-    "histogram_count",
-    "histogram_multiplicity",
-    "is_peak_shaped",
-    "joint_space",
-    "joint_space_size",
-    "lift",
-    "lifted_exhaustive",
-    "lifted_sizes",
-    "mdp_value_iteration",
-    "nano_desk_preset",
-    "nano_paper_preset",
-    "nano_size_params",
-    "nano_states",
-    "params_from_model",
-    "parse_histogram_key",
-    "parse_histogram_tuple_key",
-    "parse_model",
-    "peak_sizes",
-    "plan_count",
-    "pomdp_plan_iteration",
-    "range_partition",
-    "range_positions",
-    "serialize_model",
-    "size_report",
-    "symmetry_refine",
-    "tuple_to_histogram",
-    "validate_lifted",
-    "validate_model",
-    "verify_equivalence",
-]
+# the module that defines each public name
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "counting": (
+            "enumerate_histograms",
+            "format_histogram_tuple_key",
+            "histogram_count",
+            "histogram_multiplicity",
+            "is_peak_shaped",
+            "parse_histogram_key",
+            "parse_histogram_tuple_key",
+            "range_positions",
+            "tuple_to_histogram",
+        ),
+        "errors": (
+            "CapacityExceeded",
+            "DecliftError",
+            "InvalidParams",
+            "NonConvergent",
+            "NotLiftable",
+            "ParseError",
+            "RangeMismatch",
+            "SchemaError",
+            "ValidationError",
+            "ZeroProbabilityObservation",
+        ),
+        "lifting": ("ground", "lift", "range_partition", "symmetry_refine"),
+        "modelio": ("canonical_json", "parse_model", "serialize_model"),
+        "models": (
+            "Belief",
+            "DiscreteDistribution",
+            "GroundDecPomdp",
+            "LiftedDecPomdp",
+            "Mdp",
+            "Partitioning",
+            "Pomdp",
+            "StateSpace",
+            "ValidationReport",
+            "belief_update",
+            "validate_lifted",
+            "validate_model",
+        ),
+        "nano": (
+            "NanoParams",
+            "NanoState",
+            "generate_nano",
+            "nano_desk_preset",
+            "nano_paper_preset",
+            "nano_size_params",
+            "nano_states",
+        ),
+        "sizes": (
+            "SizeParams",
+            "SizeReport",
+            "ground_sizes",
+            "lifted_sizes",
+            "params_from_model",
+            "peak_sizes",
+            "size_report",
+        ),
+        "solvers": (
+            "ConditionalPlan",
+            "EquivalenceReport",
+            "JointPolicy",
+            "PlanValueVector",
+            "SolveResult",
+            "UtilityTable",
+            "decpomdp_exhaustive",
+            "dominance_prune",
+            "enumerate_plans",
+            "lifted_exhaustive",
+            "mdp_value_iteration",
+            "plan_count",
+            "pomdp_plan_iteration",
+            "verify_equivalence",
+        ),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    """Import the module of a public name on its first use and bind the name."""
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    # what `from .<module> import <name>` runs, so `-X importtime` reports it
+    source = __import__(module, globals(), fromlist=(name,), level=1)
+    value = globals()[name] = getattr(source, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

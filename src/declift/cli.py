@@ -29,6 +29,7 @@ import json
 import os
 import sys
 
+from .counting import DEFAULT_JOINT_CAP, DEFAULT_PLAN_CAP, float_text
 from .errors import (
     CapacityExceeded,
     DecliftError,
@@ -36,29 +37,29 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .lifting import ground, lift, range_partition, symmetry_refine
-from .modelio import canonical_json, float_text, parse_model, serialize_model
-from .models import GroundDecPomdp, LiftedDecPomdp, Mdp, Pomdp
-from .nano import (
-    NanoParams,
-    generate_nano,
-    nano_desk_preset,
-    nano_paper_preset,
-    nano_size_params,
-)
-from .sizes import SizeReport, params_from_model, size_report
-from .solvers import (
-    DEFAULT_EPSILON,
-    DEFAULT_JOINT_CAP,
-    DEFAULT_PLAN_CAP,
-    decpomdp_exhaustive,
-    lifted_exhaustive,
-    mdp_value_iteration,
-    pomdp_plan_iteration,
-    verify_equivalence,
-)
 
-_PRESETS = {"paper": nano_paper_preset, "desk": nano_desk_preset}
+# The package's public names are attributes of this module too, each bound
+# on its first use by `__getattr__`, and the handlers reach them through
+# `_cli`, this module.  So a subcommand imports only the modules it runs
+# (`analyze-size --preset` loads no numpy, `validate` no solver), and a
+# wrapper set on one of these attributes is the function its handler calls.
+_package = sys.modules[__package__]
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _package.__all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_package, name)
+    return value
+
+
+# the named nano instances: preset name -> the function that builds it
+_PRESETS = {"paper": "nano_paper_preset", "desk": "nano_desk_preset"}
+
+
+def _preset(name: str):
+    return getattr(_cli, _PRESETS[name])()
 
 
 # ---------------------------------------------------------------------------
@@ -75,11 +76,11 @@ def _write(path: str, text: str):
 
 
 def _kind_name(model) -> str:
-    if isinstance(model, LiftedDecPomdp):
+    if isinstance(model, _cli.LiftedDecPomdp):
         return "lifted-decpomdp"
-    if isinstance(model, GroundDecPomdp):
+    if isinstance(model, _cli.GroundDecPomdp):
         return "decpomdp"
-    if isinstance(model, Pomdp):
+    if isinstance(model, _cli.Pomdp):
         return "pomdp"
     return "mdp"
 
@@ -115,7 +116,7 @@ def _params_doc(params) -> dict:
     }
 
 
-def _size_doc(params, report: SizeReport) -> dict:
+def _size_doc(params, report) -> dict:
     return {
         "kind": "size-report",
         "params": _params_doc(params),
@@ -140,7 +141,7 @@ def _size_doc(params, report: SizeReport) -> dict:
     }
 
 
-def _size_table_lines(params, report: SizeReport) -> list[str]:
+def _size_table_lines(params, report) -> list[str]:
     rows = [
         ("ground", report.ground_transition, report.ground_sensor),
         ("lifted", report.lifted_transition, report.lifted_sensor),
@@ -162,7 +163,7 @@ def _with_document(args, doc, lines) -> list[str]:
     """Write `doc` to the optional `--out` file; the lines to report."""
     if not args.out:
         return lines
-    _write(args.out, canonical_json(doc))
+    _write(args.out, _cli.canonical_json(doc))
     return [*lines, f"wrote {args.out}"]
 
 
@@ -171,28 +172,23 @@ def _with_document(args, doc, lines) -> list[str]:
 
 def _cmd_validate(args):
     try:
-        model = parse_model(_read(args.input))
+        model = _cli.parse_model(_read(args.input))
     except ValidationError as err:
         return 1, [str(err.report if err.report is not None else err)]
     extra = ""
-    if isinstance(model, LiftedDecPomdp):
+    if isinstance(model, _cli.LiftedDecPomdp):
         extra = f", {len(model.partitioning.blocks)} partitions"
-    elif isinstance(model, GroundDecPomdp):
+    elif isinstance(model, _cli.GroundDecPomdp):
         extra = f", {len(model.agents)} agents"
     return 0, [f"ok: {_kind_name(model)} with {len(model.states)} states{extra}"]
 
 
-# a rates file may set every generator field but the four the flags set
-_RATE_FIELDS = {f.name for f in dataclasses.fields(NanoParams)} - {
-    "marker_types",
-    "message_types",
-    "partition_size",
-    "release_threshold",
-}
+# the generator fields the flags set; a rates file may set every other one
+_FLAG_FIELDS = {"marker_types", "message_types", "partition_size", "release_threshold"}
 
 
-def _nano_params_from_args(args) -> NanoParams:
-    params = _PRESETS[args.preset]() if args.preset else NanoParams()
+def _nano_params_from_args(args):
+    params = _preset(args.preset) if args.preset else _cli.NanoParams()
     if args.rates:
         try:
             rates = json.loads(_read(args.rates))
@@ -200,7 +196,8 @@ def _nano_params_from_args(args) -> NanoParams:
             raise SchemaError(f"rates file is not valid JSON: {err}") from None
         if not isinstance(rates, dict):
             raise SchemaError("rates file must hold one JSON object")
-        unknown = set(rates) - _RATE_FIELDS
+        fields = {f.name for f in dataclasses.fields(params)} - _FLAG_FIELDS
+        unknown = set(rates) - fields
         if unknown:
             raise SchemaError(
                 f"rates file has unknown fields: {', '.join(sorted(unknown))}"
@@ -222,34 +219,34 @@ def _nano_params_from_args(args) -> NanoParams:
 
 def _cmd_gen_nano(args):
     try:
-        model = generate_nano(args.nano, cap=args.cap_joint)
+        model = _cli.generate_nano(args.nano, cap=args.cap_joint)
     except CapacityExceeded as err:
         # too large to materialize; emit the size parameters instead so the
         # instance can still be analyzed
-        params = nano_size_params(args.nano)
+        params = _cli.nano_size_params(args.nano)
         doc = {"kind": "size-params", **_params_doc(params)}
-        _write(args.out, canonical_json(doc))
+        _write(args.out, _cli.canonical_json(doc))
         return 0, [
             f"above capacity ({err.measured} > {err.cap} keys); wrote size "
             f"parameters to {args.out}"
         ]
-    _write(args.out, serialize_model(model))
+    _write(args.out, _cli.serialize_model(model))
     return 0, [
         f"wrote lifted-decpomdp with {len(model.states)} states and "
         f"{len(model.partitioning.blocks)} partitions to {args.out}"
     ]
 
 
-def _lift_chain(model: GroundDecPomdp) -> LiftedDecPomdp:
-    return lift(model, symmetry_refine(model, range_partition(model)))
+def _lift_chain(model):
+    return _cli.lift(model, _cli.symmetry_refine(model, _cli.range_partition(model)))
 
 
 def _cmd_lift(args):
-    model = parse_model(_read(args.input))
-    if not isinstance(model, GroundDecPomdp):
+    model = _cli.parse_model(_read(args.input))
+    if not isinstance(model, _cli.GroundDecPomdp):
         raise InvalidParams("lift needs a decpomdp document")
     lifted = _lift_chain(model)
-    _write(args.out, serialize_model(lifted))
+    _write(args.out, _cli.serialize_model(lifted))
     sizes = ", ".join(str(s) for s in lifted.partitioning.sizes)
     return 0, [
         f"lifted {len(model.agents)} agents into "
@@ -259,11 +256,11 @@ def _cmd_lift(args):
 
 
 def _cmd_ground(args):
-    model = parse_model(_read(args.input))
-    if not isinstance(model, LiftedDecPomdp):
+    model = _cli.parse_model(_read(args.input))
+    if not isinstance(model, _cli.LiftedDecPomdp):
         raise InvalidParams("ground needs a lifted-decpomdp document")
-    expanded = ground(model, cap=args.cap_joint)
-    _write(args.out, serialize_model(expanded))
+    expanded = _cli.ground(model, cap=args.cap_joint)
+    _write(args.out, _cli.serialize_model(expanded))
     return 0, [f"grounded to {len(expanded.agents)} agents; wrote {args.out}"]
 
 
@@ -271,9 +268,11 @@ def _given(value, default):
     return default if value is None else value
 
 
-def _solve_mdp(model: Mdp, args):
+def _solve_mdp(model, args):
+    from .solvers import DEFAULT_EPSILON
+
     epsilon = _given(args.epsilon, DEFAULT_EPSILON)
-    table, policy = mdp_value_iteration(model, epsilon=epsilon)
+    table, policy = _cli.mdp_value_iteration(model, epsilon=epsilon)
     doc = {
         "kind": "solution",
         "model_kind": "mdp",
@@ -294,9 +293,9 @@ def _solve_mdp(model: Mdp, args):
     return doc, lines
 
 
-def _solve_pomdp(model: Pomdp, args):
+def _solve_pomdp(model, args):
     stats: list = []
-    vectors = pomdp_plan_iteration(
+    vectors = _cli.pomdp_plan_iteration(
         model,
         args.horizon,
         cap_plans=_given(args.cap_plans, DEFAULT_PLAN_CAP),
@@ -354,15 +353,15 @@ def _solve_team(model, args):
         "cap_plans": _given(args.cap_plans, DEFAULT_PLAN_CAP),
         "cap_joint": _given(args.cap_joint, DEFAULT_JOINT_CAP),
     }
-    if isinstance(model, LiftedDecPomdp):
-        result = lifted_exhaustive(
+    if isinstance(model, _cli.LiftedDecPomdp):
+        result = _cli.lifted_exhaustive(
             model, args.horizon, peak_only=bool(args.peak_only), **caps
         )
         names = model.partition_names
         obs_ranges = model.partitioning.observation_ranges
         role = "partition"
     else:
-        result = decpomdp_exhaustive(model, args.horizon, **caps)
+        result = _cli.decpomdp_exhaustive(model, args.horizon, **caps)
         names = model.agents
         obs_ranges = tuple(model.observations[a] for a in model.agents)
         role = "agent"
@@ -390,7 +389,7 @@ _SOLVE_FLAGS = {
 
 
 def _cmd_solve(args):
-    model = parse_model(_read(args.input))
+    model = _cli.parse_model(_read(args.input))
     kind = _kind_name(model)
     unread = [
         "--" + name.replace("_", "-")
@@ -403,7 +402,7 @@ def _cmd_solve(args):
         doc, lines = _solve_mdp(model, args)
     elif args.horizon is None:
         raise InvalidParams("solve needs --horizon for this model kind")
-    elif isinstance(model, Pomdp):
+    elif isinstance(model, _cli.Pomdp):
         doc, lines = _solve_pomdp(model, args)
     else:
         doc, lines = _solve_team(model, args)
@@ -412,17 +411,17 @@ def _cmd_solve(args):
 
 def _cmd_analyze_size(args):
     if args.preset:
-        params = nano_size_params(_PRESETS[args.preset]())
+        params = _cli.nano_size_params(_preset(args.preset))
     else:
-        params = params_from_model(parse_model(_read(args.input)))
-    report = size_report(params)
+        params = _cli.params_from_model(_cli.parse_model(_read(args.input)))
+    report = _cli.size_report(params)
     lines = _size_table_lines(params, report)
     return 0, _with_document(args, _size_doc(params, report), lines)
 
 
 def _cmd_verify_equivalence(args):
-    result = verify_equivalence(
-        parse_model(_read(args.input)),
+    result = _cli.verify_equivalence(
+        _cli.parse_model(_read(args.input)),
         args.horizon,
         cap_plans=args.cap_plans,
         cap_joint=args.cap_joint,

@@ -10,6 +10,7 @@ tuples, and the serialized key syntax used in model files.
 A histogram is a plain tuple of counts, ``counts[i]`` members holding the
 i-th value of the range; a lifted key is a tuple of those, one per
 partition, e.g. ``((2, 0), (1, 1))``, serialized as ``[2,0]|[1,1]``.
+Numbers in model files and CLI reports are written by `float_text`.
 
 Counts are exact big integers throughout; the group sizes of interest make
 anything float-based useless (factorials of tens of thousands).
@@ -23,7 +24,11 @@ from typing import Iterator, Sequence
 
 from .errors import CapacityExceeded, RangeMismatch, SchemaError
 
-DEFAULT_ENUMERATION_CAP = 10_000_000
+# The package's default caps.  They live here, in a module that loads no
+# numpy, so the command line can declare its flag defaults without
+# importing the solvers.
+DEFAULT_JOINT_CAP = 10_000_000
+DEFAULT_PLAN_CAP = 1_000_000
 
 
 def histogram_count(partition_size: int, range_size: int) -> int:
@@ -40,7 +45,7 @@ def histogram_count(partition_size: int, range_size: int) -> int:
 
 
 def enumerate_histograms(
-    partition_size: int, range_size: int, cap: int = DEFAULT_ENUMERATION_CAP
+    partition_size: int, range_size: int, cap: int = DEFAULT_JOINT_CAP
 ) -> Iterator[tuple[int, ...]]:
     """Yield every histogram of `partition_size` members over `range_size` values.
 
@@ -159,3 +164,8 @@ def parse_histogram_key(key: str) -> tuple[int, ...]:
 def parse_histogram_tuple_key(key: str) -> tuple[tuple[int, ...], ...]:
     """Parse a ``[2,0]|[1,1]`` style key, one histogram per partition."""
     return tuple(parse_histogram_key(p) for p in key.split("|"))
+
+
+def float_text(value: float) -> str:
+    """A float in 17 significant digits; -0.0 becomes 0.0 so the text round-trips."""
+    return format(value + 0.0, ".17g")

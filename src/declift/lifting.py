@@ -39,6 +39,7 @@ from operator import itemgetter
 import numpy as np
 
 from .counting import (
+    DEFAULT_JOINT_CAP,
     histogram_multiplicity,
     range_positions,
     tuple_to_histogram,
@@ -47,7 +48,6 @@ from .errors import CapacityExceeded, NotLiftable, RangeMismatch
 # the lifted types and their validator live in models; importing them here
 # keeps `declift.lifting.LiftedDecPomdp` and the like working
 from .models import (
-    DEFAULT_JOINT_CAP,
     PROB_TOL,
     GroundDecPomdp,
     LiftedDecPomdp,

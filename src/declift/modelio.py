@@ -14,9 +14,10 @@ serializing the result reproduces the document byte for byte.
 
 Both directions work a table at a time, and a table holds each distinct
 row once.  The parser reads every entry of a transition or dense sensor
-table first and screens each row object's labels and value types; it
-then stacks only the distinct rows into one (distinct rows x width)
-array, canonicalises them with one `canonical_rows` call, and gives every
+table first, groups its row objects by their items and screens the
+labels and value types of each group once; it then stacks only the
+distinct rows into one (distinct rows x width) array, canonicalises
+them with one `canonical_rows` call, and gives every
 entry whose row read to the same float64 bytes the same distribution
 object (so 0.0 and -0.0 stay apart).  The initial belief is a one-row
 table on the same path.  Key texts are parsed once per distinct text.
@@ -43,7 +44,7 @@ import json
 
 import numpy as np
 
-from .counting import format_histogram_tuple_key, parse_histogram_tuple_key
+from .counting import float_text, format_histogram_tuple_key, parse_histogram_tuple_key
 from .errors import ParseError, SchemaError, ValidationError
 from .models import (
     Belief,
@@ -114,11 +115,6 @@ def _format_scalar(value) -> str:
     if isinstance(value, (float, np.floating)):
         return float_text(float(value))
     raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def float_text(value: float) -> str:
-    """A float in 17 significant digits; -0.0 becomes 0.0 so the text round-trips."""
-    return format(value + 0.0, ".17g")
 
 
 def _sorted_keys(value: dict) -> list:
@@ -279,26 +275,37 @@ def _dense_table(mappings: list, labels, where) -> tuple[np.ndarray, np.ndarray]
 
     table holds one (labels-wide) row per distinct row and codes[i] is the
     row of mappings[i]; rows merge only when their float64 bytes are equal,
-    so -0.0 stays apart from 0.0.  Labels and value types are screened for
-    every object, and the first object that fails is read again on its own,
-    so the error raised is the first a row-by-row reader meets; `where(i)`
-    names object i in errors.
+    so -0.0 stays apart from 0.0.  Objects are grouped by their items
+    first, and labels and value types are screened once per group: a group
+    holds objects with equal labels and values of equal types, so its first
+    object fails the screen exactly when every other one would.  The first
+    object that fails is read again on its own, so the error raised is the
+    first a row-by-row reader meets; `where(i)` names object i in errors.
     """
     index = {label: i for i, label in enumerate(labels)}
-    groups: dict = {}  # items of a row without zeros, or its position
+    groups: dict = {}  # items of a row, with types where they matter, or its position
     codes, firsts = [], []  # group of each row; first row of each group
     for i, mapping in enumerate(mappings):
-        if not (
-            isinstance(mapping, dict)
-            and mapping.keys() <= index.keys()
-            and _plain_numbers(mapping.values())
-        ):
-            _check_dense_row(mapping, index, where(i))
-        # equal items give equal bytes, except a zero's sign: such rows are
-        # left to the byte comparison below
-        group = i if 0 in mapping.values() else tuple(mapping.items())
-        code = groups.setdefault(group, len(groups))
+        try:
+            if 0 in mapping.values():
+                # equal items give equal bytes, except a zero's sign: such
+                # rows are left to the byte comparison below
+                group = i
+            elif 1 in mapping.values():
+                # `true` equals 1 and hashes like it, so types join the key
+                group = tuple(mapping.items()), tuple(map(type, mapping.values()))
+            else:
+                group = tuple(mapping.items())
+            code = groups.setdefault(group, len(groups))
+        except (AttributeError, TypeError):  # not an object, or an unhashable value
+            code = groups.setdefault(i, len(groups))
         if code == len(firsts):
+            if not (
+                isinstance(mapping, dict)
+                and mapping.keys() <= index.keys()
+                and _plain_numbers(mapping.values())
+            ):
+                _check_dense_row(mapping, index, where(i))
             firsts.append(mapping)
         codes.append(code)
     columns, values, counts = [], [], []

@@ -26,16 +26,15 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .counting import enumerate_histograms, histogram_count
-from .errors import CapacityExceeded, ZeroProbabilityObservation
+from .counting import DEFAULT_JOINT_CAP, enumerate_histograms, histogram_count
+from .errors import ZeroProbabilityObservation
 
 PROB_TOL = 1e-9
 EXACT_SUM_TOL = 1e-12
-DEFAULT_JOINT_CAP = 10_000_000
 
 # action / observation / agent labels end up inside comma- and pipe-joined
 # serialized keys, so they must stay clear of the delimiter characters
@@ -132,7 +131,7 @@ class Belief:
 def canonical_rows(table) -> tuple[np.ndarray, list[str | None]]:
     """Coerce every row of a (rows x width) table to canonical probabilities.
 
-    Each row gets the verdict `canonical_row` would give it alone, bit for
+    Each row gets the verdict it would get in a table of its own, bit for
     bit: the finiteness and sign tests run over the whole table, and the
     exact mass of each surviving row is its `math.fsum`.  Returns (probs,
     reasons): a read-only copy of the table in which rows off by more than
@@ -166,21 +165,6 @@ def canonical_rows(table) -> tuple[np.ndarray, list[str | None]]:
             probs[scaled] /= np.array(masses)[:, np.newaxis]
     probs.flags.writeable = False
     return probs, reasons
-
-
-def canonical_row(values: Sequence[float]) -> tuple[np.ndarray | None, str | None]:
-    """Coerce a row to canonical probabilities.
-
-    Returns (probs, None) on success.  Rows with mass within PROB_TOL of 1
-    are accepted; if the mass is off by more than EXACT_SUM_TOL the row is
-    divided by its mass, otherwise it is kept bit-for-bit as written.  On
-    failure returns (None, reason).  This is `canonical_rows` on one row.
-    """
-    arr = np.array(values, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        return None, "empty row"
-    probs, (reason,) = canonical_rows(arr[np.newaxis])
-    return (None, reason) if reason else (probs[0], None)
 
 
 @dataclass(frozen=True)
@@ -694,36 +678,3 @@ def belief_update(model: Pomdp, belief: Belief, action: str, observation: str) -
             f"observation {observation!r} has zero probability after {action!r}"
         )
     return Belief(model.states, numer / norm)
-
-
-def joint_space_size(model: GroundDecPomdp, kind: str) -> int:
-    ranges = _joint_ranges(model, kind)
-    return math.prod(len(r) for r in ranges)
-
-
-def _joint_ranges(model: GroundDecPomdp, kind: str):
-    if kind == "actions":
-        return [model.actions[a] for a in model.agents]
-    if kind == "observations":
-        return [model.observations[a] for a in model.agents]
-    raise ValueError(f"kind must be 'actions' or 'observations', got {kind!r}")
-
-
-def joint_space(
-    model: GroundDecPomdp, kind: str, cap: int = DEFAULT_JOINT_CAP
-) -> Iterator[tuple[str, ...]]:
-    """All joint action or observation tuples, in lexicographic order.
-
-    Lexicographic means itertools.product over the per-agent ranges in
-    declared agent order, each range in its declared order.  The full
-    product size is checked against `cap` before anything is yielded.
-    """
-    ranges = _joint_ranges(model, kind)
-    size = math.prod(len(r) for r in ranges)
-    if size > cap:
-        raise CapacityExceeded(
-            f"joint {kind} space of size {size} exceeds the cap {cap}",
-            measured=size,
-            cap=cap,
-        )
-    return itertools.product(*ranges)

@@ -31,6 +31,10 @@ one row per such input and every (state, key) entry with that input
 holds the same distribution object, as a parsed model does.  The
 2-marker, 1-message, size-3 instance has 1,024 transition entries and 10
 rows.
+
+Parameters, presets, states and size parameters load no numpy, so a size
+analysis of a preset never imports it; `generate_nano` imports the model
+types when it is called.
 """
 
 from __future__ import annotations
@@ -39,17 +43,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from .counting import DEFAULT_JOINT_CAP
 from .errors import CapacityExceeded, InvalidParams
-from .models import (
-    DEFAULT_JOINT_CAP,
-    Belief,
-    DiscreteDistribution,
-    LiftedDecPomdp,
-    Partitioning,
-    StateSpace,
-)
 from .sizes import SizeParams
 
 ACTIONS = ("release", "noop")
@@ -281,7 +276,7 @@ def _detect_rate(own: bool, other: bool, params: NanoParams) -> float:
     return params.false_positive
 
 
-def _next_row(params: NanoParams, index: dict, markers, enabled: bool, released) -> np.ndarray:
+def _next_row(params: NanoParams, index: dict, markers, enabled: bool, released) -> list:
     """Next-state row from the marker bits, the assembly switch and the release bits.
 
     `index` maps a state's bits (markers, messages, released) to its position.
@@ -294,7 +289,7 @@ def _next_row(params: NanoParams, index: dict, markers, enabled: bool, released)
         for _ in range(params.message_types)
     ]
     options += [[(bit, 1.0)] for bit in released]
-    row = np.zeros(len(index))
+    row = [0.0] * len(index)
     for combo in itertools.product(*options):
         bits = tuple(b for b, _ in combo)
         row[index[bits]] += math.prod(p for _, p in combo)
@@ -308,6 +303,14 @@ def generate_nano(params: NanoParams, cap: int = DEFAULT_JOINT_CAP) -> LiftedDec
     would exceed `cap`; at refused scales the instance is still useful
     through `nano_size_params`.
     """
+    from .models import (
+        Belief,
+        DiscreteDistribution,
+        LiftedDecPomdp,
+        Partitioning,
+        StateSpace,
+    )
+
     n = params.partition_size
     n_partitions = params.partition_count
     key_count = params.state_count * (n + 1) ** n_partitions
@@ -383,7 +386,7 @@ def generate_nano(params: NanoParams, cap: int = DEFAULT_JOINT_CAP) -> LiftedDec
             reward[ns.label] = sum(ns.messages) * payoff
 
     rate = params.initial_marker_rate
-    belief = np.zeros(len(states))
+    belief = [0.0] * len(states)
     for i, ns in enumerate(states):
         if any(ns.messages) or any(ns.released):
             continue

@@ -11,6 +11,9 @@ Everything here is reported as a log2 of the bound, never as a raw
 magnitude: the interesting instances have more keys than the observable
 universe has atoms, and the exponent is the whole story.  Exact key
 counts per partition are also reported, as arbitrary-precision integers.
+
+The bounds need only the parameters, so this module loads no numpy;
+`params_from_model` imports the model types when it is called.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ from dataclasses import dataclass
 
 from .counting import histogram_count
 from .errors import InvalidParams
-from .lifting import range_partition, symmetry_refine
-from .models import GroundDecPomdp, LiftedDecPomdp, Pomdp
 
 
 @dataclass(frozen=True)
@@ -154,6 +155,9 @@ def params_from_model(model) -> SizeParams:
     Single-agent models need observation ranges, so plain MDPs are
     rejected.
     """
+    from .lifting import range_partition, symmetry_refine
+    from .models import GroundDecPomdp, LiftedDecPomdp, Pomdp
+
     if isinstance(model, Pomdp):
         return SizeParams(
             states=len(model.states),

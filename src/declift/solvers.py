@@ -52,7 +52,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counting import bounded_compositions, histogram_multiplicity
+from .counting import (
+    DEFAULT_JOINT_CAP,
+    DEFAULT_PLAN_CAP,
+    bounded_compositions,
+    histogram_multiplicity,
+)
 from .errors import (
     CapacityExceeded,
     InvalidParams,
@@ -61,10 +66,9 @@ from .errors import (
     ValidationError,
 )
 from .lifting import ground, lift, range_partition, symmetry_refine
-from .models import DEFAULT_JOINT_CAP, PROB_TOL, GroundDecPomdp, LiftedDecPomdp, Mdp, Pomdp
+from .models import PROB_TOL, GroundDecPomdp, LiftedDecPomdp, Mdp, Pomdp
 from .sizes import SizeParams, SizeReport, params_from_model, size_report
 
-DEFAULT_PLAN_CAP = 1_000_000
 DEFAULT_EPSILON = 1e-6
 DOMINANCE_TOL = 1e-12
 LP_TOL = 1e-12

@@ -336,13 +336,19 @@ def test_solve_names_every_unread_flag_in_declaration_order(kind_files, capsys):
     )
 
 
-def _run_with_closed_stdout(argv, buffered):
-    # the read end of stdout's pipe is closed before the command starts, as
-    # when `declift ... | head -2` has already taken its lines
+def _child_env() -> dict:
+    """The environment of a child Python that imports this checkout's package."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")])
     )
+    return env
+
+
+def _run_with_closed_stdout(argv, buffered):
+    # the read end of stdout's pipe is closed before the command starts, as
+    # when `declift ... | head -2` has already taken its lines
+    env = _child_env()
     env.pop("PYTHONUNBUFFERED", None)
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -387,6 +393,71 @@ def test_analyze_size_paper_table(capsys):
     out = capsys.readouterr().out
     assert "320010" in out
     assert "320005" in out
+
+
+# `python -m declift.cli ARGS`, run by runpy as `-m` runs it, that lists
+# the modules it loaded on stderr when it exits
+_LIST_MODULES_AT_EXIT = """
+import atexit, runpy, sys
+atexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr))
+runpy.run_module("declift.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def _cli_loads(argv) -> tuple[str, set]:
+    """(stdout, names of the loaded modules) of one CLI process."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIST_MODULES_AT_EXIT, *argv],
+        capture_output=True, text=True, env=_child_env(), timeout=120, check=True,
+    )
+    return proc.stdout, set(proc.stderr.split())
+
+
+def test_analyze_size_of_a_preset_loads_no_numpy():
+    out, modules = _cli_loads(["analyze-size", "--preset", "paper"])
+    assert out == (
+        "instance: 32 states, 320000 agents, 5 partitions of 64000\n"
+        "form             log2(transition)         log2(sensor)\n"
+        "ground                     320010               320005\n"
+        "lifted         169.65784284662087   164.65784284662087\n"
+        "peak-shaped                    15                   10\n"
+        "exact keys per partition (actions/observations): "
+        + ", ".join(["64001/64001"] * 5)
+        + "\n"
+    )
+    assert "declift.sizes" in modules
+    assert "numpy" not in modules
+
+
+@pytest.mark.parametrize("command", ["validate", "gen-nano", "ground", "lift"])
+def test_commands_that_solve_nothing_load_no_solver(command, tmp_path):
+    models = Path(__file__).resolve().parents[1] / "models"
+    out = str(tmp_path / "out.json")
+    argv = {
+        "validate": ["validate", str(models / "nano_desk.json")],
+        "gen-nano": ["gen-nano", "--preset", "desk", "--out", out],
+        "ground": ["ground", str(models / "nano_desk.json"), "--out", out],
+        "lift": ["lift", str(models / "nano_desk_ground.json"), "--out", out],
+    }[command]
+    _out, modules = _cli_loads(argv)
+    assert "declift.models" in modules
+    assert "declift.solvers" not in modules
+
+
+def test_a_wrapper_set_on_the_cli_is_what_its_handler_calls(team_file, monkeypatch):
+    # the benchmark tracer wraps library functions as attributes of declift.cli
+    import declift.cli
+
+    calls = []
+    original = declift.cli.parse_model
+
+    def wrapper(text):
+        calls.append(len(text))
+        return original(text)
+
+    monkeypatch.setattr(declift.cli, "parse_model", wrapper)
+    assert main(["validate", team_file]) == 0
+    assert calls == [len(Path(team_file).read_text())]
 
 
 def test_analyze_size_on_model_file(desk_file, tmp_path, capsys):

@@ -526,6 +526,8 @@ def test_canonical_json_edge_values_match_the_recursive_emitter():
         # an entry's own row comes before its action key
         ({0: {"action": "x", "next": {"zz": 1.0}}}, "transition[0].next: unknown label 'zz'"),
         ({0: {"next": None}}, "transition[0].next: expected an object of probabilities"),
+        # a value that cannot be hashed cannot join a group of equal rows
+        ({2: {"next": {"s0": [0.5]}}}, "transition[2].next['s0']: expected a number, got [0.5]"),
     ],
 )
 def test_schema_errors_come_in_row_by_row_order(edits, message):
@@ -789,6 +791,15 @@ def test_a_bad_copy_of_a_repeated_row_is_reported_at_its_own_entry():
     doc["transition"][3]["next"][label] = float(row[label])  # equal to the others
     with pytest.raises(SchemaError, match=re.escape("transition[5].next: unknown label 'zz'")):
         parse_model(json.dumps(doc))
+    # `true` equals 1 and hashes like it, yet a copy of a certain row that
+    # holds it is refused at its own entry, whichever number came first
+    for one in (1, 1.0):
+        for entry in doc["transition"]:
+            entry["next"] = {label: one}
+        doc["transition"][5]["next"] = {label: True}
+        with pytest.raises(SchemaError) as err:
+            parse_model(json.dumps(doc))
+        assert str(err.value).endswith(f"transition[5].next['{label}']: expected a number, got True")
 
 
 def test_a_shared_broken_row_is_reported_at_every_entry():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from declift.counting import enumerate_histograms
-from declift.errors import CapacityExceeded, ZeroProbabilityObservation
+from declift.errors import ZeroProbabilityObservation
 from declift.modelio import parse_model
 from declift.models import (
     DEFAULT_JOINT_CAP,
@@ -32,10 +32,7 @@ from declift.models import (
     _check_row,
     _check_sparse_row,
     belief_update,
-    canonical_row,
     canonical_rows,
-    joint_space,
-    joint_space_size,
     label_ok,
     validate_model,
 )
@@ -219,15 +216,10 @@ def test_validate_ground_bad_sensor_key_and_mass():
     assert "normalization" in codes
 
 
-def test_joint_space_order_and_size():
-    model = tiny_ground()
-    assert joint_space_size(model, "actions") == 4
-    tuples = list(joint_space(model, "actions"))
-    assert tuples == [("x", "x"), ("x", "y"), ("y", "x"), ("y", "y")]
-    with pytest.raises(CapacityExceeded):
-        joint_space(model, "observations", cap=3)
-    with pytest.raises(ValueError):
-        joint_space(model, "rewards")
+def canonical_row(values):
+    """`canonical_rows` on a table of one row: (probs, None) or (None, reason)."""
+    probs, (reason,) = canonical_rows(np.array([values], dtype=float))
+    return (None, reason) if reason else (probs[0], None)
 
 
 def test_canonical_row_rules():
@@ -260,7 +252,7 @@ def test_state_space_rejects_duplicates():
 
 
 def reference_canonical_row(values):
-    """The single-row `canonical_row` the table version replaced."""
+    """The single-row check the table version replaced."""
     arr = np.array(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         return None, "empty row"
