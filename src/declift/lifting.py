@@ -11,30 +11,32 @@ Keys of lifted tables are tuples of per-partition count vectors, e.g.
 ((2, 0), (1, 1)) for two partitions; the serialized form is "[2,0]|[1,1]".
 
 Under a partition of the agents into blocks, a joint tuple matters only
-through its labels sorted within each block.  All three passes group
+through its labels sorted within each block.  lift and ground group
 joint tuples by that one fact (`_collapse`): the tuples become rows of
 integer label codes, each block's columns are sorted, and rows with
 equal bytes form one group, numbered in order of first use.  lift
 groups a table's distinct tuples under the partition's blocks and keys
-each group by its first tuple; symmetry_refine groups them under the
-pair block (i, j), so a group holds a tuple and its swap; ground groups
-the product of the declared ranges, coded by position.  Python work runs
-once per group (64 keys for the 512 distinct tuples behind the 8,192
-transition entries of nine two-action agents); the rest is array work
-over codes (`_Keys`: one int code per distinct state and joint tuple).
-The model types keep their dict tables; only these passes use the codes.
+each group by its first tuple; ground groups the product of the
+declared ranges, coded by position.  Python work runs once per group
+(64 keys for the 512 distinct tuples behind the 8,192 transition
+entries of nine two-action agents); the rest is array work over codes.
+A transition table (`models.TransitionTable`) already holds one int
+code per entry for its state, joint tuple and row object, and lift and
+ground write their tables as such columns; sensor entries are coded the
+same way once per pass (`_sensor_entries`).
 
-Transition tables hold one distribution object per distinct row (the
-parser and `ground` share them), and the row checks of symmetry_refine
-and lift work on those objects: entries holding the same object agree,
-and two different objects are compared once.
+symmetry_refine tests a swap of agents i and j by mapping each distinct
+joint tuple to its swap partner once (`_Partners`) and looking up each
+entry's partner entry by codes.  The row checks of symmetry_refine and
+lift compare row codes: entries holding the same row object agree, and
+two different objects are compared once.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,8 +53,11 @@ from .models import (
     PROB_TOL,
     GroundDecPomdp,
     LiftedDecPomdp,
+    PairIndex,
     Partitioning,
-    distinct_rows,
+    TransitionTable,
+    first_groups,
+    intern,
     validate_lifted,
 )
 
@@ -91,152 +96,165 @@ def range_partition(model: GroundDecPomdp) -> Partitioning:
     )
 
 
-def _intern(values: tuple) -> tuple[list, np.ndarray]:
-    """(distinct, codes): the distinct values in order of first use, and the
-    code of each value."""
-    distinct = list(dict.fromkeys(values))
-    code = dict(zip(distinct, range(len(distinct))))
-    return distinct, np.fromiter(map(code.__getitem__, values), np.int64, len(values))
-
-
-def _groups(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, group) of entries with equal ids.
-
-    Groups are numbered in order of their first entry: first[g] is that
-    entry and group[k] the group of entry k.
-    """
-    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return first[order], rank[inverse.ravel()]
-
-
 def _collapse(codes: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
     """(first, group) of joint tuples equal up to reordering inside blocks.
 
     codes[t] holds tuple t's label codes, one column per agent, with equal
     labels under equal codes within each block.  Each block's columns are
-    sorted and rows with equal bytes form one group, numbered as `_groups`
-    numbers them; rows with no columns are all one group.
+    sorted and rows with equal bytes form one group, numbered as
+    `models.first_groups` numbers them; rows with no columns are all one group.
     """
     if not codes.shape[1]:
         return np.zeros(min(len(codes), 1), np.int64), np.zeros(len(codes), np.int64)
     rows = np.concatenate([np.sort(codes[:, list(b)], axis=1) for b in blocks], axis=1)
-    rows = np.ascontiguousarray(rows)
-    return _groups(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel())
+    return first_groups(_void_rows(rows))
 
 
-class _Keys:
-    """The (state, joint tuple) keys of one table, interned once.
+class _Coded(NamedTuple):
+    """Entries of a table keyed by (state, joint tuple), as int codes.
 
-    `states[k]` and `tuples[k]` are the key of entry k.  Every distinct
-    state and joint tuple gets one code, in order of first use: `state[k]`
-    and `joint[k]` are the codes of entry k, `joints` lists the distinct
-    tuples and `first[c]` is the first entry using tuple c.  Equal tuples
-    share a code whether or not they are one object.
+    `states` and `joints` hold the distinct states and joint tuples in
+    order of first use; entry k is (states[state_codes[k]],
+    joints[joint_codes[k]]).
     """
 
-    def __init__(self, states: tuple, tuples: tuple):
-        self.states, self.tuples = states, tuples
-        _, self.state = _intern(states)
-        self.joints, self.joint = _intern(tuples)
-        _, self.first = np.unique(self.joint, return_index=True)
-
-    def arity(self, n_agents: int, where: str) -> tuple[int, RangeMismatch | None]:
-        """(m, error): the joint tuples before the first that does not hold
-        one value per agent, and that tuple's error (None if there is none).
-
-        `where` is a format string naming the row of the tuple's first
-        entry from its state.
-        """
-        lengths = np.fromiter(map(len, self.joints), np.int64, len(self.joints))
-        short = np.flatnonzero(lengths != n_agents)
-        if not short.size:
-            return len(self.joints), None
-        m = int(short[0])
-        joint, state = self.joints[m], self.states[self.first[m]]
-        return m, RangeMismatch(
-            f"{where.format(state)}: joint tuple {joint!r} has {len(joint)} values "
-            f"for {n_agents} agents"
-        )
-
-    def labels(self, m: int, n_agents: int) -> np.ndarray:
-        """The (m x n_agents) table of the first m joint tuples' label codes,
-        one code per distinct label."""
-        _, codes = _intern(tuple(itertools.chain.from_iterable(self.joints[:m])))
-        return codes.reshape(m, n_agents)
-
-    def histograms(self, n_agents: int, blocks, positions, where: str):
-        """(keys, codes, error): the histogram key of each joint tuple.
-
-        keys lists the distinct histogram keys in order of first use and
-        codes[c] is the key of joint tuple c, for every tuple before the
-        first that has no key; error is that tuple's RangeMismatch, or
-        None.  `positions` holds one `range_positions` map per block.  Only
-        the first tuple of each collapsed group is keyed: a group's tuples
-        hold the same labels per block, so they are all in range or all out
-        of it, and the first group out of range starts at the first tuple
-        without a key.
-        """
-        m, error = self.arity(n_agents, where)
-        first, group = _collapse(self.labels(m, n_agents), blocks)
-        keys = []
-        for t in first.tolist():
-            try:
-                keys.append(_joint_to_key(self.joints[t], blocks, positions))
-            except RangeMismatch as err:
-                return keys, group[:t], err
-        return keys, group, error
+    states: tuple
+    state_codes: np.ndarray
+    joints: tuple
+    joint_codes: np.ndarray
 
 
-def _sensor_values(model: GroundDecPomdp) -> list:
-    return list(itertools.chain.from_iterable(row.values() for row in model.sensor.values()))
+def _transition_entries(model) -> _Coded:
+    table = model.transition
+    return _Coded(table.states, table.state_codes, table.actions, table.action_codes)
 
 
-def _transition_keys(model: GroundDecPomdp) -> _Keys:
-    keys = model.transition.keys()
-    return _Keys(tuple(map(itemgetter(0), keys)), tuple(map(itemgetter(1), keys)))
+def _sensor_entries(model: GroundDecPomdp) -> tuple[_Coded, list]:
+    """(entries, values) of a ground model's sensor rows, row by row."""
+    rows = model.sensor
+    states = np.repeat(np.arange(len(rows)), [len(row) for row in rows.values()])
+    joints, codes = intern(list(itertools.chain.from_iterable(rows.values())))
+    values = list(itertools.chain.from_iterable(row.values() for row in rows.values()))
+    return _Coded(tuple(rows), states, joints, codes), values
 
 
-def _sensor_keys(model: GroundDecPomdp) -> _Keys:
-    rows = model.sensor.items()
-    states = tuple(itertools.chain.from_iterable(itertools.repeat(s, len(r)) for s, r in rows))
-    return _Keys(states, tuple(itertools.chain.from_iterable(model.sensor.values())))
+def _first_entry(codes: np.ndarray, code: int) -> int:
+    return int(np.argmax(codes == code))
+
+
+def _arity(entries: _Coded, n_agents: int, where: str) -> tuple[int, RangeMismatch | None]:
+    """(m, error): the joint tuples before the first that does not hold one
+    value per agent, and that tuple's error (None if there is none).
+
+    `where` is a format string naming the row of the tuple's first entry
+    from its state.
+    """
+    lengths = np.fromiter(map(len, entries.joints), np.int64, len(entries.joints))
+    short = np.flatnonzero(lengths != n_agents)
+    if not short.size:
+        return len(entries.joints), None
+    m = int(short[0])
+    joint = entries.joints[m]
+    state = entries.states[entries.state_codes[_first_entry(entries.joint_codes, m)]]
+    return m, RangeMismatch(
+        f"{where.format(state)}: joint tuple {joint!r} has {len(joint)} values "
+        f"for {n_agents} agents"
+    )
+
+
+def _labels(joints, n_agents: int) -> np.ndarray:
+    """The (len(joints) x n_agents) table of the tuples' label codes, one
+    code per distinct label."""
+    _, codes = intern(tuple(itertools.chain.from_iterable(joints)))
+    return codes.reshape(len(joints), n_agents)
+
+
+def _histograms(entries: _Coded, n_agents: int, blocks, positions, where: str):
+    """(keys, codes, error): the histogram key of each joint tuple.
+
+    keys lists the distinct histogram keys in order of first use and
+    codes[c] is the key of joint tuple c, for every tuple before the first
+    that has no key; error is that tuple's RangeMismatch, or None.
+    `positions` holds one `range_positions` map per block.  Only the first
+    tuple of each collapsed group is keyed: a group's tuples hold the same
+    labels per block, so they are all in range or all out of it, and the
+    first group out of range starts at the first tuple without a key.
+    """
+    m, error = _arity(entries, n_agents, where)
+    first, group = _collapse(_labels(entries.joints[:m], n_agents), blocks)
+    keys = []
+    for t in first.tolist():
+        try:
+            keys.append(_joint_to_key(entries.joints[t], blocks, positions))
+        except RangeMismatch as err:
+            return keys, group[:t], err
+    return keys, group, error
+
+
+def _void_rows(codes: np.ndarray) -> np.ndarray:
+    """Each row of an int table as one opaque value, compared by its bytes."""
+    codes = np.ascontiguousarray(codes)
+    return codes.view(np.dtype((np.void, codes.itemsize * codes.shape[1]))).ravel()
+
+
+class _Partners:
+    """Swap partners among the distinct joint tuples of one table.
+
+    `labels` holds one row of label codes per distinct tuple; the rows are
+    sorted once by their bytes, and each swap looks its tuples up.
+    """
+
+    def __init__(self, labels: np.ndarray):
+        self.labels = labels
+        rows = _void_rows(labels)
+        self.order = np.argsort(rows)
+        self.rows = rows[self.order]
+
+    def of(self, i: int, j: int) -> np.ndarray:
+        """partner[c]: the tuple that is tuple c with the values of agents i
+        and j traded, or -1 where no tuple is."""
+        swapped = self.labels.copy()
+        swapped[:, [i, j]] = self.labels[:, [j, i]]
+        wanted = _void_rows(swapped)
+        partner = np.full(len(wanted), -1, dtype=np.int64)
+        if self.rows.size:
+            at = np.minimum(np.searchsorted(self.rows, wanted), self.rows.size - 1)
+            hit = self.rows[at] == wanted
+            partner[hit] = self.order[at[hit]]
+        return partner
 
 
 class _SwapCheck:
     """A ground model's tables, coded once for testing agent swaps.
 
-    Collapsed under the pair block (i, j), a joint tuple shares its group
-    with its swap, which is the tuple itself when agents i and j hold the
-    same label.  So the model is unchanged by the swap when each (state,
-    group) holds both tuples and their entries agree.
+    Trading agents i and j maps each joint tuple to a partner tuple (the
+    tuple itself when the two agents hold the same label), so the model is
+    unchanged by the swap when every transition entry has a partner entry
+    (same state, partner tuple) whose row is within tolerance, and every
+    sensor entry is within tolerance of its partner entry's probability,
+    which is 0 when there is no partner entry.
     """
 
     def __init__(self, model: GroundDecPomdp):
-        self.n_agents = len(model.agents)
-        self.transition = self._coded(_transition_keys(model))
-        self.codes, self.rows = distinct_rows(list(model.transition.values()))
-        self.sensor = self._coded(_sensor_keys(model))
-        self.sensor_probs = np.array(_sensor_values(model), dtype=float)
+        n_agents = len(model.agents)
+        table = model.transition
+        self.transition = _transition_entries(model)
+        self.partners = self._partners(self.transition, n_agents)
+        self.index, self.codes = table.index, table.row_codes
+        self.rows = np.stack([row.probs for row in table.rows]) if table.rows else None
+        self.sensor, values = _sensor_entries(model)
+        self.sensor_partners = self._partners(self.sensor, n_agents)
+        self.sensor_index = PairIndex(
+            self.sensor.state_codes, self.sensor.joint_codes, len(self.sensor.joints)
+        )
+        self.sensor_probs = np.array(values, dtype=float)
 
-    def _coded(self, keys: _Keys) -> tuple[_Keys, np.ndarray]:
-        m, error = keys.arity(self.n_agents, "row for state {!r}")
+    @staticmethod
+    def _partners(entries: _Coded, n_agents: int) -> _Partners:
+        _, error = _arity(entries, n_agents, "row for state {!r}")
         if error:
             raise error
-        return keys, keys.labels(m, self.n_agents)
-
-    def _pairs(self, table, i: int, j: int):
-        """(first, group, short) of a table's entries by state and tuple
-        collapsed under the pair block (i, j); short[g] tells that group g
-        lacks the swap of its tuple."""
-        keys, labels = table
-        blocks = [(i, j)] + [(k,) for k in range(self.n_agents) if k not in (i, j)]
-        _, joint = _collapse(labels, blocks)
-        first, group = _groups(keys.state * len(labels) + joint[keys.joint])
-        multiplicity = np.where(labels[:, i] != labels[:, j], 2, 1)[keys.joint[first]]
-        return first, group, np.bincount(group, minlength=len(first)) < multiplicity
+        return _Partners(_labels(entries.joints, n_agents))
 
     def invariant(self, i: int, j: int, tol: float) -> bool:
         """Is the model unchanged when agents at positions i and j trade places?
@@ -244,19 +262,20 @@ class _SwapCheck:
         A transition row without a swapped counterpart breaks invariance; a
         missing sensor entry reads as probability 0.
         """
-        first, group, short = self._pairs(self.transition, i, j)
-        if short.any():
+        entries = self.transition
+        partner = self.partners.of(i, j)[entries.joint_codes]
+        other = self.index.find(entries.state_codes, partner)
+        if (other < 0).any():
             return False
-        if (_row_gaps(self.rows, self.codes[first[group]], self.codes) > tol).any():
+        if (_row_gaps(self.rows, self.codes, self.codes[other]) > tol).any():
             return False
-        _, group, short = self._pairs(self.sensor, i, j)
-        lo = np.where(short, 0.0, np.inf)
-        hi = -lo
-        # NaN propagates into the spread and fails `> tol`, as |p - q| does
+        entries = self.sensor
+        partner = self.sensor_partners.of(i, j)[entries.joint_codes]
+        other = self.sensor_index.find(entries.state_codes, partner)
+        probs = np.where(other < 0, 0.0, self.sensor_probs[other])
+        # NaN fails `> tol`, as it does in |p - q| > tol
         with np.errstate(invalid="ignore"):
-            np.minimum.at(lo, group, self.sensor_probs)
-            np.maximum.at(hi, group, self.sensor_probs)
-            return not (hi - lo > tol).any()
+            return not (np.abs(self.sensor_probs - probs) > tol).any()
 
 
 def symmetry_refine(
@@ -269,8 +288,8 @@ def symmetry_refine(
     against one representative per emerging sub-block reaches the fixed
     point in a single pass with O(block size) swap checks per block in the
     fully symmetric case.  The tables are coded once per call; each swap
-    check then groups their entries under the pair block and compares
-    each group's entries.
+    check then maps the distinct joint tuples to their swap partners and
+    compares each entry with its partner entry.
     """
     check = _SwapCheck(model)
     blocks: list[tuple[int, ...]] = []
@@ -331,22 +350,23 @@ def _row_gaps(rows: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarr
     return gaps
 
 
-def _check_same_rows(keys: _Keys, dists: list, first: np.ndarray, tol: float) -> None:
-    """Raise NotLiftable at the first transition row off its key's first row.
+def _check_same_rows(table: TransitionTable, n: int, first: np.ndarray, tol: float) -> None:
+    """Raise NotLiftable at the first of the table's first n entries whose
+    row is off the row of entry first[i], its key's first entry.
 
-    dists[i] is the row of entry i of `keys` and first[i] the first entry
-    with entry i's histogram key; rows holding the same distribution object
-    agree, and each distinct pair of row objects is compared once.
+    Entries holding the same row object agree, and each distinct pair of
+    row objects is compared once.
     """
-    if not dists:
+    used, codes = np.unique(table.row_codes[:n], return_inverse=True)
+    if not used.size:
         return
-    codes, table = distinct_rows(dists)
-    diff = _row_gaps(table, codes, codes[first])
+    codes = codes.ravel()
+    diff = _row_gaps(np.stack([table.rows[c].probs for c in used.tolist()]), codes, codes[first])
     over = np.flatnonzero(diff > tol)
     if over.size:
         i = int(over[0])
-        state, joint = keys.states[i], keys.tuples[i]
-        witness = keys.tuples[first[i]]
+        state = table.states[table.state_codes[i]]
+        joint, witness = (table.actions[table.action_codes[k]] for k in (i, first[i]))
         raise NotLiftable(
             f"transition rows for {witness!r} and {joint!r} in state "
             f"{state!r} differ by {float(diff[i]):g}",
@@ -374,46 +394,49 @@ def lift(
 
     n_agents = len(model.agents)
 
-    dists = list(model.transition.values())
-    keys = _transition_keys(model)
-    action_keys, codes, error = keys.histograms(
-        n_agents, blocks, action_positions, "transition row for state {!r}"
+    table = model.transition
+    action_keys, codes, error = _histograms(
+        _transition_entries(model), n_agents, blocks, action_positions,
+        "transition row for state {!r}",
     )
     # entries before the first joint tuple without a key
-    n = len(dists) if error is None else int(keys.first[len(codes)])
-    first, group = _groups(keys.state[:n] * len(action_keys) + codes[keys.joint[:n]])
+    n = len(table) if error is None else _first_entry(table.action_codes, len(codes))
+    key_codes = codes[table.action_codes[:n]]
+    first, group = first_groups(table.state_codes[:n] * len(action_keys) + key_codes)
     # a row read before the bad joint tuple that differs from its key's
     # first row is reported first, as a row-by-row pass would
-    _check_same_rows(keys, dists[:n], first[group], tol)
+    _check_same_rows(table, n, first[group], tol)
     if error:
         raise error
+    key_codes = key_codes[first]
     counts = np.bincount(group, minlength=len(first)).tolist()
-    transition = {}
     multiplicity = [key_multiplicity(key) for key in action_keys]
-    for count, i in zip(counts, first.tolist()):
-        state = keys.states[i]
-        code = codes[keys.joint[i]]
-        key, expected = action_keys[code], multiplicity[code]
-        if count != expected:
+    for count, i, code in zip(counts, first.tolist(), key_codes.tolist()):
+        if count != multiplicity[code]:
+            state, key = table.states[table.state_codes[i]], action_keys[code]
             raise NotLiftable(
                 f"state {state!r} has transition rows for {count} of the "
-                f"{expected} joint actions behind key {key!r}",
+                f"{multiplicity[code]} joint actions behind key {key!r}",
                 detail={"state": state, "key": key},
             )
-        transition[(state, key)] = dists[i]
+    transition = TransitionTable(
+        table.states, action_keys, table.rows,
+        table.state_codes[first], key_codes, table.row_codes[first],
+    )
 
     sensor = {state: {} for state in model.sensor}
-    keys = _sensor_keys(model)
-    values = _sensor_values(model)
-    obs_keys, codes, error = keys.histograms(
-        n_agents, blocks, obs_positions, "sensor row {!r}"
+    entries, values = _sensor_entries(model)
+    obs_keys, codes, error = _histograms(
+        entries, n_agents, blocks, obs_positions, "sensor row {!r}"
     )
     # whole rows before the one holding the first joint tuple without a key
     n = len(values)
     if error:
-        bad = keys.state[keys.first[len(codes)]]
-        n = int(np.searchsorted(keys.state, bad))
-    first, group = _groups(keys.state[:n] * len(obs_keys) + codes[keys.joint[:n]])
+        bad = entries.state_codes[_first_entry(entries.joint_codes, len(codes))]
+        n = int(np.searchsorted(entries.state_codes, bad))
+    first, group = first_groups(
+        entries.state_codes[:n] * len(obs_keys) + codes[entries.joint_codes[:n]]
+    )
     # summed in entry order, as a row-by-row pass adds them
     totals = np.bincount(group, values[:n], len(first)).tolist()
     members = [[] for _ in range(len(first))]
@@ -421,8 +444,9 @@ def lift(
         members[g].append(value)
     multiplicity = [key_multiplicity(key) for key in obs_keys]
     for g, i in enumerate(first.tolist()):
-        state, joint = keys.states[i], keys.tuples[i]
-        code = codes[keys.joint[i]]
+        state = entries.states[entries.state_codes[i]]
+        joint = entries.joints[entries.joint_codes[i]]
+        code = codes[entries.joint_codes[i]]
         key = obs_keys[code]
         # min and max keep the first of equal values, as a running fold
         # does, so NaN and signed zeros come out as a row-by-row pass has them
@@ -453,7 +477,7 @@ def lift(
     )
 
 
-def _product_keys(ranges, blocks, block_ranges) -> tuple[list, list, list]:
+def _product_keys(ranges, blocks, block_ranges) -> tuple[list, list, np.ndarray]:
     """(joints, keys, group): the joint tuples over the agents' ranges in
     `itertools.product` order, the histogram keys in order of first use,
     and the key of each tuple.
@@ -467,7 +491,7 @@ def _product_keys(ranges, blocks, block_ranges) -> tuple[list, list, list]:
     first, group = _collapse(codes, blocks)
     positions = [range_positions(r) for r in block_ranges]
     keys = [_joint_to_key(joints[t], blocks, positions) for t in first.tolist()]
-    return joints, keys, group.tolist()
+    return joints, keys, group
 
 
 def ground(model: LiftedDecPomdp, cap: int = DEFAULT_JOINT_CAP) -> GroundDecPomdp:
@@ -502,16 +526,20 @@ def ground(model: LiftedDecPomdp, cap: int = DEFAULT_JOINT_CAP) -> GroundDecPomd
                 cap=cap,
             )
 
-    # each group of joint tuples is keyed and looked up once per state
+    # each group of joint tuples is keyed and looked up once per state;
+    # entries run state by state, joint tuples in product order
     joints, keys, group = _product_keys(action_ranges, part.blocks, part.action_ranges)
-    transition: dict = {}
-    for state in model.states:
-        rows = [model.transition.get((state, key)) for key in keys]
-        for joint, g in zip(joints, group):
-            if rows[g] is not None:
-                transition[(state, joint)] = rows[g]
+    lifted = model.transition
+    entry = lifted.find(model.states.labels, keys)[:, group].ravel()
+    present = np.flatnonzero(entry >= 0)
+    state_codes, action_codes = np.divmod(present, len(joints))
+    transition = TransitionTable(
+        model.states.labels, joints, lifted.rows,
+        state_codes, action_codes, lifted.row_codes[entry[present]],
+    )
 
     joints, keys, group = _product_keys(obs_ranges, part.blocks, part.observation_ranges)
+    group = group.tolist()
     multiplicity = [key_multiplicity(key) for key in keys]
     sensor: dict = {}
     for state in model.states:

@@ -14,12 +14,13 @@ serializing the result reproduces the document byte for byte.
 
 Both directions work a table at a time, and a table holds each distinct
 row once.  The parser reads every entry of a transition or dense sensor
-table first, groups its row objects by their items and screens the
-labels and value types of each group once; it then stacks only the
-distinct rows into one (distinct rows x width) array, canonicalises
-them with one `canonical_rows` call, and gives every
-entry whose row read to the same float64 bytes the same distribution
-object (so 0.0 and -0.0 stay apart).  The initial belief is a one-row
+table first, screens all its row objects at once (objects, labels and
+value types) and reads them into one (entries x width) array; the
+distinct rows of that array are canonicalised with one `canonical_rows`
+call, and every entry whose row read to the same float64 bytes gets the
+same distribution object (so 0.0 and -0.0 stay apart).  A transition
+table is built straight from those row codes and the interned state and
+key texts (`models.TransitionTable`).  The initial belief is a one-row
 table on the same path.  Key texts are parsed once per distinct text.
 A transition entry passes one screen (exactly its three fields, string
 state and action, a new key), and the text naming where an entry sits
@@ -30,7 +31,9 @@ encodes each distinct string, float and key once; the objects of one
 list share one head (indented key and colon) per key, built once per
 key order met; a dict of floats is a row, written in one join once per
 object and indent and reused by identity before its values are looked
-at, so a row shared by many entries is encoded once.
+at, so a row shared by many entries is encoded once.  A transition
+table is written from its columns: each distinct state, key text and
+row is encoded once, and each entry fills one template.
 
 Error taxonomy: ParseError for text that is not JSON, SchemaError for
 structure the grammar does not allow (unknown fields, malformed keys,
@@ -40,7 +43,9 @@ model breaches a model invariant (reported via validate_model).
 
 from __future__ import annotations
 
+import itertools
 import json
+from operator import itemgetter
 
 import numpy as np
 
@@ -55,8 +60,10 @@ from .models import (
     Partitioning,
     Pomdp,
     StateSpace,
+    TransitionTable,
     _plain_numbers,
     canonical_rows,
+    intern,
     validate_model,
 )
 
@@ -144,18 +151,19 @@ class _Memo(dict):
 class _Emitter:
     """One canonical_json call: the caches behind its text.
 
-    Strings and floats are encoded once per distinct value.  The objects
-    of one list share their key heads (the indented, encoded key and its
-    colon), built once per key order met.  An object whose values are all
-    floats is a row: its text is kept per object and indent, and a row
-    met again is written from that text before its values are looked at,
-    so a row shared by many table entries is encoded once.
+    Strings and floats are encoded once per distinct value.  Objects share
+    their key heads (the indented, encoded key and its colon), built once
+    per key order and indent met.  An object whose values are all floats
+    is a row: its text is kept per object and indent, and a row met again
+    is written from that text before its values are looked at, so a row
+    shared by many table entries is encoded once.
     """
 
     def __init__(self):
         self.strings = _Memo(json.encoder.encode_basestring_ascii)
         self.floats = _Memo(float_text)
         self.rows: dict = {}
+        self.heads: dict = {}
 
     def key(self, key) -> str:
         return self.strings[key] if type(key) is str else json.dumps(key)
@@ -166,18 +174,19 @@ class _Emitter:
         if type(value) is float:
             return self.floats[value]
         if isinstance(value, dict):
-            return self.rows.get((id(value), indent)) or self.object(value, indent, {})
+            return self.rows.get((id(value), indent)) or self.object(value, indent)
+        if isinstance(value, _TableText):
+            return value.text(self, indent)
         if isinstance(value, (list, tuple)):
             if not value:
                 return "[]"
             inner = indent + "  "
-            heads: dict = {}  # shared by the list's objects
             rows, text, obj = self.rows, self.text, self.object
             body = ",\n".join(
                 [
                     inner
                     + (
-                        rows.get((id(item), inner)) or obj(item, inner, heads)
+                        rows.get((id(item), inner)) or obj(item, inner)
                         if isinstance(item, dict)
                         else text(item, inner)
                     )
@@ -187,18 +196,17 @@ class _Emitter:
             return f"[\n{body}\n{indent}]"
         return _format_scalar(value)
 
-    def object(self, value: dict, indent: str, heads: dict) -> str:
-        """The text of an object not yet written as a row at this indent.
-
-        `heads` holds the key heads of each key order met.
-        """
+    def object(self, value: dict, indent: str) -> str:
+        """The text of an object not yet written as a row at this indent."""
         if not value:
             return "{}"
-        order = tuple(value)
-        head = heads.get(order)
+        order = tuple(value), indent
+        head = self.heads.get(order)
         if head is None:
             inner = indent + "  "
-            head = heads[order] = [(k, f"{inner}{self.key(k)}: ") for k in _sorted_keys(value)]
+            head = self.heads[order] = [
+                (k, f"{inner}{self.key(k)}: ") for k in _sorted_keys(value)
+            ]
         if {float}.issuperset(map(type, value.values())):
             floats = self.floats
             body = ",\n".join([h + floats[value[k]] for k, h in head])
@@ -275,48 +283,28 @@ def _dense_table(mappings: list, labels, where) -> tuple[np.ndarray, np.ndarray]
 
     table holds one (labels-wide) row per distinct row and codes[i] is the
     row of mappings[i]; rows merge only when their float64 bytes are equal,
-    so -0.0 stays apart from 0.0.  Objects are grouped by their items
-    first, and labels and value types are screened once per group: a group
-    holds objects with equal labels and values of equal types, so its first
-    object fails the screen exactly when every other one would.  The first
-    object that fails is read again on its own, so the error raised is the
-    first a row-by-row reader meets; `where(i)` names object i in errors.
+    so -0.0 stays apart from 0.0.  The objects are screened all at once
+    (each an object, every label known, every value an int or a float) and
+    read into one dense array, whose bytes are then grouped.  When the
+    screen fails, the objects are read again one by one, so the error
+    raised is the first a row-by-row reader meets; `where(i)` names object
+    i in errors.
     """
     index = {label: i for i, label in enumerate(labels)}
-    groups: dict = {}  # items of a row, with types where they matter, or its position
-    codes, firsts = [], []  # group of each row; first row of each group
-    for i, mapping in enumerate(mappings):
-        try:
-            if 0 in mapping.values():
-                # equal items give equal bytes, except a zero's sign: such
-                # rows are left to the byte comparison below
-                group = i
-            elif 1 in mapping.values():
-                # `true` equals 1 and hashes like it, so types join the key
-                group = tuple(mapping.items()), tuple(map(type, mapping.values()))
-            else:
-                group = tuple(mapping.items())
-            code = groups.setdefault(group, len(groups))
-        except (AttributeError, TypeError):  # not an object, or an unhashable value
-            code = groups.setdefault(i, len(groups))
-        if code == len(firsts):
-            if not (
-                isinstance(mapping, dict)
-                and mapping.keys() <= index.keys()
-                and _plain_numbers(mapping.values())
-            ):
-                _check_dense_row(mapping, index, where(i))
-            firsts.append(mapping)
-        codes.append(code)
-    columns, values, counts = [], [], []
-    for mapping in firsts:
-        columns.extend(map(index.get, mapping))
-        values.extend(mapping.values())
-        counts.append(len(mapping))
-    table = np.zeros((len(firsts), len(index)))
-    table[np.repeat(np.arange(len(firsts)), counts), columns] = values
-    byte_codes, table = _distinct_bytes(table)
-    return byte_codes[codes], table
+    try:
+        # an unknown label reads as None, which no int array takes
+        columns = np.fromiter(
+            map(index.get, itertools.chain.from_iterable(mappings)), np.intp
+        )
+        values = list(itertools.chain.from_iterable(map(dict.values, mappings)))
+    except TypeError:  # some row is not an object, or has an unknown label
+        columns = None
+    if columns is None or not _plain_numbers(values):
+        for i, mapping in enumerate(mappings):
+            _check_dense_row(mapping, index, where(i))
+    table = np.zeros((len(mappings), len(index)))
+    table[np.repeat(np.arange(len(mappings)), list(map(len, mappings))), columns] = values
+    return _distinct_bytes(table)
 
 
 def _distinct_bytes(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -361,21 +349,20 @@ def _table_entries(doc: dict, field: str, where: str):
         yield i, entry
 
 
-def _dense_rows(entries, labels, parse_key, where) -> dict:
-    """{parse_key(key): distribution} of (key, row object) entries.
+def _dense_rows(entries, labels, where) -> dict:
+    """{key: distribution} of (key, row object) entries.
 
-    The entries are read first and their distinct rows converted as one
-    table; entries with bit-identical rows share one distribution.  A
-    key is parsed after its entry's row is taken, and when reading an entry
-    fails the rows taken before it are checked first, so errors come in the
-    order a row-by-row reader meets them.  `where(i)` names the row object
-    of entry i in errors.
+    The entries are read first and their rows converted as one table;
+    entries with bit-identical rows share one distribution.  When reading
+    an entry fails, the rows taken before it are checked first, so errors
+    come in the order a row-by-row reader meets them.  `where(i)` names
+    the row object of entry i in errors.
     """
     keys, rows = [], []
     try:
         for key, row in entries:
             rows.append(row)
-            keys.append(parse_key(key))
+            keys.append(key)
     except SchemaError:
         _dense_table(rows, labels, where)
         raise
@@ -400,31 +387,92 @@ def _transition_entry(entry: dict, seen: set, where: str):
     return (state, action), _field(entry, "next", where)
 
 
-def _transition_entries(doc: dict, where: str):
-    """((state, action), next object) of each transition entry.
+def _coded_transitions(states: list, actions: list, rows: list):
+    """(state labels, state codes, action texts, action codes, rows) of
+    transition entries, the states and action texts interned in order of
+    first use; None when some (state, action) pair is held twice."""
+    state_labels, state_codes = intern(states)
+    texts, action_codes = intern(actions)
+    if np.unique(state_codes * len(texts) + action_codes).size < len(rows):
+        return None
+    return state_labels, state_codes, texts, action_codes, rows
 
-    An entry with exactly the three fields, two strings and a new key
-    passes one screen; any other is read again field by field, which
-    raises the error a field-by-field reader meets first.
-    """
+
+def _screened_transitions(doc: dict, where: str):
+    """The coded transition entries (`_coded_transitions`) when all pass one
+    screen at once: objects of exactly the three fields, string states and
+    actions, and no (state, action) pair twice.  None when some entry
+    fails it."""
+    value = _field(doc, "transition", where)
+    if not (
+        type(value) is list
+        and {dict}.issuperset(map(type, value))
+        and {len(_TRANSITION_FIELDS)}.issuperset(map(len, value))
+    ):
+        return None
+    try:
+        states, actions, rows = (
+            list(map(itemgetter(name), value)) for name in ("state", "action", "next")
+        )
+    except KeyError:
+        return None
+    if not ({str}.issuperset(map(type, states)) and {str}.issuperset(map(type, actions))):
+        return None
+    return _coded_transitions(states, actions, rows)
+
+
+def _read_transitions(doc: dict, where: str, labels, row_where, action_key):
+    """The coded transition entries, read field by field and entry by
+    entry, each action text parsed after its entry's row is taken; when
+    reading an entry fails, the rows taken before it are checked first, so
+    the error raised is the first a row-by-row reader meets."""
+    columns: tuple[list, list, list] = ([], [], [])
     seen: set = set()
-    for i, entry in _table_entries(doc, "transition", where):
-        if entry.keys() == _TRANSITION_FIELDS:
-            key = entry["state"], entry["action"]
-            if type(key[0]) is str and type(key[1]) is str and key not in seen:
-                seen.add(key)
-                yield key, entry["next"]
-                continue
-        yield _transition_entry(entry, seen, f"{where}.transition[{i}]")
+    try:
+        for i, entry in _table_entries(doc, "transition", where):
+            (state, action), row = _transition_entry(entry, seen, f"{where}.transition[{i}]")
+            for column, item in zip(columns, (state, action, row)):
+                column.append(item)
+            action_key[action]
+    except SchemaError:
+        _dense_table(columns[2], labels, row_where)
+        raise
+    return _coded_transitions(*columns)
 
 
-def _transition_table(doc: dict, states: StateSpace, where: str, action_key) -> dict:
-    """{(state, action_key(action text)): distribution} of the transition entries."""
-    return _dense_rows(
-        _transition_entries(doc, where),
-        states,
-        lambda key: (key[0], action_key(key[1])),
-        lambda i: f"{where}.transition[{i}].next",
+def _transition_table(doc: dict, states: StateSpace, where: str, action_key) -> TransitionTable:
+    """The transition entries as a table keyed by (state, action_key(action text)).
+
+    The entries are screened all at once (`_screened_transitions`); only
+    when one fails are they read one by one (`_read_transitions`), which
+    raises its error.  `action_key` runs once per distinct action text, in
+    entry order, and when it fails the rows up to its entry are checked
+    first, as a row-by-row reader meets them.
+    """
+    action_key = _Memo(action_key)
+
+    def row_where(i):
+        return f"{where}.transition[{i}].next"
+
+    coded = _screened_transitions(doc, where) or _read_transitions(
+        doc, where, states, row_where, action_key
+    )
+    state_labels, state_codes, texts, action_codes, rows = coded
+    _, firsts = np.unique(action_codes, return_index=True)
+    for text, i in zip(texts, firsts.tolist()):
+        try:
+            action_key[text]
+        except SchemaError:
+            _dense_table(rows[: i + 1], states, row_where)
+            raise
+    codes, table = _dense_table(rows, states, row_where)
+    return TransitionTable(
+        state_labels,
+        list(map(action_key.__getitem__, texts)),
+        _distributions(table),
+        state_codes,
+        action_codes,
+        codes,
     )
 
 
@@ -486,7 +534,6 @@ def _parse_mdp(doc: dict, kind: str):
     sensor = _dense_rows(
         ((state, row) for _, state, row in _sensor_entries(doc, where)),
         observations,
-        lambda state: state,
         lambda i: f"{where}.sensor[{i}].row",
     )
     return Pomdp(
@@ -512,8 +559,9 @@ def _parse_decpomdp(doc: dict):
         _field(doc, "observations", where), f"{where}.observations"
     )
     arity = len(agents)
-    split_action = _Memo(lambda text: _split_joint(text, arity, f"{where}.transition"))
-    transition = _transition_table(doc, states, where, split_action.__getitem__)
+    transition = _transition_table(
+        doc, states, where, lambda text: _split_joint(text, arity, f"{where}.transition")
+    )
     sensor = _sparse_sensor(
         doc, where, lambda key, key_where: _split_joint(key, arity, key_where)
     )
@@ -609,7 +657,7 @@ def _parse_lifted(doc: dict):
             text, partitioning, partitioning.observation_ranges, key_where
         )
 
-    transition = _transition_table(doc, states, where, _Memo(action_key).__getitem__)
+    transition = _transition_table(doc, states, where, action_key)
     sensor = _sparse_sensor(doc, where, observation_key)
     return LiftedDecPomdp(
         agents,
@@ -675,17 +723,54 @@ def _joint_key(joint: tuple[str, ...]) -> str:
     return ",".join(joint)
 
 
-def _transition_list(model, states, key_fn) -> list:
-    key_text = _Memo(key_fn)  # one text per distinct action key
-    entries = []
-    maps: dict = {}  # one "next" object per distribution object, shared
-    for (state, action), dist in model.transition.items():
-        row = maps.get(id(dist))
-        if row is None:
-            row = maps[id(dist)] = _prob_map(states, dist.probs)
-        entries.append({"state": state, "action": key_text[action], "next": row})
-    entries.sort(key=lambda e: (e["state"], e["action"]))
-    return entries
+def _ranks(values) -> np.ndarray:
+    """Each value's rank in sorted order; equal values share a rank."""
+    rank = {value: i for i, value in enumerate(sorted(set(values)))}
+    return np.array([rank[value] for value in values], dtype=np.int64)
+
+
+class _TableText:
+    """A transition table in a document, written from its columns.
+
+    The entries are {"action", "next", "state"} objects in order of state
+    and then key text.  Each distinct state, key text and row is encoded
+    once, entries are ordered by the ranks of their state and key codes,
+    and each entry is one format of those texts.
+    """
+
+    def __init__(self, table, labels, key_text):
+        self.table, self.key_text = table, key_text
+        # one object per distinct row, alive as long as the document, as
+        # the emitter's row cache needs
+        self.maps = [_prob_map(labels, row.probs) for row in table.rows]
+
+    def text(self, emitter: _Emitter, indent: str) -> str:
+        table = self.table
+        if not len(table):
+            return "[]"
+        inner = indent + "  "
+        field = inner + "  "
+        texts = list(map(self.key_text, table.actions))
+        order = np.argsort(
+            _ranks(table.states)[table.state_codes] * len(texts)
+            + _ranks(texts)[table.action_codes],
+            kind="stable",
+        )
+        states = [emitter.text(state, field) for state in table.states]
+        actions = [emitter.text(text, field) for text in texts]
+        rows = [emitter.text(row, field) for row in self.maps]
+        head = f'{inner}{{\n{field}"action": '
+        next_head, state_head = f',\n{field}"next": ', f',\n{field}"state": '
+        tail = f"\n{inner}}}"
+        body = ",\n".join([
+            f"{head}{actions[a]}{next_head}{rows[r]}{state_head}{states[s]}{tail}"
+            for s, a, r in zip(
+                table.state_codes[order].tolist(),
+                table.action_codes[order].tolist(),
+                table.row_codes[order].tolist(),
+            )
+        ])
+        return f"[\n{body}\n{indent}]"
 
 
 def _team_sensor_list(model, key_fn) -> list:
@@ -713,7 +798,7 @@ def serialize_model(model) -> str:
             "actions": {s: list(r) for s, r in model.actions.items()},
             "observations": list(model.observations),
             "discount": model.discount,
-            "transition": _transition_list(model, model.states, lambda a: a),
+            "transition": _TableText(model.transition, model.states, lambda action: action),
             "sensor": [
                 {
                     "state": s,
@@ -729,7 +814,7 @@ def serialize_model(model) -> str:
             "states": list(model.states),
             "actions": {s: list(r) for s, r in model.actions.items()},
             "discount": model.discount,
-            "transition": _transition_list(model, model.states, lambda a: a),
+            "transition": _TableText(model.transition, model.states, lambda action: action),
             "reward": dict(model.reward),
         }
     elif isinstance(model, GroundDecPomdp):
@@ -741,7 +826,7 @@ def serialize_model(model) -> str:
             "observations": {a: list(r) for a, r in model.observations.items()},
             "discount": model.discount,
             "initial_belief": _prob_map(model.states, model.initial_belief.probs),
-            "transition": _transition_list(model, model.states, _joint_key),
+            "transition": _TableText(model.transition, model.states, _joint_key),
             "sensor": _team_sensor_list(model, _joint_key),
             "reward": dict(model.reward),
         }
@@ -762,8 +847,8 @@ def serialize_model(model) -> str:
             ],
             "discount": model.discount,
             "initial_belief": _prob_map(model.states, model.initial_belief.probs),
-            "transition": _transition_list(
-                model, model.states, format_histogram_tuple_key
+            "transition": _TableText(
+                model.transition, model.states, format_histogram_tuple_key
             ),
             "sensor": _team_sensor_list(model, format_histogram_tuple_key),
             "reward": dict(model.reward),

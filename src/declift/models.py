@@ -10,9 +10,13 @@ A ground team model keys its rows by per-agent tuples; a lifted one by
 tuples of per-partition count histograms (`lifting` compiles between the
 two).  `validate_model` checks all of them.
 
-Equal rows may be one shared `DiscreteDistribution`, as they are in parsed
-and lifted tables; `distinct_rows` stacks each distinct row object once,
-and validation screens those and reports per entry.
+Every transition table is one read-only `TransitionTable`: a mapping from
+(state, key) to a row, stored as columns.  Each distinct state, key and
+row object is held once, and each entry is three int codes into them, so
+validation, lifting, grounding, serialization and the solvers work once
+per distinct state, key or row and per entry only in array code.  Model
+constructors take a dict (or a table) and convert it once.  Sensor
+tables stay dicts.
 
 Probability rows must carry unit mass within PROB_TOL.  Rows that are off
 by more than EXACT_SUM_TOL but still within PROB_TOL are divided by their
@@ -25,7 +29,9 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -167,6 +173,211 @@ def canonical_rows(table) -> tuple[np.ndarray, list[str | None]]:
     return probs, reasons
 
 
+def intern(values: Sequence) -> tuple[tuple, np.ndarray]:
+    """(distinct, codes): the distinct values in order of first use, and the
+    code of each value; equal values share a code."""
+    distinct = dict.fromkeys(values)
+    code = dict(zip(distinct, range(len(distinct))))
+    return tuple(distinct), np.fromiter(map(code.__getitem__, values), np.int64, len(values))
+
+
+def first_groups(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, group) of entries with equal ids.
+
+    Groups are numbered in order of their first entry: first[g] is that
+    entry and group[k] the group of entry k.
+    """
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse.ravel()]
+
+
+def _first_use(values: tuple, codes) -> tuple[tuple, np.ndarray]:
+    """(values, codes) numbered in order of first use, unused values dropped."""
+    codes = np.asarray(codes, dtype=np.int64).reshape(-1)
+    if codes.size:
+        seen = np.maximum.accumulate(codes)
+        if codes[0] == 0 and seen[-1] == len(values) - 1 and (codes[1:] <= seen[:-1] + 1).all():
+            return tuple(values), codes
+    first, group = first_groups(codes)
+    return tuple(map(values.__getitem__, codes[first].tolist())), group
+
+
+def _frozen(codes: np.ndarray) -> np.ndarray:
+    codes.flags.writeable = False
+    return codes
+
+
+class PairIndex:
+    """Finds table entries by their (state code, key code) pair.
+
+    A table with at most four (state, key) cells per entry, as a complete
+    table has, keeps each cell's entry in a dense grid, and a lookup is one
+    gather.  A sparser one, such as an MDP whose states each declare their
+    own actions, would need a grid quadratic in its entries, so it keeps
+    its pairs sorted and searches them.
+    """
+
+    __slots__ = ("width", "grid", "order", "pairs")
+
+    def __init__(self, state_codes: np.ndarray, key_codes: np.ndarray, width: int):
+        self.width = width
+        pairs = state_codes * width + key_codes
+        cells = (int(state_codes.max()) + 1) * width if pairs.size else 0
+        self.grid = None
+        if cells <= 4 * pairs.size:
+            self.grid = np.full(cells, -1, dtype=np.int64)
+            self.grid[pairs] = np.arange(pairs.size)
+        self.order = np.argsort(pairs, kind="stable")
+        self.pairs = pairs[self.order]
+
+    def duplicated(self) -> bool:
+        """Is some pair held by two entries?"""
+        return bool((self.pairs[1:] == self.pairs[:-1]).any())
+
+    def at(self, state_code: int, key_code: int) -> int:
+        """The entry of one (state code, key code) pair, or -1."""
+        pair = state_code * self.width + key_code
+        i = int(self.pairs.searchsorted(pair))
+        return int(self.order[i]) if i < self.pairs.size and self.pairs[i] == pair else -1
+
+    def find(self, state_codes, key_codes) -> np.ndarray:
+        """The entry of each (state code, key code) pair, or -1 where there is
+        none; a negative code finds none."""
+        state_codes, key_codes = np.broadcast_arrays(state_codes, key_codes)
+        wanted = state_codes * self.width + key_codes
+        valid = (state_codes >= 0) & (key_codes >= 0)
+        found = np.full(wanted.shape, -1, dtype=np.int64)
+        if self.grid is not None:
+            valid &= wanted < self.grid.size
+            found[valid] = self.grid[wanted[valid]]
+        elif self.pairs.size:
+            at = np.minimum(np.searchsorted(self.pairs, wanted), self.pairs.size - 1)
+            hit = valid & (self.pairs[at] == wanted)
+            found[hit] = self.order[at[hit]]
+        return found
+
+
+class TransitionTable(Mapping):
+    """Read-only transition table: (state, key) -> row, stored as columns.
+
+    `states`, `actions` and `rows` hold each distinct state, key (action,
+    joint action or action histogram tuple) and row object once, numbered
+    in order of first use.  Entry k maps (`states[state_codes[k]]`,
+    `actions[action_codes[k]]`) to `rows[row_codes[k]]`, and entries keep
+    the order they were given in.  States and keys are told apart by
+    equality and rows by identity, so a row read back is the object put
+    in.  Any state, key and row can be held (validation reports unknown
+    states, out-of-range keys and rows of the wrong width per entry), but
+    each (state, key) pair only once.
+
+    As a mapping it reads like the dict it is built from (`of`): `len`,
+    iteration order, `get` and `==`.  Bulk consumers read the columns and
+    find entries with `find` (by label) or `index.find` (by code).
+    """
+
+    __slots__ = (
+        "states", "actions", "rows", "state_codes", "action_codes", "row_codes",
+        "index", "_state_code", "_action_code",
+    )
+
+    def __init__(self, states, actions, rows, state_codes, action_codes, row_codes):
+        self.states, state_codes = _first_use(tuple(states), state_codes)
+        self.actions, action_codes = _first_use(tuple(actions), action_codes)
+        self.rows, row_codes = _first_use(tuple(rows), row_codes)
+        if not len(state_codes) == len(action_codes) == len(row_codes):
+            raise ValueError("transition table columns differ in length")
+        self.state_codes = _frozen(state_codes)
+        self.action_codes = _frozen(action_codes)
+        self.row_codes = _frozen(row_codes)
+        self.index = PairIndex(state_codes, action_codes, len(self.actions))
+        if self.index.duplicated():
+            raise ValueError("transition table holds a (state, key) pair twice")
+        self._state_code = dict(zip(self.states, range(len(self.states))))
+        self._action_code = dict(zip(self.actions, range(len(self.actions))))
+
+    @classmethod
+    def of(cls, table: Mapping) -> TransitionTable:
+        """The table of a {(state, key): row} mapping (a table is kept as is)."""
+        if isinstance(table, TransitionTable):
+            return table
+        pairs = list(table)
+        if not ({tuple}.issuperset(map(type, pairs)) and {2}.issuperset(map(len, pairs))):
+            for pair in pairs:
+                if not (isinstance(pair, tuple) and len(pair) == 2):
+                    raise TypeError(f"transition key {pair!r} is not a (state, key) pair")
+        states, state_codes = intern(list(map(itemgetter(0), pairs)))
+        actions, action_codes = intern(list(map(itemgetter(1), pairs)))
+        objects = list(table.values())
+        by_id = dict(zip(map(id, objects), objects))
+        _, row_codes = intern(list(map(id, objects)))
+        return cls(states, actions, by_id.values(), state_codes, action_codes, row_codes)
+
+    def find(self, states: Sequence, actions: Sequence) -> np.ndarray:
+        """entry[i, k] of the pair (states[i], actions[k]), or -1 where the
+        table has none."""
+        state_codes = [self._state_code.get(s, -1) for s in states]
+        action_codes = [self._action_code.get(a, -1) for a in actions]
+        return self.index.find(
+            np.array(state_codes, dtype=np.int64)[:, np.newaxis],
+            np.array(action_codes, dtype=np.int64)[np.newaxis, :],
+        )
+
+    def _entry(self, key) -> int:
+        if not (isinstance(key, tuple) and len(key) == 2):
+            return -1
+        state, action = key
+        s, a = self._state_code.get(state, -1), self._action_code.get(action, -1)
+        return -1 if s < 0 or a < 0 else self.index.at(s, a)
+
+    def __getitem__(self, key):
+        entry = self._entry(key)
+        if entry < 0:
+            raise KeyError(key)
+        return self.rows[self.row_codes[entry]]
+
+    def __contains__(self, key) -> bool:
+        return self._entry(key) >= 0
+
+    def __len__(self) -> int:
+        return len(self.row_codes)
+
+    def __iter__(self):
+        return zip(
+            map(self.states.__getitem__, self.state_codes.tolist()),
+            map(self.actions.__getitem__, self.action_codes.tolist()),
+        )
+
+    def _row_objects(self):
+        return map(self.rows.__getitem__, self.row_codes.tolist())
+
+    def items(self):
+        return _TableItems(self)
+
+    def values(self):
+        return _TableValues(self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+class _TableItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._row_objects())
+
+
+class _TableValues(ValuesView):
+    def __iter__(self):
+        return self._mapping._row_objects()
+
+
+def _table_field(model) -> None:
+    """Hold a model's transition table as a TransitionTable."""
+    object.__setattr__(model, "transition", TransitionTable.of(model.transition))
+
+
 @dataclass(frozen=True)
 class Mdp:
     """Fully observable single-agent model with per-state action ranges.
@@ -178,9 +389,12 @@ class Mdp:
 
     states: StateSpace
     actions: dict[str, tuple[str, ...]]
-    transition: dict[tuple[str, str], DiscreteDistribution]
+    transition: TransitionTable  # a dict is converted on construction
     reward: dict[str, float]
     discount: float
+
+    def __post_init__(self):
+        _table_field(self)
 
     def action_union(self) -> tuple[str, ...]:
         """All actions in first-appearance order across states."""
@@ -213,11 +427,14 @@ class GroundDecPomdp:
     states: StateSpace
     actions: dict[str, tuple[str, ...]]
     observations: dict[str, tuple[str, ...]]
-    transition: dict[tuple[str, tuple[str, ...]], DiscreteDistribution]
+    transition: TransitionTable  # keyed by (state, joint action tuple)
     sensor: dict[str, dict[tuple[str, ...], float]]
     reward: dict[str, float]
     discount: float
     initial_belief: Belief
+
+    def __post_init__(self):
+        _table_field(self)
 
 
 @dataclass(frozen=True)
@@ -258,11 +475,14 @@ class LiftedDecPomdp:
     states: StateSpace
     partition_names: tuple[str, ...]
     partitioning: Partitioning
-    transition: dict[tuple[str, tuple[tuple[int, ...], ...]], DiscreteDistribution]
+    transition: TransitionTable  # keyed by (state, action histogram tuple)
     sensor: dict[str, dict[tuple[tuple[int, ...], ...], float]]
     reward: dict[str, float]
     discount: float
     initial_belief: Belief
+
+    def __post_init__(self):
+        _table_field(self)
 
     def action_key_count(self) -> int:
         return math.prod(
@@ -344,38 +564,18 @@ def _check_sparse_row(out, name, row: dict, keys_ok) -> None:
         out.append(Violation("normalization", f"{name} sums to {mass!r}, expected 1"))
 
 
-def distinct_rows(dists: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    """(codes, table): the distinct row objects of `dists`, stacked once.
-
-    Rows are told apart by object identity, so a table whose entries share
-    one distribution object per distinct row (as parsed, lifted and ground
-    tables do) is stacked once per distinct row; equal rows held in
-    separate objects each get their own code.  codes[i] is the row of
-    `table` holding dists[i].probs.  All rows must have one width.
-    """
-    objects = {id(dist): dist for dist in dists}
-    code = dict(zip(objects, range(len(objects))))
-    codes = np.fromiter(
-        map(code.__getitem__, map(id, dists)), dtype=np.intp, count=len(dists)
-    )
-    if not objects:
-        return codes, np.zeros((0, 0))
-    return codes, np.stack([dist.probs for dist in objects.values()])
-
-
 # Table-wide screens: each says which rows the row checker above would
 # report on.  Only those rows are checked again one by one, so reports keep
 # their text and order while clean rows cost one pass over the stacked
 # distinct rows.
 
-def _dense_flags(dists, width: int) -> np.ndarray:
-    """Rows `_check_row` reports on, decided once per distinct row object."""
-    flags = np.ones(len(dists), dtype=bool)
-    fit = [i for i, dist in enumerate(dists) if len(dist) == width]
+def _dense_flags(rows: Sequence, width: int) -> np.ndarray:
+    """Which of these row objects `_check_row` reports on."""
+    flags = np.ones(len(rows), dtype=bool)
+    fit = [i for i, row in enumerate(rows) if len(row) == width]
     if fit:
-        codes, table = distinct_rows([dists[i] for i in fit])
-        _probs, reasons = canonical_rows(table)
-        flags[fit] = np.array([reason is not None for reason in reasons])[codes]
+        _probs, reasons = canonical_rows(np.stack([rows[i].probs for i in fit]))
+        flags[fit] = [reason is not None for reason in reasons]
     return flags
 
 
@@ -400,35 +600,35 @@ def _check_team_transitions(
 ) -> None:
     """Report the transition rows of a ground or lifted team model.
 
-    `key_ok` is tested once per distinct key.  `all_keys()` lists the
-    `n_keys` keys each state needs a row for; missing rows are looked for
-    only when `n_keys` is at most `cap` and the rows with a known state and
-    a good key, which are distinct, number fewer than |states| x `n_keys`.
+    Rows are screened once per distinct row object and `key_ok` is tested
+    once per distinct key.  `all_keys()` lists the `n_keys` keys each state
+    needs a row for; missing rows are looked for only when `n_keys` is at
+    most `cap` and the entries with a known state and a good key, which
+    are distinct pairs, number fewer than |states| x `n_keys`.
     """
+    table = model.transition
     known = set(model.states.labels)
-    items = list(model.transition.items())
-    bad_keys = {key for key in {k for _, k in model.transition} if not key_ok(key)}
-    outside = np.array(
-        [state not in known or key in bad_keys for (state, key), _ in items], dtype=bool
-    )
-    flags = _dense_flags([dist for _, dist in items], len(model.states)) | outside
+    unknown = np.array([state not in known for state in table.states], dtype=bool)
+    bad_keys = np.array([not key_ok(key) for key in table.actions], dtype=bool)
+    outside = unknown[table.state_codes] | bad_keys[table.action_codes]
+    flags = _dense_flags(table.rows, len(model.states))[table.row_codes] | outside
     for i in np.flatnonzero(flags).tolist():
-        (state, key), dist = items[i]
+        state = table.states[table.state_codes[i]]
+        key = table.actions[table.action_codes[i]]
         name = f"{row_name} ({state!r}, {key!r})"
-        if state not in known:
+        if unknown[table.state_codes[i]]:
             out.append(Violation("undeclared-row", f"{name}: unknown state"))
-        if key in bad_keys:
+        if bad_keys[table.action_codes[i]]:
             out.append(Violation("key", f"{name}: {key_problem}"))
-        _check_row(out, name, dist, len(model.states))
-    in_range = len(items) - int(outside.sum())
+        _check_row(out, name, table.rows[table.row_codes[i]], len(model.states))
+    in_range = len(table) - int(outside.sum())
     if n_keys <= cap and in_range < len(model.states) * n_keys:
         keys = list(all_keys())
         for state in model.states:
-            for key in keys:
-                if (state, key) not in model.transition:
-                    out.append(
-                        Violation("missing-row", f"no {row_name} for ({state!r}, {key!r})")
-                    )
+            for k in np.flatnonzero(table.find([state], keys)[0] < 0).tolist():
+                out.append(
+                    Violation("missing-row", f"no {row_name} for ({state!r}, {keys[k]!r})")
+                )
 
 
 def _check_team_sensor(out, model, key_ok, row_name: str) -> None:
@@ -497,12 +697,12 @@ def _validate_mdp(model: Mdp, out: list[Violation]):
     for key in declared:
         if key not in model.transition:
             out.append(Violation("missing-row", f"no transition row for {key!r}"))
-    items = list(model.transition.items())
-    flags = _dense_flags([dist for _, dist in items], len(model.states))
-    for i, (key, dist) in enumerate(items):
+    table = model.transition
+    flags = _dense_flags(table.rows, len(model.states))[table.row_codes]
+    for flag, (key, dist) in zip(flags.tolist(), table.items()):
         if key not in declared:
             out.append(Violation("undeclared-row", f"transition row for undeclared {key!r}"))
-        if flags[i]:
+        if flag:
             _check_row(out, f"transition row {key!r}", dist, len(model.states))
 
 

@@ -309,6 +309,7 @@ def generate_nano(params: NanoParams, cap: int = DEFAULT_JOINT_CAP) -> LiftedDec
         LiftedDecPomdp,
         Partitioning,
         StateSpace,
+        TransitionTable,
     )
 
     n = params.partition_size
@@ -339,18 +340,21 @@ def generate_nano(params: NanoParams, cap: int = DEFAULT_JOINT_CAP) -> LiftedDec
         else ()
         for key in keys
     ]
-    rows: dict = {}
-    transition = {}
+    rows: dict = {}  # input -> code of its row, in order of first use
+    row_codes = []
     for ns in states:
-        name, all_markers = ns.label, all(ns.markers)
-        for key, fire, released in zip(keys, fires, release_bits):
-            enabled = all_markers and fire
-            row = rows.get((ns.markers, enabled, released))
-            if row is None:
-                row = rows[(ns.markers, enabled, released)] = DiscreteDistribution(
-                    _next_row(params, index, ns.markers, enabled, released)
-                )
-            transition[(name, key)] = row
+        all_markers = all(ns.markers)
+        for fire, released in zip(fires, release_bits):
+            row_input = (ns.markers, all_markers and fire, released)
+            row_codes.append(rows.setdefault(row_input, len(rows)))
+    transition = TransitionTable(
+        labels,
+        keys,
+        [DiscreteDistribution(_next_row(params, index, *row_input)) for row_input in rows],
+        [s for s in range(len(states)) for _ in keys],
+        list(range(len(keys))) * len(states),
+        row_codes,
+    )
 
     sensor = {}
     for ns in states:

@@ -91,13 +91,17 @@ def _transitions(model, states, keys, row_name: str) -> np.ndarray:
     Rows are read key-major, state-minor; the first missing one raises
     ValidationError naming it as `<row_name> for (state, key)`.
     """
-    table = np.empty((len(keys), len(states), len(model.states)))
-    for k, key in enumerate(keys):
-        for i, s in enumerate(states):
-            table[k, i] = _require_row(
-                model.transition.get((s, key)), f"{row_name} for ({s!r}, {key!r})"
-            ).probs
-    return table
+    transition = model.transition
+    entry = transition.find(states, keys).T.ravel()
+    missing = np.flatnonzero(entry < 0)
+    if missing.size:
+        k, i = divmod(int(missing[0]), len(states))
+        _require_row(None, f"{row_name} for ({states[i]!r}, {keys[k]!r})")
+    table = np.empty((len(entry), len(model.states)))
+    if entry.size:
+        used, codes = np.unique(transition.row_codes[entry], return_inverse=True)
+        table[:] = np.stack([transition.rows[c].probs for c in used.tolist()])[codes.ravel()]
+    return table.reshape(len(keys), len(states), len(model.states))
 
 
 def _sensor(model, states, keys) -> np.ndarray:
@@ -674,7 +678,9 @@ def lifted_exhaustive(
     1 or 2 the first candidate of each action histogram in declaration
     order, so each joint histogram is valued once; deeper, every candidate,
     whose root vector is not memoised.  `joint_candidates` counts the
-    policy class searched, not the vectors valued.
+    policy class searched, not the vectors valued.  `cap_joint` bounds the
+    root's work: at horizon 3 or more the candidates valued; at horizon 1
+    or 2 each partition's multisets walked and the joint classes valued.
 
     Raises ValidationError before searching when a state lacks a sensor
     row, a sensor row's mass is not 1, or a (state, action histogram)
@@ -709,7 +715,13 @@ def lifted_exhaustive(
         count = pool_size if peak_only else math.comb(pool_size + size - 1, size)
         multiset_counts.append(count)
     total_candidates = math.prod(multiset_counts)
-    _check_cap(total_candidates, cap_joint, "joint plan-multiset candidates", "joint")
+    if horizon <= 2:
+        # the root walks each partition's multisets once, then values one
+        # vector per joint action histogram class (checked below)
+        for count in multiset_counts:
+            _check_cap(count, cap_joint, "plan multisets of one partition", "joint")
+    else:
+        _check_cap(total_candidates, cap_joint, "joint plan-multiset candidates", "joint")
 
     def action_histogram(k, depth, occ_k):
         # occ_k: sorted ((node_index, count), ...) over the depth-`depth` pool
@@ -819,6 +831,9 @@ def lifted_exhaustive(
             hist = action_histogram(k, horizon, occ_k)
             classes.setdefault(hist if horizon <= 2 else occ_k, (occ_k, hist))
         per_partition.append(list(classes.values()))
+    if horizon <= 2:
+        joint_classes = math.prod(map(len, per_partition))
+        _check_cap(joint_classes, cap_joint, "joint action histogram classes", "joint")
     evaluate = alpha if horizon <= 2 else backup
     best_occ, best_value = None, None
     for combo in itertools.product(*per_partition):

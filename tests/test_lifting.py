@@ -334,6 +334,12 @@ def swap_team(data):
     `test_swap_check_matches_row_by_row_loop`: count-symmetric, then edited
     to break symmetry by missing rows or joint tuples and by shifts around
     the tolerance."""
+    return swap_tables(data)[0]
+
+
+def swap_tables(data):
+    """(model, transition, sensor): a `swap_team` model and the dicts it
+    was built from."""
     states = StateSpace(data.draw(st.sampled_from([("lo", "hi"), ("x", "hi")])))
     agents = ("a0", "a1", "a2")
     last_actions = data.draw(st.sampled_from([("x", "y"), ("x", "z"), ("z", "x")]))
@@ -391,7 +397,7 @@ def swap_team(data):
         if rows is not None:
             dist = rows.setdefault(row.tobytes(), dist)
         transition[key] = dist
-    return GroundDecPomdp(
+    model = GroundDecPomdp(
         agents=agents,
         states=states,
         actions=actions,
@@ -402,6 +408,51 @@ def swap_team(data):
         discount=0.9,
         initial_belief=Belief(states, np.array([1.0, 0.0])),
     )
+    return model, transition, sensor
+
+
+def oracle_swap_invariant(transition: dict, sensor: dict, i, j, tol) -> bool:
+    """Brute-force swap check, by lookups in the dicts a model was built from."""
+    for (state, joint), dist in transition.items():
+        other = transition.get((state, swapped(joint, i, j)))
+        if other is None or np.max(np.abs(dist.probs - other.probs)) > tol:
+            return False
+    for row in sensor.values():
+        for joint, prob in row.items():
+            if abs(prob - row.get(swapped(joint, i, j), 0.0)) > tol:
+                return False
+    return True
+
+
+def oracle_refine(transition: dict, sensor: dict, candidate: Partitioning, tol) -> tuple:
+    """The blocks of `symmetry_refine`, each agent joining the first
+    sub-block whose first member it swaps with under the oracle."""
+    blocks = []
+    for block in candidate.blocks:
+        subgroups = []
+        for idx in block:
+            for sub in subgroups:
+                if oracle_swap_invariant(transition, sensor, sub[0], idx, tol):
+                    sub.append(idx)
+                    break
+            else:
+                subgroups.append([idx])
+        blocks.extend(tuple(sub) for sub in subgroups)
+    return tuple(sorted(blocks))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), tol=st.sampled_from([PROB_TOL, 2 * PROB_TOL]))
+def test_symmetry_refine_matches_a_brute_force_swap_oracle(data, tol):
+    # missing swap partners, rows within and just beyond the tolerance and
+    # sensor entries missing on one side, judged from the dicts themselves
+    model, transition, sensor = swap_tables(data)
+    check = _SwapCheck(model)
+    for i, j in itertools.combinations(range(3), 2):
+        assert check.invariant(i, j, tol) == oracle_swap_invariant(transition, sensor, i, j, tol)
+    candidate = range_partition(model)
+    refined = symmetry_refine(model, candidate, tol)
+    assert refined.blocks == oracle_refine(transition, sensor, candidate, tol)
 
 
 @settings(max_examples=80, deadline=None)
@@ -508,7 +559,8 @@ def test_lift_checks_partitioning_against_model():
 def test_lift_rejects_joint_values_outside_the_declared_range(table):
     model = symmetric_pair()
     if table == "transition":
-        model.transition[("lo", ("zz", "x"))] = DiscreteDistribution([1.0, 0.0])
+        transition = {**model.transition, ("lo", ("zz", "x")): DiscreteDistribution([1.0, 0.0])}
+        model = dataclasses.replace(model, transition=transition)
     else:
         model.sensor["lo"][("zz", "o")] = 0.0
     with pytest.raises(RangeMismatch, match="'zz'"):
@@ -531,7 +583,8 @@ def test_lift_reads_a_whole_sensor_row_before_judging_its_keys(bad, message):
 def test_lift_rejects_joint_tuples_shorter_than_the_agent_list(table):
     model = symmetric_pair()
     if table == "transition":
-        model.transition[("lo", ("x",))] = DiscreteDistribution([1.0, 0.0])
+        transition = {**model.transition, ("lo", ("x",)): DiscreteDistribution([1.0, 0.0])}
+        model = dataclasses.replace(model, transition=transition)
         row = "transition row for state 'lo'"
     else:
         model.sensor["lo"][("o",)] = 0.0

@@ -13,15 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from declift.counting import parse_histogram_tuple_key
+from declift.counting import format_histogram_tuple_key, parse_histogram_tuple_key
 from declift.errors import ParseError, SchemaError, ValidationError
 from declift.lifting import ground
 from declift.modelio import canonical_json, parse_model, serialize_model
 from declift.models import (
     Belief,
     DiscreteDistribution,
+    GroundDecPomdp,
+    LiftedDecPomdp,
+    TransitionTable,
     canonical_rows,
-    distinct_rows,
     validate_model,
 )
 from declift.nano import NanoParams, generate_nano, nano_desk_preset
@@ -59,6 +61,56 @@ def test_round_trip_is_byte_identical(kind):
     parsed = parse_model(text)
     assert type(parsed) is type(model)
     assert serialize_model(parsed) == text
+
+
+def reference_transition_entries(model) -> list:
+    """The transition entries of a model's document, built entry by entry
+    from the table's items and sorted by state and key text."""
+    if isinstance(model, LiftedDecPomdp):
+        key_text = format_histogram_tuple_key
+    elif isinstance(model, GroundDecPomdp):
+        key_text = ",".join
+    else:
+        key_text = str
+    entries = [
+        {
+            "action": key_text(key),
+            "next": {s: p for s, p in zip(model.states, row.probs.tolist()) if p != 0.0},
+            "state": state,
+        }
+        for (state, key), row in model.transition.items()
+    ]
+    return sorted(entries, key=lambda entry: (entry["state"], entry["action"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["mdp", "pomdp", "decpomdp", "lifted-decpomdp"]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_tables_are_written_entry_for_entry(kind, seed, data):
+    # a table written from its columns reads as the entry-by-entry
+    # document, whatever order its entries were built in
+    rng = np.random.default_rng(seed)
+    model = {
+        "mdp": lambda: random_mdp(rng, n_states=data.draw(st.integers(1, 4))),
+        "pomdp": lambda: random_pomdp(rng, n_states=data.draw(st.integers(1, 3))),
+        "decpomdp": lambda: random_team(rng, n_states=data.draw(st.integers(1, 3))),
+        "lifted-decpomdp": lambda: random_lifted(
+            rng, sizes=data.draw(st.sampled_from([(1,), (2,), (2, 1), (3,)]))
+        ),
+    }[kind]()
+    entries = data.draw(st.permutations(list(model.transition.items())))
+    if data.draw(st.booleans()):
+        # equal rows as one object, as a parsed table holds them
+        shared = {}
+        entries = [(key, shared.setdefault(row.probs.tobytes(), row)) for key, row in entries]
+    shuffled = dataclasses.replace(model, transition=dict(entries))
+    text = serialize_model(shuffled)
+    assert text == serialize_model(model)
+    assert json.loads(text)["transition"] == reference_transition_entries(model)
+    assert serialize_model(parse_model(text)) == text
 
 
 def test_round_trip_random_lifted():
@@ -567,8 +619,9 @@ def test_lifted_sensor_schema_errors_come_in_entry_order():
 
 # The cli-session chain, in process: gen-nano with two marker types, one
 # message type, partitions of three and these fixed rates, then ground,
-# serialise, parse, lift and serialise.  The digests were recorded with the
-# row-by-row implementation this module replaced.
+# serialise, parse, lift and serialise.  The ground and re-lifted digests
+# were recorded with the row-by-row implementation this module replaced,
+# the generated one with the dict tables that preceded TransitionTable.
 CHAIN_RATES = {
     "marker_appear": 0.15,
     "marker_persist": 0.85,
@@ -582,12 +635,15 @@ CHAIN_RATES = {
     "reward_bad": 21.0,
     "release_cost": 1.5,
 }
+GENERATED_SHA256 = "6de83a03ac4fad40413819568cf224983aed652224a9fe2c9d9e8c4b2d9d19a9"
 GROUND_SHA256 = "9abdab8763c8f329911e677f610198d14c6a6edba04b94841e921edbd901a6e2"
 RELIFTED_SHA256 = "e18da4c57da1eadd088d57b38b71aa56ccd08fff04e0a07362c8931c07caf536"
 
 
 def test_cli_session_chain_documents_are_pinned():
-    _generated, grounded = chain_documents()
+    generated, grounded = chain_documents()
+    assert len(generated.encode()) == 335_200
+    assert hashlib.sha256(generated.encode()).hexdigest() == GENERATED_SHA256
     assert len(grounded.encode()) == 3_290_994
     assert hashlib.sha256(grounded.encode()).hexdigest() == GROUND_SHA256
     relifted = serialize_model(lift_chain(parse_model(grounded)))
@@ -822,9 +878,10 @@ def test_empty_transition_table_reports_missing_rows(kind):
     assert err.value.report.codes() == validate_model(empty).codes()
 
 
-def test_distinct_rows_of_an_empty_table():
-    codes, table = distinct_rows([])
-    assert codes.shape == (0,) and table.shape == (0, 0)
+def test_transition_table_of_an_empty_dict():
+    table = TransitionTable.of({})
+    assert len(table) == 0 and table == {} and not table.rows
+    assert table.find(["s"], ["a"]).tolist() == [[-1]]
 
 
 @functools.lru_cache(maxsize=1)

@@ -20,9 +20,11 @@ from declift.models import (
     Belief,
     DiscreteDistribution,
     GroundDecPomdp,
+    LiftedDecPomdp,
     Mdp,
     Pomdp,
     StateSpace,
+    TransitionTable,
     ValidationReport,
     Violation,
     _check_belief,
@@ -38,7 +40,7 @@ from declift.models import (
 )
 
 from test_lifting import insert_at
-from test_solvers import random_lifted, random_mdp, random_pomdp, random_team
+from test_solvers import random_lifted, random_mdp, random_pomdp, random_row, random_team
 
 
 def two_state_pomdp():
@@ -649,3 +651,133 @@ def test_team_validators_report_a_dropped_transition_row(kind):
     report = validate_model(broken)
     assert str(report) == reference_report(broken)
     assert report.codes().count("missing-row") == 1
+
+
+# ---------------------------------------------------------------------------
+# transition tables: columns that read like the dict they were built from
+
+
+def own_actions_mdp(rng, n_states):
+    """An MDP whose every state declares two actions of its own: as many
+    keys as entries, a sparse (states x keys) table."""
+    states = StateSpace(tuple(f"s{i}" for i in range(n_states)))
+    actions = {s: (f"go{i}", f"stay{i}") for i, s in enumerate(states)}
+    transition = {
+        (s, a): DiscreteDistribution(random_row(rng, n_states))
+        for s in states
+        for a in actions[s]
+    }
+    return Mdp(states, actions, transition, {s: 0.0 for s in states}, 0.9)
+
+
+def table_model(kind, rng, data):
+    if kind == "mdp":
+        return random_mdp(rng, n_states=data.draw(st.integers(1, 3)))
+    if kind == "own-actions":
+        return own_actions_mdp(rng, data.draw(st.integers(1, 9)))
+    if kind == "pomdp":
+        return random_pomdp(rng, n_states=data.draw(st.integers(1, 3)))
+    if kind == "decpomdp":
+        return random_team(rng, n_states=data.draw(st.integers(1, 3)))
+    return random_lifted(rng, sizes=data.draw(st.sampled_from([(1,), (2,), (2, 1)])))
+
+
+def foreign_key(model):
+    """A key outside the model's declared ranges."""
+    if isinstance(model, GroundDecPomdp):
+        return ("q", "x")
+    if isinstance(model, LiftedDecPomdp):
+        return tuple((n + 1, 0) for n in model.partitioning.sizes)
+    return "q"
+
+
+def drawn_table(data, model) -> dict:
+    """A {(state, key): row} dict drawn from a model's table: entries
+    reordered, dropped, holding a copy of their row or another entry's row
+    object, and malformed ones added (unknown states, out-of-range keys,
+    rows of another width)."""
+    entries = list(model.transition.items())
+    if data.draw(st.booleans()):
+        entries = data.draw(st.permutations(entries))
+    table: dict = {}
+    edits = ["keep", "keep", "copy", "share", "drop", "width", "unknown", "foreign"]
+    for (state, key), row in entries:
+        edit = data.draw(st.sampled_from(edits))
+        if edit == "drop":
+            continue
+        if edit == "copy":
+            row = DiscreteDistribution(row.probs.copy())
+        elif edit == "share" and table:
+            row = data.draw(st.sampled_from(list(table.values())))
+        elif edit == "width":
+            row = DiscreteDistribution(np.append(row.probs, 0.0))
+        table[(state, key)] = row
+        if edit == "unknown":
+            table[("zz", key)] = row
+        elif edit == "foreign":
+            table[(state, foreign_key(model))] = row
+    return table
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=st.sampled_from(["mdp", "own-actions", "pomdp", "decpomdp", "lifted-decpomdp"]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_transition_table_reads_like_its_dict(kind, seed, data):
+    model = table_model(kind, np.random.default_rng(seed), data)
+    table = drawn_table(data, model)
+    columns = TransitionTable.of(table)
+    assert len(columns) == len(table)
+    assert list(columns) == list(table)
+    assert list(columns.keys()) == list(table.keys())
+    assert [(key, id(row)) for key, row in columns.items()] == [
+        (key, id(row)) for key, row in table.items()
+    ]
+    assert list(map(id, columns.values())) == list(map(id, table.values()))
+    for key, row in table.items():
+        assert columns[key] is row and columns.get(key) is row and key in columns
+    state, key = next(iter(model.transition))
+    for absent in [("nowhere", key), (state, "nowhere"), (state, key, 0), "ab", state]:
+        assert absent not in columns and columns.get(absent) is None
+        with pytest.raises(KeyError):
+            columns[absent]
+    assert columns == table and table == columns
+    assert columns == TransitionTable.of(dict(reversed(table.items())))
+    if table:
+        changed = dict(table)
+        first = next(iter(table))
+        changed[first] = DiscreteDistribution(np.append(table[first].probs, 1.0))
+        assert columns != changed and changed != columns
+    # each distinct state, key and row object once, in order of first use
+    assert columns.states == tuple(dict.fromkeys(state for state, _ in table))
+    assert columns.actions == tuple(dict.fromkeys(key for _, key in table))
+    assert list(map(id, columns.rows)) == list(dict.fromkeys(map(id, table.values())))
+    entry = columns.find(columns.states + ("nowhere",), columns.actions)
+    for i, state in enumerate(columns.states + ("nowhere",)):
+        for k, key in enumerate(columns.actions):
+            found = entry[i, k]
+            assert (found >= 0) == ((state, key) in table)
+            if found >= 0:
+                assert columns.rows[columns.row_codes[found]] is table[(state, key)]
+    # a model holds the table, and validates it as the row-by-row
+    # validators validate the dict itself
+    broken = dataclasses.replace(model, transition=table)
+    assert broken.transition == table
+    reference = dataclasses.replace(model, transition=table)
+    object.__setattr__(reference, "transition", table)
+    assert str(validate_model(broken)) == reference_report(reference)
+
+
+def test_transition_tables_are_read_only():
+    model = random_mdp(np.random.default_rng(0))
+    key = next(iter(model.transition))
+    with pytest.raises(TypeError):
+        model.transition[key] = model.transition[key]
+    with pytest.raises(ValueError):
+        model.transition.state_codes[0] = 1
+    with pytest.raises(TypeError, match="not a .state, key. pair"):
+        TransitionTable.of({"s0": model.transition[key]})
+    with pytest.raises(ValueError, match="twice"):
+        TransitionTable(("s",), ("a",), (model.transition[key],), [0, 0], [0, 0], [0, 0])

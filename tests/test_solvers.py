@@ -1317,6 +1317,38 @@ def test_shallow_root_search_values_each_joint_histogram_once(monkeypatch):
     assert result.value == 0.0
 
 
+def test_shallow_root_search_caps_the_work_it_does():
+    # the size-8 desk preset at horizon 2: its policy class holds 6,435^2
+    # candidates, over the default joint cap, but the root walks 2 x 6,435
+    # multisets and values 9 x 9 joint action histogram classes
+    params = dataclasses.replace(nano_desk_preset(), partition_size=8)
+    result = lifted_exhaustive(generate_nano(params), 2)
+    assert result.statistics["per_partition_candidates"] == [6435, 6435]
+    assert result.statistics["joint_candidates"] == 6435**2 > solvers.DEFAULT_JOINT_CAP
+    sibling = generate_nano(dataclasses.replace(params, partition_size=1))
+    assert result.value == decpomdp_exhaustive(ground(sibling), 2).value
+
+
+def test_shallow_root_search_refuses_oversized_partitions_up_front(monkeypatch):
+    def walked(*_args):
+        raise AssertionError("a partition's multisets were walked")
+
+    monkeypatch.setattr(
+        solvers,
+        "itertools",
+        types.SimpleNamespace(product=itertools.product, combinations_with_replacement=walked),
+    )
+    model = generate_nano(dataclasses.replace(nano_desk_preset(), partition_size=8))
+    with pytest.raises(CapacityExceeded, match="6435 plan multisets of one partition"):
+        lifted_exhaustive(model, 2, cap_joint=6434)
+    # three one-agent partitions: 2 multisets each, but 8 joint classes
+    monkeypatch.undo()
+    lifted = random_lifted(np.random.default_rng(4), (1, 1, 1))
+    with pytest.raises(CapacityExceeded, match="8 joint action histogram classes"):
+        lifted_exhaustive(lifted, 1, cap_joint=7)
+    assert lifted_exhaustive(lifted, 1, cap_joint=8).statistics["joint_candidates"] == 8
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
