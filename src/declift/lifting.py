@@ -55,6 +55,7 @@ from .models import (
     LiftedDecPomdp,
     PairIndex,
     Partitioning,
+    SortedIndex,
     TransitionTable,
     first_groups,
     intern,
@@ -197,31 +198,25 @@ def _void_rows(codes: np.ndarray) -> np.ndarray:
     return codes.view(np.dtype((np.void, codes.itemsize * codes.shape[1]))).ravel()
 
 
-class _Partners:
+class _Partners(SortedIndex):
     """Swap partners among the distinct joint tuples of one table.
 
     `labels` holds one row of label codes per distinct tuple; the rows are
     sorted once by their bytes, and each swap looks its tuples up.
     """
 
+    __slots__ = ("labels",)
+
     def __init__(self, labels: np.ndarray):
         self.labels = labels
-        rows = _void_rows(labels)
-        self.order = np.argsort(rows)
-        self.rows = rows[self.order]
+        super().__init__(_void_rows(labels))
 
     def of(self, i: int, j: int) -> np.ndarray:
         """partner[c]: the tuple that is tuple c with the values of agents i
         and j traded, or -1 where no tuple is."""
         swapped = self.labels.copy()
         swapped[:, [i, j]] = self.labels[:, [j, i]]
-        wanted = _void_rows(swapped)
-        partner = np.full(len(wanted), -1, dtype=np.int64)
-        if self.rows.size:
-            at = np.minimum(np.searchsorted(self.rows, wanted), self.rows.size - 1)
-            hit = self.rows[at] == wanted
-            partner[hit] = self.order[at[hit]]
-        return partner
+        return self.find(_void_rows(swapped))
 
 
 class _SwapCheck:

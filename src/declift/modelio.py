@@ -14,11 +14,12 @@ serializing the result reproduces the document byte for byte.
 
 Both directions work a table at a time, and a table holds each distinct
 row once.  The parser reads every entry of a transition or dense sensor
-table first, screens all its row objects at once (objects, labels and
-value types) and reads them into one (entries x width) array; the
-distinct rows of that array are canonicalised with one `canonical_rows`
-call, and every entry whose row read to the same float64 bytes gets the
-same distribution object (so 0.0 and -0.0 stay apart).  A transition
+table first, then screens its row objects (objects, labels and value
+types) and reads them into dense arrays a chunk at a time, keeping each
+chunk's distinct rows; the distinct rows of the table are canonicalised
+with one `canonical_rows` call, and every entry whose row read to the
+same float64 bytes gets the same distribution object (so 0.0 and -0.0
+stay apart).  A transition
 table is built straight from those row codes and the interned state and
 key texts (`models.TransitionTable`).  The initial belief is a one-row
 table on the same path.  Key texts are parsed once per distinct text.
@@ -278,33 +279,43 @@ def _check_dense_row(mapping, index: dict, where: str) -> None:
         _number(value, f"{where}[{label!r}]")
 
 
+_CHUNK_CELLS = 1 << 13  # dense cells read at a time
+
+
 def _dense_table(mappings: list, labels, where) -> tuple[np.ndarray, np.ndarray]:
     """(codes, table): {label: number} row objects as distinct dense rows.
 
     table holds one (labels-wide) row per distinct row and codes[i] is the
     row of mappings[i]; rows merge only when their float64 bytes are equal,
-    so -0.0 stays apart from 0.0.  The objects are screened all at once
-    (each an object, every label known, every value an int or a float) and
-    read into one dense array, whose bytes are then grouped.  When the
-    screen fails, the objects are read again one by one, so the error
-    raised is the first a row-by-row reader meets; `where(i)` names object
-    i in errors.
+    so -0.0 stays apart from 0.0.  The objects are read a chunk of about
+    `_CHUNK_CELLS` cells at a time, so the dense arrays stay small: a chunk
+    is screened all at once (each an object, every label known, every
+    value an int or a float), read into one dense array, and only its
+    distinct rows are kept.  When the screen fails, the objects are read
+    again one by one from the chunk's start, so the error raised is the
+    first a row-by-row reader meets; `where(i)` names object i in errors.
     """
     index = {label: i for i, label in enumerate(labels)}
-    try:
-        # an unknown label reads as None, which no int array takes
-        columns = np.fromiter(
-            map(index.get, itertools.chain.from_iterable(mappings)), np.intp
-        )
-        values = list(itertools.chain.from_iterable(map(dict.values, mappings)))
-    except TypeError:  # some row is not an object, or has an unknown label
-        columns = None
-    if columns is None or not _plain_numbers(values):
-        for i, mapping in enumerate(mappings):
-            _check_dense_row(mapping, index, where(i))
-    table = np.zeros((len(mappings), len(index)))
-    table[np.repeat(np.arange(len(mappings)), list(map(len, mappings))), columns] = values
-    return _distinct_bytes(table)
+    step = max(1, _CHUNK_CELLS // max(1, len(index)))
+    codes, tables = [], []
+    for start in range(0, max(1, len(mappings)), step):
+        chunk = mappings[start : start + step]
+        try:
+            # an unknown label reads as None, which no int array takes
+            columns = np.fromiter(map(index.get, itertools.chain.from_iterable(chunk)), np.intp)
+            values = list(itertools.chain.from_iterable(map(dict.values, chunk)))
+        except TypeError:  # some row is not an object, or has an unknown label
+            columns = None
+        if columns is None or not _plain_numbers(values):
+            for i in range(start, len(mappings)):
+                _check_dense_row(mappings[i], index, where(i))
+        table = np.zeros((len(chunk), len(index)))
+        table[np.repeat(np.arange(len(chunk)), list(map(len, chunk))), columns] = values
+        chunk_codes, table = _distinct_bytes(table)
+        codes.append(chunk_codes + sum(map(len, tables)))
+        tables.append(table)
+    byte_codes, table = _distinct_bytes(np.concatenate(tables))
+    return byte_codes[np.concatenate(codes)], table
 
 
 def _distinct_bytes(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -393,7 +404,8 @@ def _coded_transitions(states: list, actions: list, rows: list):
     first use; None when some (state, action) pair is held twice."""
     state_labels, state_codes = intern(states)
     texts, action_codes = intern(actions)
-    if np.unique(state_codes * len(texts) + action_codes).size < len(rows):
+    pairs = np.sort(state_codes * len(texts) + action_codes)
+    if (pairs[1:] == pairs[:-1]).any():
         return None
     return state_labels, state_codes, texts, action_codes, rows
 

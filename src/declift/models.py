@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Sequence
@@ -197,10 +197,6 @@ def first_groups(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _first_use(values: tuple, codes) -> tuple[tuple, np.ndarray]:
     """(values, codes) numbered in order of first use, unused values dropped."""
     codes = np.asarray(codes, dtype=np.int64).reshape(-1)
-    if codes.size:
-        seen = np.maximum.accumulate(codes)
-        if codes[0] == 0 and seen[-1] == len(values) - 1 and (codes[1:] <= seen[:-1] + 1).all():
-            return tuple(values), codes
     first, group = first_groups(codes)
     return tuple(map(values.__getitem__, codes[first].tolist())), group
 
@@ -210,54 +206,44 @@ def _frozen(codes: np.ndarray) -> np.ndarray:
     return codes
 
 
-class PairIndex:
-    """Finds table entries by their (state code, key code) pair.
+class SortedIndex:
+    """Finds values in an array by searching a sorted copy of it."""
 
-    A table with at most four (state, key) cells per entry, as a complete
-    table has, keeps each cell's entry in a dense grid, and a lookup is one
-    gather.  A sparser one, such as an MDP whose states each declare their
-    own actions, would need a grid quadratic in its entries, so it keeps
-    its pairs sorted and searches them.
-    """
+    __slots__ = ("order", "values")
 
-    __slots__ = ("width", "grid", "order", "pairs")
+    def __init__(self, values: np.ndarray):
+        self.order = np.argsort(values, kind="stable")
+        self.values = values[self.order]
+
+    def duplicated(self) -> bool:
+        """Is some value held twice?"""
+        return bool((self.values[1:] == self.values[:-1]).any())
+
+    def find(self, wanted: np.ndarray) -> np.ndarray:
+        """The position of each wanted value, or -1 where there is none."""
+        found = np.full(np.shape(wanted), -1, dtype=np.int64)
+        if self.values.size:
+            at = np.minimum(np.searchsorted(self.values, wanted), self.values.size - 1)
+            hit = self.values[at] == wanted
+            found[hit] = self.order[at[hit]]
+        return found
+
+
+class PairIndex(SortedIndex):
+    """Finds table entries by their (state code, key code) pair."""
+
+    __slots__ = ("width",)
 
     def __init__(self, state_codes: np.ndarray, key_codes: np.ndarray, width: int):
         self.width = width
-        pairs = state_codes * width + key_codes
-        cells = (int(state_codes.max()) + 1) * width if pairs.size else 0
-        self.grid = None
-        if cells <= 4 * pairs.size:
-            self.grid = np.full(cells, -1, dtype=np.int64)
-            self.grid[pairs] = np.arange(pairs.size)
-        self.order = np.argsort(pairs, kind="stable")
-        self.pairs = pairs[self.order]
-
-    def duplicated(self) -> bool:
-        """Is some pair held by two entries?"""
-        return bool((self.pairs[1:] == self.pairs[:-1]).any())
-
-    def at(self, state_code: int, key_code: int) -> int:
-        """The entry of one (state code, key code) pair, or -1."""
-        pair = state_code * self.width + key_code
-        i = int(self.pairs.searchsorted(pair))
-        return int(self.order[i]) if i < self.pairs.size and self.pairs[i] == pair else -1
+        super().__init__(state_codes * width + key_codes)
 
     def find(self, state_codes, key_codes) -> np.ndarray:
         """The entry of each (state code, key code) pair, or -1 where there is
         none; a negative code finds none."""
         state_codes, key_codes = np.broadcast_arrays(state_codes, key_codes)
-        wanted = state_codes * self.width + key_codes
-        valid = (state_codes >= 0) & (key_codes >= 0)
-        found = np.full(wanted.shape, -1, dtype=np.int64)
-        if self.grid is not None:
-            valid &= wanted < self.grid.size
-            found[valid] = self.grid[wanted[valid]]
-        elif self.pairs.size:
-            at = np.minimum(np.searchsorted(self.pairs, wanted), self.pairs.size - 1)
-            hit = valid & (self.pairs[at] == wanted)
-            found[hit] = self.order[at[hit]]
-        return found
+        found = super().find(state_codes * self.width + key_codes)
+        return np.where((state_codes >= 0) & (key_codes >= 0), found, -1)
 
 
 class TransitionTable(Mapping):
@@ -325,21 +311,14 @@ class TransitionTable(Mapping):
             np.array(action_codes, dtype=np.int64)[np.newaxis, :],
         )
 
-    def _entry(self, key) -> int:
-        if not (isinstance(key, tuple) and len(key) == 2):
-            return -1
-        state, action = key
-        s, a = self._state_code.get(state, -1), self._action_code.get(action, -1)
-        return -1 if s < 0 or a < 0 else self.index.at(s, a)
-
     def __getitem__(self, key):
-        entry = self._entry(key)
-        if entry < 0:
-            raise KeyError(key)
-        return self.rows[self.row_codes[entry]]
-
-    def __contains__(self, key) -> bool:
-        return self._entry(key) >= 0
+        if isinstance(key, tuple) and len(key) == 2:
+            state, action = key
+            s, a = self._state_code.get(state, -1), self._action_code.get(action, -1)
+            entry = self.index.find(s, a)
+            if entry >= 0:
+                return self.rows[self.row_codes[entry]]
+        raise KeyError(key)
 
     def __len__(self) -> int:
         return len(self.row_codes)
@@ -350,27 +329,8 @@ class TransitionTable(Mapping):
             map(self.actions.__getitem__, self.action_codes.tolist()),
         )
 
-    def _row_objects(self):
-        return map(self.rows.__getitem__, self.row_codes.tolist())
-
-    def items(self):
-        return _TableItems(self)
-
-    def values(self):
-        return _TableValues(self)
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({dict(self.items())!r})"
-
-
-class _TableItems(ItemsView):
-    def __iter__(self):
-        return zip(self._mapping, self._mapping._row_objects())
-
-
-class _TableValues(ValuesView):
-    def __iter__(self):
-        return self._mapping._row_objects()
 
 
 def _table_field(model) -> None:

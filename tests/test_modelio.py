@@ -858,6 +858,32 @@ def test_a_bad_copy_of_a_repeated_row_is_reported_at_its_own_entry():
         assert str(err.value).endswith(f"transition[5].next['{label}']: expected a number, got True")
 
 
+def test_rows_are_shared_and_reported_across_read_chunks():
+    # 2 x 5,000 entries of a 2-state table span several of the parser's chunks
+    rows = [{"a": 0.25, "b": 0.75}, {"b": 1}, {"a": 1.0, "b": -0.0}, {"a": 1.0}]
+    actions = [f"x{k}" for k in range(5000)]
+    entries = [{"state": s, "action": x} for s in "ab" for x in actions]
+    for n, entry in enumerate(entries):
+        entry["next"] = dict(rows[n % 2 + 2 * (n >= 4500)])
+    doc = {
+        "kind": "mdp", "states": ["a", "b"], "actions": {"a": actions, "b": actions},
+        "discount": 0.9, "transition": entries, "reward": {"a": 0.0, "b": 1.0},
+    }
+    model = parse_model(json.dumps(doc))
+    table = model.transition
+    assert len(table.rows) == 4
+    for entry in entries:
+        row = table[(entry["state"], entry["action"])]
+        expected = [float(entry["next"].get(label, 0.0)) for label in ("a", "b")]
+        assert row.probs.tobytes() == np.array(expected).tobytes()
+    entries[9000]["next"] = {"a": 0.5, "c": 0.5}
+    with pytest.raises(SchemaError, match=re.escape("transition[9000].next: unknown label 'c'")):
+        parse_model(json.dumps(doc))
+    entries[6000]["next"] = {"a": "0.5"}
+    with pytest.raises(SchemaError, match=re.escape("transition[6000].next['a']")):
+        parse_model(json.dumps(doc))
+
+
 def test_a_shared_broken_row_is_reported_at_every_entry():
     doc = json.loads(serialize_model(random_mdp(np.random.default_rng(4), n_states=2)))
     for entry in doc["transition"]:
