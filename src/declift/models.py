@@ -197,8 +197,13 @@ def first_groups(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _first_use(values: tuple, codes) -> tuple[tuple, np.ndarray]:
     """(values, codes) numbered in order of first use, unused values dropped."""
     codes = np.asarray(codes, dtype=np.int64).reshape(-1)
-    first, group = first_groups(codes)
-    return tuple(map(values.__getitem__, codes[first].tolist())), group
+    entries = np.arange(len(codes))
+    first = np.full(len(values), len(codes))
+    np.minimum.at(first, codes, entries)
+    order = codes[first[codes] == entries]  # each used value, in order of first use
+    rank = np.empty(len(values), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return tuple(map(values.__getitem__, order.tolist())), rank[codes]
 
 
 def _frozen(codes: np.ndarray) -> np.ndarray:

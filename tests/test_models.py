@@ -781,3 +781,15 @@ def test_transition_tables_are_read_only():
         TransitionTable.of({"s0": model.transition[key]})
     with pytest.raises(ValueError, match="twice"):
         TransitionTable(("s",), ("a",), (model.transition[key],), [0, 0], [0, 0], [0, 0])
+
+
+def test_transition_table_numbers_columns_in_order_of_first_use():
+    rows = [DiscreteDistribution(np.array([1.0])) for _ in range(3)]
+    table = TransitionTable(("s", "t", "u"), ("a", "b"), rows, [2, 0, 2], [1, 1, 0], [2, 2, 0])
+    assert table.states == ("u", "s") and table.actions == ("b", "a")
+    assert [row is want for row, want in zip(table.rows, (rows[2], rows[0]))] == [True, True]
+    assert table.state_codes.tolist() == [0, 1, 0]
+    assert table.action_codes.tolist() == [0, 0, 1]
+    assert table.row_codes.tolist() == [0, 0, 1]
+    assert list(table) == [("u", "b"), ("s", "b"), ("u", "a")]
+    assert table[("u", "a")] is rows[0] and table.get(("t", "a")) is None
