@@ -98,9 +98,8 @@ def _transitions(model, states, keys, row_name: str) -> np.ndarray:
         k, i = divmod(int(missing[0]), len(states))
         _require_row(None, f"{row_name} for ({states[i]!r}, {keys[k]!r})")
     table = np.empty((len(entry), len(model.states)))
-    if entry.size:
-        used, codes = np.unique(transition.row_codes[entry], return_inverse=True)
-        table[:] = np.stack([transition.rows[c].probs for c in used.tolist()])[codes.ravel()]
+    for k, code in enumerate(transition.row_codes[entry].tolist()):
+        table[k] = transition.rows[code].probs
     return table.reshape(len(keys), len(states), len(model.states))
 
 
