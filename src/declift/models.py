@@ -13,8 +13,8 @@ two).  `validate_model` checks all of them.
 Every transition table is one read-only `TransitionTable`: a mapping from
 (state, key) to a row, stored as columns.  Each distinct state, key and
 row object is held once, and each entry is three int codes into them, so
-validation, lifting, grounding, serialization and the solvers work once
-per distinct state, key or row and per entry only in array code.  Model
+validation, lifting, grounding and serialization work once per distinct
+state, key or row and per entry only in array code.  Model
 constructors take a dict (or a table) and convert it once.  Sensor
 tables stay dicts.
 
