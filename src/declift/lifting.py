@@ -60,6 +60,7 @@ from .models import (
     first_groups,
     intern,
     validate_lifted,
+    void_rows,
 )
 
 
@@ -108,7 +109,7 @@ def _collapse(codes: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
     if not codes.shape[1]:
         return np.zeros(min(len(codes), 1), np.int64), np.zeros(len(codes), np.int64)
     rows = np.concatenate([np.sort(codes[:, list(b)], axis=1) for b in blocks], axis=1)
-    return first_groups(_void_rows(rows))
+    return first_groups(void_rows(rows))
 
 
 class _Coded(NamedTuple):
@@ -192,12 +193,6 @@ def _histograms(entries: _Coded, n_agents: int, blocks, positions, where: str):
     return keys, group, error
 
 
-def _void_rows(codes: np.ndarray) -> np.ndarray:
-    """Each row of an int table as one opaque value, compared by its bytes."""
-    codes = np.ascontiguousarray(codes)
-    return codes.view(np.dtype((np.void, codes.itemsize * codes.shape[1]))).ravel()
-
-
 class _Partners(SortedIndex):
     """Swap partners among the distinct joint tuples of one table.
 
@@ -209,14 +204,14 @@ class _Partners(SortedIndex):
 
     def __init__(self, labels: np.ndarray):
         self.labels = labels
-        super().__init__(_void_rows(labels))
+        super().__init__(void_rows(labels))
 
     def of(self, i: int, j: int) -> np.ndarray:
         """partner[c]: the tuple that is tuple c with the values of agents i
         and j traded, or -1 where no tuple is."""
         swapped = self.labels.copy()
         swapped[:, [i, j]] = self.labels[:, [j, i]]
-        return self.find(_void_rows(swapped))
+        return self.find(void_rows(swapped))
 
 
 class _SwapCheck:

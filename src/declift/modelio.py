@@ -13,28 +13,27 @@ zero probability entries omitted.  Parsing a canonical document and
 serializing the result reproduces the document byte for byte.
 
 Both directions work a table at a time, and a table holds each distinct
-row once.  The parser reads every entry of a transition or dense sensor
-table first, then screens its row objects (objects, labels and value
-types) and reads them into dense arrays a chunk at a time, keeping each
-chunk's distinct rows; the distinct rows of the table are canonicalised
-with one `canonical_rows` call, and every entry whose row read to the
-same float64 bytes gets the same distribution object (so 0.0 and -0.0
-stay apart).  A transition
-table is built straight from those row codes and the interned state and
-key texts (`models.TransitionTable`).  The initial belief is a one-row
-table on the same path.  Key texts are parsed once per distinct text.
-A transition entry passes one screen (exactly its three fields, string
-state and action, a new key), and the text naming where an entry sits
-is built only for an entry that fails it.  When an entry or a row object
-is malformed, the first one is read again on its own, so the SchemaError
-raised is the one a row-by-row reader would meet first.  The emitter
-encodes each distinct string, float and key once; the objects of one
-list share one head (indented key and colon) per key, built once per
-key order met; a dict of floats is a row, written in one join once per
-object and indent and reused by identity before its values are looked
-at, so a row shared by many entries is encoded once.  A transition
-table is written from its columns: each distinct state, key text and
-row is encoded once, and each entry fills one template.
+row once.  The transition table, the POMDP sensor table and the initial
+belief are each read in two steps.  A screen checks the whole table at
+once and only says whether it is clean: transition entries are objects
+of exactly their three fields with string states and actions and no
+(state, action) pair twice, their action texts parse, and every row is
+an object of known labels and int or float values.  The screen reads
+the row objects into dense arrays a chunk at a time, keeping each
+chunk's distinct rows; the table's distinct rows are canonicalised with
+one `canonical_rows` call, and every entry whose row read to the same
+float64 bytes gets the same distribution object (so 0.0 and -0.0 stay
+apart).  A transition table is built straight from those row codes and
+the interned state and key texts (`models.TransitionTable`).  Only when
+the screen fails does an error pass read the entries in order, checking
+each entry's fields, then its row, then its key, and raise the first
+SchemaError, the one a row-by-row reader meets first; the text naming
+where an entry sits is built on this pass only.  Key texts are parsed
+once per distinct text.  The emitter encodes each distinct string,
+float and key once, and the objects of one list share one head
+(indented key and colon) per key, built once per key order met.  A
+transition table is written from its columns: each distinct state, key
+text and row is encoded once, and each entry fills one template.
 
 Error taxonomy: ParseError for text that is not JSON, SchemaError for
 structure the grammar does not allow (unknown fields, malformed keys,
@@ -64,8 +63,10 @@ from .models import (
     TransitionTable,
     _plain_numbers,
     canonical_rows,
+    first_groups,
     intern,
     validate_model,
+    void_rows,
 )
 
 MODEL_KINDS = ("mdp", "pomdp", "decpomdp", "lifted-decpomdp")
@@ -154,16 +155,12 @@ class _Emitter:
 
     Strings and floats are encoded once per distinct value.  Objects share
     their key heads (the indented, encoded key and its colon), built once
-    per key order and indent met.  An object whose values are all floats
-    is a row: its text is kept per object and indent, and a row met again
-    is written from that text before its values are looked at, so a row
-    shared by many table entries is encoded once.
+    per key order and indent met.
     """
 
     def __init__(self):
         self.strings = _Memo(json.encoder.encode_basestring_ascii)
         self.floats = _Memo(float_text)
-        self.rows: dict = {}
         self.heads: dict = {}
 
     def key(self, key) -> str:
@@ -175,46 +172,28 @@ class _Emitter:
         if type(value) is float:
             return self.floats[value]
         if isinstance(value, dict):
-            return self.rows.get((id(value), indent)) or self.object(value, indent)
+            return self.object(value, indent)
         if isinstance(value, _TableText):
             return value.text(self, indent)
         if isinstance(value, (list, tuple)):
             if not value:
                 return "[]"
-            inner = indent + "  "
-            rows, text, obj = self.rows, self.text, self.object
-            body = ",\n".join(
-                [
-                    inner
-                    + (
-                        rows.get((id(item), inner)) or obj(item, inner)
-                        if isinstance(item, dict)
-                        else text(item, inner)
-                    )
-                    for item in value
-                ]
-            )
+            inner, text = indent + "  ", self.text
+            body = ",\n".join([inner + text(item, inner) for item in value])
             return f"[\n{body}\n{indent}]"
         return _format_scalar(value)
 
     def object(self, value: dict, indent: str) -> str:
-        """The text of an object not yet written as a row at this indent."""
         if not value:
             return "{}"
         order = tuple(value), indent
+        inner = indent + "  "
         head = self.heads.get(order)
         if head is None:
-            inner = indent + "  "
             head = self.heads[order] = [
                 (k, f"{inner}{self.key(k)}: ") for k in _sorted_keys(value)
             ]
-        if {float}.issuperset(map(type, value.values())):
-            floats = self.floats
-            body = ",\n".join([h + floats[value[k]] for k, h in head])
-            # the object is alive for the whole call, so its id cannot be reused
-            text = self.rows[(id(value), indent)] = f"{{\n{body}\n{indent}}}"
-            return text
-        inner, text = indent + "  ", self.text
+        text = self.text
         body = ",\n".join([h + text(value[k], inner) for k, h in head])
         return f"{{\n{body}\n{indent}}}"
 
@@ -269,12 +248,12 @@ def _state_space(doc: dict, where: str) -> StateSpace:
         raise SchemaError(f"{where}.states: {err}") from None
 
 
-def _check_dense_row(mapping, index: dict, where: str) -> None:
+def _check_dense_row(mapping, labels, where: str) -> None:
     """Raise the SchemaError a row-by-row reader meets first in this row."""
     if not isinstance(mapping, dict):
         raise SchemaError(f"{where}: expected an object of probabilities")
     for label, value in mapping.items():
-        if label not in index:
+        if label not in labels:
             raise SchemaError(f"{where}: unknown label {label!r}")
         _number(value, f"{where}[{label!r}]")
 
@@ -282,8 +261,9 @@ def _check_dense_row(mapping, index: dict, where: str) -> None:
 _CHUNK_CELLS = 1 << 13  # dense cells read at a time
 
 
-def _dense_table(mappings: list, labels, where) -> tuple[np.ndarray, np.ndarray]:
-    """(codes, table): {label: number} row objects as distinct dense rows.
+def _dense_table(mappings: list, labels) -> tuple[np.ndarray, np.ndarray] | None:
+    """(codes, table): {label: number} row objects as distinct dense rows,
+    or None when some object is not one (`_check_dense_row` says which).
 
     table holds one (labels-wide) row per distinct row and codes[i] is the
     row of mappings[i]; rows merge only when their float64 bytes are equal,
@@ -291,9 +271,7 @@ def _dense_table(mappings: list, labels, where) -> tuple[np.ndarray, np.ndarray]
     `_CHUNK_CELLS` cells at a time, so the dense arrays stay small: a chunk
     is screened all at once (each an object, every label known, every
     value an int or a float), read into one dense array, and only its
-    distinct rows are kept.  When the screen fails, the objects are read
-    again one by one from the chunk's start, so the error raised is the
-    first a row-by-row reader meets; `where(i)` names object i in errors.
+    distinct rows are kept.
     """
     index = {label: i for i, label in enumerate(labels)}
     step = max(1, _CHUNK_CELLS // max(1, len(index)))
@@ -305,10 +283,9 @@ def _dense_table(mappings: list, labels, where) -> tuple[np.ndarray, np.ndarray]
             columns = np.fromiter(map(index.get, itertools.chain.from_iterable(chunk)), np.intp)
             values = list(itertools.chain.from_iterable(map(dict.values, chunk)))
         except TypeError:  # some row is not an object, or has an unknown label
-            columns = None
-        if columns is None or not _plain_numbers(values):
-            for i in range(start, len(mappings)):
-                _check_dense_row(mappings[i], index, where(i))
+            return None
+        if not _plain_numbers(values):
+            return None
         table = np.zeros((len(chunk), len(index)))
         table[np.repeat(np.arange(len(chunk)), list(map(len, chunk))), columns] = values
         chunk_codes, table = _distinct_bytes(table)
@@ -319,12 +296,12 @@ def _dense_table(mappings: list, labels, where) -> tuple[np.ndarray, np.ndarray]
 
 
 def _distinct_bytes(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(codes, distinct rows) of a table, merging bit-identical rows only."""
+    """(codes, distinct rows) of a table, merging bit-identical rows only;
+    the rows of a table with no cells stay apart."""
     if table.size == 0:
         return np.arange(len(table)), table
-    rows = table.view(np.dtype((np.void, table.itemsize * table.shape[1]))).ravel()
-    _, first, codes = np.unique(rows, return_index=True, return_inverse=True)
-    return codes.ravel(), table[first]
+    first, codes = first_groups(void_rows(table))
+    return codes, table[first]
 
 
 def _distributions(table: np.ndarray) -> list[DiscreteDistribution]:
@@ -335,9 +312,11 @@ def _distributions(table: np.ndarray) -> list[DiscreteDistribution]:
 
 def _belief(doc: dict, states: StateSpace, where: str) -> Belief:
     value = _field(doc, "initial_belief", where)
-    (code,), table = _dense_table([value], states, lambda _: f"{where}.initial_belief")
-    probs, _reasons = canonical_rows(table)
-    return Belief(states, probs[code])
+    dense = _dense_table([value], states)
+    if dense is None:
+        _check_dense_row(value, set(states), f"{where}.initial_belief")
+    probs, _reasons = canonical_rows(dense[1])
+    return Belief(states, probs[0])
 
 
 def _reward(doc: dict, where: str) -> dict[str, float]:
@@ -360,62 +339,18 @@ def _table_entries(doc: dict, field: str, where: str):
         yield i, entry
 
 
-def _dense_rows(entries, labels, where) -> dict:
-    """{key: distribution} of (key, row object) entries.
-
-    The entries are read first and their rows converted as one table;
-    entries with bit-identical rows share one distribution.  When reading
-    an entry fails, the rows taken before it are checked first, so errors
-    come in the order a row-by-row reader meets them.  `where(i)` names
-    the row object of entry i in errors.
-    """
-    keys, rows = [], []
-    try:
-        for key, row in entries:
-            rows.append(row)
-            keys.append(key)
-    except SchemaError:
-        _dense_table(rows, labels, where)
-        raise
-    codes, table = _dense_table(rows, labels, where)
-    dists = _distributions(table)
-    return dict(zip(keys, map(dists.__getitem__, codes.tolist())))
-
-
 _TRANSITION_FIELDS = {"state", "action", "next"}
 
 
-def _transition_entry(entry: dict, seen: set, where: str):
-    """((state, action), next object) of one transition entry, checked field by field."""
-    _no_unknown(entry, _TRANSITION_FIELDS, where)
-    state = _field(entry, "state", where)
-    action = _field(entry, "action", where)
-    if not isinstance(state, str) or not isinstance(action, str):
-        raise SchemaError(f"{where}: state and action must be strings")
-    if (state, action) in seen:
-        raise SchemaError(f"{where}: duplicate row for ({state!r}, {action!r})")
-    seen.add((state, action))
-    return (state, action), _field(entry, "next", where)
+def _screened_transitions(doc: dict, states: StateSpace, action_key) -> TransitionTable | None:
+    """The transition table when all entries pass one screen at once, else None.
 
-
-def _coded_transitions(states: list, actions: list, rows: list):
-    """(state labels, state codes, action texts, action codes, rows) of
-    transition entries, the states and action texts interned in order of
-    first use; None when some (state, action) pair is held twice."""
-    state_labels, state_codes = intern(states)
-    texts, action_codes = intern(actions)
-    pairs = np.sort(state_codes * len(texts) + action_codes)
-    if (pairs[1:] == pairs[:-1]).any():
-        return None
-    return state_labels, state_codes, texts, action_codes, rows
-
-
-def _screened_transitions(doc: dict, where: str):
-    """The coded transition entries (`_coded_transitions`) when all pass one
-    screen at once: objects of exactly the three fields, string states and
-    actions, and no (state, action) pair twice.  None when some entry
-    fails it."""
-    value = _field(doc, "transition", where)
+    The screen asks for objects of exactly the three fields, string states
+    and actions, no (state, action) pair twice, action texts that
+    `action_key` parses (each once, in order of first use) and rows that
+    `_dense_table` reads.
+    """
+    value = doc.get("transition")
     if not (
         type(value) is list
         and {dict}.issuperset(map(type, value))
@@ -423,69 +358,62 @@ def _screened_transitions(doc: dict, where: str):
     ):
         return None
     try:
-        states, actions, rows = (
+        state_texts, action_texts, rows = (
             list(map(itemgetter(name), value)) for name in ("state", "action", "next")
         )
     except KeyError:
         return None
-    if not ({str}.issuperset(map(type, states)) and {str}.issuperset(map(type, actions))):
+    if not ({str}.issuperset(map(type, state_texts)) and {str}.issuperset(map(type, action_texts))):
         return None
-    return _coded_transitions(states, actions, rows)
-
-
-def _read_transitions(doc: dict, where: str, labels, row_where, action_key):
-    """The coded transition entries, read field by field and entry by
-    entry, each action text parsed after its entry's row is taken; when
-    reading an entry fails, the rows taken before it are checked first, so
-    the error raised is the first a row-by-row reader meets."""
-    columns: tuple[list, list, list] = ([], [], [])
-    seen: set = set()
+    state_labels, state_codes = intern(state_texts)
+    texts, action_codes = intern(action_texts)
+    pairs = np.sort(state_codes * len(texts) + action_codes)
+    if (pairs[1:] == pairs[:-1]).any():
+        return None
     try:
-        for i, entry in _table_entries(doc, "transition", where):
-            (state, action), row = _transition_entry(entry, seen, f"{where}.transition[{i}]")
-            for column, item in zip(columns, (state, action, row)):
-                column.append(item)
-            action_key[action]
+        keys = list(map(action_key.__getitem__, texts))
     except SchemaError:
-        _dense_table(columns[2], labels, row_where)
-        raise
-    return _coded_transitions(*columns)
+        return None
+    dense = _dense_table(rows, states)
+    if dense is None:
+        return None
+    row_codes, table = dense
+    return TransitionTable(
+        state_labels, keys, _distributions(table), state_codes, action_codes, row_codes
+    )
+
+
+def _read_transitions(doc: dict, where: str, states: StateSpace, action_key) -> None:
+    """Raise the first SchemaError met reading the transition entries one by
+    one: each entry's fields, then its row, then its action key."""
+    labels, seen = set(states), set()
+    for i, entry in _table_entries(doc, "transition", where):
+        entry_where = f"{where}.transition[{i}]"
+        _no_unknown(entry, _TRANSITION_FIELDS, entry_where)
+        state = _field(entry, "state", entry_where)
+        action = _field(entry, "action", entry_where)
+        if not isinstance(state, str) or not isinstance(action, str):
+            raise SchemaError(f"{entry_where}: state and action must be strings")
+        if (state, action) in seen:
+            raise SchemaError(f"{entry_where}: duplicate row for ({state!r}, {action!r})")
+        seen.add((state, action))
+        _check_dense_row(_field(entry, "next", entry_where), labels, f"{entry_where}.next")
+        action_key[action]
 
 
 def _transition_table(doc: dict, states: StateSpace, where: str, action_key) -> TransitionTable:
     """The transition entries as a table keyed by (state, action_key(action text)).
 
-    The entries are screened all at once (`_screened_transitions`); only
-    when one fails are they read one by one (`_read_transitions`), which
-    raises its error.  `action_key` runs once per distinct action text, in
-    entry order, and when it fails the rows up to its entry are checked
-    first, as a row-by-row reader meets them.
+    The entries are screened as one table (`_screened_transitions`); only
+    when the screen fails are they read one by one (`_read_transitions`),
+    which raises the first error.  `action_key` runs once per distinct
+    action text.
     """
     action_key = _Memo(action_key)
-
-    def row_where(i):
-        return f"{where}.transition[{i}].next"
-
-    coded = _screened_transitions(doc, where) or _read_transitions(
-        doc, where, states, row_where, action_key
-    )
-    state_labels, state_codes, texts, action_codes, rows = coded
-    _, firsts = np.unique(action_codes, return_index=True)
-    for text, i in zip(texts, firsts.tolist()):
-        try:
-            action_key[text]
-        except SchemaError:
-            _dense_table(rows[: i + 1], states, row_where)
-            raise
-    codes, table = _dense_table(rows, states, row_where)
-    return TransitionTable(
-        state_labels,
-        list(map(action_key.__getitem__, texts)),
-        _distributions(table),
-        state_codes,
-        action_codes,
-        codes,
-    )
+    table = _screened_transitions(doc, states, action_key)
+    if table is None:
+        _read_transitions(doc, where, states, action_key)
+    return table
 
 
 def _sensor_entries(doc: dict, where: str):
@@ -503,6 +431,26 @@ def _sensor_entries(doc: dict, where: str):
         if not isinstance(row, dict):
             raise SchemaError(f"{entry_where}.row: expected an object")
         yield f"{entry_where}.row", state, row
+
+
+def _pomdp_sensor(doc: dict, where: str, observations) -> dict:
+    """{state: distribution} of a POMDP's sensor entries.
+
+    The entries and their rows are screened as one table; only when the
+    screen fails are they read one by one, which raises the first error.
+    """
+    try:
+        entries = list(_sensor_entries(doc, where))
+        dense = _dense_table([row for *_, row in entries], observations)
+    except SchemaError:
+        dense = None
+    if dense is None:
+        labels = set(observations)
+        for row_where, _, row in _sensor_entries(doc, where):
+            _check_dense_row(row, labels, row_where)
+    codes, table = dense
+    dists = _distributions(table)
+    return {state: dists[code] for (_, state, _), code in zip(entries, codes.tolist())}
 
 
 def _sparse_sensor(doc: dict, where: str, parse_key) -> dict:
@@ -543,11 +491,7 @@ def _parse_mdp(doc: dict, kind: str):
     observations = _str_list(
         _field(doc, "observations", where), f"{where}.observations"
     )
-    sensor = _dense_rows(
-        ((state, row) for _, state, row in _sensor_entries(doc, where)),
-        observations,
-        lambda i: f"{where}.sensor[{i}].row",
-    )
+    sensor = _pomdp_sensor(doc, where, observations)
     return Pomdp(
         states, actions, transition, reward, discount, observations, sensor
     )
@@ -751,10 +695,7 @@ class _TableText:
     """
 
     def __init__(self, table, labels, key_text):
-        self.table, self.key_text = table, key_text
-        # one object per distinct row, alive as long as the document, as
-        # the emitter's row cache needs
-        self.maps = [_prob_map(labels, row.probs) for row in table.rows]
+        self.table, self.labels, self.key_text = table, labels, key_text
 
     def text(self, emitter: _Emitter, indent: str) -> str:
         table = self.table
@@ -770,7 +711,7 @@ class _TableText:
         )
         states = [emitter.text(state, field) for state in table.states]
         actions = [emitter.text(text, field) for text in texts]
-        rows = [emitter.text(row, field) for row in self.maps]
+        rows = [emitter.text(_prob_map(self.labels, row.probs), field) for row in table.rows]
         head = f'{inner}{{\n{field}"action": '
         next_head, state_head = f',\n{field}"next": ', f',\n{field}"state": '
         tail = f"\n{inner}}}"

@@ -194,6 +194,12 @@ def first_groups(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first[order], rank[inverse.ravel()]
 
 
+def void_rows(table: np.ndarray) -> np.ndarray:
+    """Each row of a table with columns as one opaque value, compared by its bytes."""
+    table = np.ascontiguousarray(table)
+    return table.view(np.dtype((np.void, table.itemsize * table.shape[1]))).ravel()
+
+
 def _first_use(values: tuple, codes) -> tuple[tuple, np.ndarray]:
     """(values, codes) numbered in order of first use, unused values dropped."""
     codes = np.asarray(codes, dtype=np.int64).reshape(-1)
@@ -656,9 +662,9 @@ def _validate_mdp(model: Mdp, out: list[Violation]):
     for state in model.actions:
         if state not in model.states.labels:
             out.append(Violation("range", f"action range for unknown state {state!r}"))
-    declared = {
+    declared = dict.fromkeys(
         (s, a) for s in model.states for a in model.actions.get(s, ())
-    }
+    )
     for key in declared:
         if key not in model.transition:
             out.append(Violation("missing-row", f"no transition row for {key!r}"))

@@ -98,6 +98,41 @@ def test_validate_requires_every_action_in_every_pomdp_state(tmp_path, capsys):
     assert validate_model(mdp).ok
 
 
+def test_validate_reports_missing_rows_in_declaration_order(tmp_path):
+    # a 3-state, 2-action MDP without (s0, a1) and (s2, a0): the report
+    # must not follow the hash order of strings, which PYTHONHASHSEED sets
+    states = ["s0", "s1", "s2"]
+    missing = {("s0", "a1"), ("s2", "a0")}
+    doc = {
+        "kind": "mdp",
+        "states": states,
+        "actions": {s: ["a0", "a1"] for s in states},
+        "discount": 0.9,
+        "transition": [
+            {"state": s, "action": a, "next": {"s0": 1.0}}
+            for s in states
+            for a in ("a0", "a1")
+            if (s, a) not in missing
+        ],
+        "reward": {s: 0.0 for s in states},
+    }
+    path = tmp_path / "mdp.json"
+    path.write_text(json.dumps(doc))
+    outputs = set()
+    for seed in range(8):
+        proc = subprocess.run(
+            [sys.executable, "-m", "declift.cli", "validate", str(path)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(_child_env(), PYTHONHASHSEED=str(seed)),
+        )
+        assert proc.returncode == 1
+        outputs.add(proc.stdout)
+    assert outputs == {
+        "[missing-row] no transition row for ('s0', 'a1')\n"
+        "[missing-row] no transition row for ('s2', 'a0')\n"
+    }
+
+
 def test_validate_parse_error(tmp_path, capsys):
     path = tmp_path / "garbage.json"
     path.write_text("{nope")

@@ -580,12 +580,18 @@ def test_canonical_json_edge_values_match_the_recursive_emitter():
         ({0: {"next": None}}, "transition[0].next: expected an object of probabilities"),
         # a value that cannot be hashed cannot join a group of equal rows
         ({2: {"next": {"s0": [0.5]}}}, "transition[2].next['s0']: expected a number, got [0.5]"),
+        # a field name replaces that field of the document
+        ({"initial_belief": {"zz": 1.0}}, "decpomdp.initial_belief: unknown label 'zz'"),
+        ({"initial_belief": [1.0]}, "decpomdp.initial_belief: expected an object of probabilities"),
     ],
 )
 def test_schema_errors_come_in_row_by_row_order(edits, message):
     doc = json.loads(serialize_model(random_team(np.random.default_rng(3))))
     for i, change in edits.items():
-        doc["transition"][i].update(change)
+        if isinstance(i, str):
+            doc[i] = change
+        else:
+            doc["transition"][i].update(change)
     with pytest.raises(SchemaError) as err:
         parse_model(json.dumps(doc))
     assert message in str(err.value)
@@ -603,6 +609,22 @@ def test_sensor_schema_errors_come_in_entry_order(row, message):
     # the second row, whose keys the first row has already parsed
     doc = json.loads(serialize_model(random_team(np.random.default_rng(3))))
     doc["sensor"][1]["row"] = row
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        parse_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        # a bad row before a bad entry is reported first, and the reverse
+        ({0: {"row": {"zz": 1}}, 1: {"extra": 1}}, "pomdp.sensor[0].row: unknown label 'zz'"),
+        ({0: {"extra": 1}, 1: {"row": {"zz": 1}}}, "pomdp.sensor[0]: unknown field 'extra'"),
+    ],
+)
+def test_pomdp_sensor_schema_errors_come_in_entry_order(edits, message):
+    doc = json.loads(serialize_model(sample_models()["pomdp"]))
+    for i, change in edits.items():
+        doc["sensor"][i].update(change)
     with pytest.raises(SchemaError, match=re.escape(message)):
         parse_model(json.dumps(doc))
 

@@ -361,7 +361,8 @@ def reference_report(model, cap=DEFAULT_JOINT_CAP) -> str:
         for state in model.actions:
             if state not in model.states.labels:
                 out.append(Violation("range", f"action range for unknown state {state!r}"))
-        declared = {(s, a) for s in model.states for a in model.actions.get(s, ())}
+        # missing rows in declaration order, not the hash order of a set
+        declared = dict.fromkeys((s, a) for s in model.states for a in model.actions.get(s, ()))
         for key in declared:
             if key not in model.transition:
                 out.append(Violation("missing-row", f"no transition row for {key!r}"))
