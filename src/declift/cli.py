@@ -24,7 +24,9 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import atexit
 import dataclasses
+import gc
 import json
 import os
 import sys
@@ -609,7 +611,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _freeze_heap() -> None:
+    """Run at exit: free the young generations' cycles, freeze the rest.
+
+    The interpreter's shutdown collections would walk every object numpy
+    and the parsed model left behind, 15-20 ms a process; frozen, they are
+    skipped.  The cycles the call made last are still young, and freeing
+    them first keeps the process's peak RSS from growing at exit.
+    """
+    gc.collect(1)
+    gc.freeze()
+
+
 def main(argv=None) -> int:
+    # The collector stays on during the call, since the solvers' recursive
+    # closures make cycles on every call.  Registering after unregistering
+    # keeps one exit hook however often `main` runs.
+    atexit.unregister(_freeze_heap)
+    atexit.register(_freeze_heap)
     return _exit_code(build_parser().parse_args(argv))
 
 

@@ -18,7 +18,8 @@ belief are each read in two steps.  A screen checks the whole table at
 once and only says whether it is clean: transition entries are objects
 of exactly their three fields with string states and actions and no
 (state, action) pair twice, their action texts parse, and every row is
-an object of known labels and int or float values.  The screen reads
+an object of known labels and int or float values, none of them an
+int beyond the float range.  The screen reads
 the row objects into dense arrays a chunk at a time, keeping each
 chunk's distinct rows; the table's distinct rows are canonicalised with
 one `canonical_rows` call, and every entry whose row read to the same
@@ -229,7 +230,10 @@ def _str_list(value, where: str) -> tuple[str, ...]:
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(f"{where}: integer beyond the float range") from None
 
 
 def _range_map(value, where: str) -> dict[str, tuple[str, ...]]:
@@ -270,8 +274,8 @@ def _dense_table(mappings: list, labels) -> tuple[np.ndarray, np.ndarray] | None
     so -0.0 stays apart from 0.0.  The objects are read a chunk of about
     `_CHUNK_CELLS` cells at a time, so the dense arrays stay small: a chunk
     is screened all at once (each an object, every label known, every
-    value an int or a float), read into one dense array, and only its
-    distinct rows are kept.
+    value an int or a float), read into one dense array (which refuses an
+    int beyond the float range), and only its distinct rows are kept.
     """
     index = {label: i for i, label in enumerate(labels)}
     step = max(1, _CHUNK_CELLS // max(1, len(index)))
@@ -287,7 +291,10 @@ def _dense_table(mappings: list, labels) -> tuple[np.ndarray, np.ndarray] | None
         if not _plain_numbers(values):
             return None
         table = np.zeros((len(chunk), len(index)))
-        table[np.repeat(np.arange(len(chunk)), list(map(len, chunk))), columns] = values
+        try:
+            table[np.repeat(np.arange(len(chunk)), list(map(len, chunk))), columns] = values
+        except OverflowError:
+            return None
         chunk_codes, table = _distinct_bytes(table)
         codes.append(chunk_codes + sum(map(len, tables)))
         tables.append(table)
@@ -464,14 +471,18 @@ def _sparse_sensor(doc: dict, where: str, parse_key) -> dict:
     for row_where, state, row in _sensor_entries(doc, where):
         keys = list(map(parsed.get, row))
         values = list(row.values())
-        if None in keys or not _plain_numbers(values):
-            keys = []
+        try:
+            probs = list(map(float, values)) if _plain_numbers(values) else None
+        except OverflowError:
+            probs = None
+        if None in keys or probs is None:
+            keys, probs = [], []
             for text, value in row.items():
                 if text not in parsed:
                     parsed[text] = parse_key(text, row_where)
                 keys.append(parsed[text])
-                _number(value, f"{row_where}[{text!r}]")
-        sensor[state] = dict(zip(keys, map(float, values)))
+                probs.append(_number(value, f"{row_where}[{text!r}]"))
+        sensor[state] = dict(zip(keys, probs))
     return sensor
 
 

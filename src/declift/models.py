@@ -567,20 +567,21 @@ def _sparse_clean(row: dict, bad_keys: set) -> bool:
 
 
 def _check_team_transitions(
-    out, model, key_ok, row_name: str, key_problem: str, n_keys: int, all_keys, cap: int
+    out, model, keys_ok, row_name: str, key_problem: str, n_keys: int, all_keys, cap: int
 ) -> None:
     """Report the transition rows of a ground or lifted team model.
 
-    Rows are screened once per distinct row object and `key_ok` is tested
-    once per distinct key.  `all_keys()` lists the `n_keys` keys each state
-    needs a row for; missing rows are looked for only when `n_keys` is at
-    most `cap` and the entries with a known state and a good key, which
-    are distinct pairs, number fewer than |states| x `n_keys`.
+    Rows are screened once per distinct row object, and `keys_ok(keys)`
+    says which of the distinct keys are good.  `all_keys()` lists the
+    `n_keys` keys each state needs a row for; missing rows are looked for
+    only when `n_keys` is at most `cap` and the entries with a known state
+    and a good key, which are distinct pairs, number fewer than
+    |states| x `n_keys`.
     """
     table = model.transition
     known = set(model.states.labels)
     unknown = np.array([state not in known for state in table.states], dtype=bool)
-    bad_keys = np.array([not key_ok(key) for key in table.actions], dtype=bool)
+    bad_keys = ~np.array(keys_ok(table.actions), dtype=bool)
     outside = unknown[table.state_codes] | bad_keys[table.action_codes]
     flags = _dense_flags(table.rows, len(model.states))[table.row_codes] | outside
     for i in np.flatnonzero(flags).tolist():
@@ -602,19 +603,21 @@ def _check_team_transitions(
                 )
 
 
-def _check_team_sensor(out, model, key_ok, row_name: str) -> None:
-    """Report the sparse sensor rows of a ground or lifted team model."""
+def _check_team_sensor(out, model, keys_ok, row_name: str) -> None:
+    """Report the sparse sensor rows of a ground or lifted team model;
+    `keys_ok(keys)` says which of the distinct keys are good."""
     known = set(model.states.labels)
     for state in model.states:
         if state not in model.sensor:
             out.append(Violation("missing-row", f"no sensor row for state {state!r}"))
     rows = [row for state, row in model.sensor.items() if state in known]
-    bad_keys = {key for key in set().union(*rows) if not key_ok(key)}
+    keys = list(set().union(*rows))
+    bad_keys = {key for key, ok in zip(keys, keys_ok(keys)) if not ok}
     for state, row in model.sensor.items():
         if state not in known:
             out.append(Violation("undeclared-row", f"sensor row for unknown state {state!r}"))
         elif not _sparse_clean(row, bad_keys):
-            _check_sparse_row(out, f"{row_name} {state!r}", row, key_ok)
+            _check_sparse_row(out, f"{row_name} {state!r}", row, lambda key: key not in bad_keys)
 
 
 def _check_reward(out, model):
@@ -726,17 +729,29 @@ def _validate_ground(model: GroundDecPomdp, out: list[Violation], cap: int):
             and all(v in r for v, r in zip(joint, ranges))
         )
 
+    def tuples_ok(keys, ranges):
+        # one screen of all the keys: every one a tuple of the agents' arity
+        # and each agent's values, as a set, inside its range; the per-tuple
+        # test runs only when the screen fails
+        if (
+            {tuple}.issuperset(map(type, keys))
+            and {len(ranges)}.issuperset(map(len, keys))
+            and all(set(values) <= set(r) for values, r in zip(zip(*keys), ranges))
+        ):
+            return [True] * len(keys)
+        return [tuple_ok(joint, ranges) for joint in keys]
+
     _check_team_transitions(
         out,
         model,
-        lambda joint: tuple_ok(joint, action_ranges),
+        lambda keys: tuples_ok(keys, action_ranges),
         "transition row",
         "joint action outside the ranges",
         math.prod(len(r) for r in action_ranges),
         lambda: itertools.product(*action_ranges),
         cap,
     )
-    _check_team_sensor(out, model, lambda joint: tuple_ok(joint, obs_ranges), "sensor row")
+    _check_team_sensor(out, model, lambda keys: tuples_ok(keys, obs_ranges), "sensor row")
     _check_belief(out, model.initial_belief, model.states)
 
 
@@ -785,7 +800,7 @@ def validate_lifted(model: LiftedDecPomdp, out: list, cap: int = DEFAULT_JOINT_C
     _check_team_transitions(
         out,
         model,
-        lambda key: key_ok(key, part.action_ranges),
+        lambda keys: [key_ok(key, part.action_ranges) for key in keys],
         "lifted transition row",
         "malformed histogram key",
         model.action_key_count(),
@@ -795,7 +810,7 @@ def validate_lifted(model: LiftedDecPomdp, out: list, cap: int = DEFAULT_JOINT_C
     _check_team_sensor(
         out,
         model,
-        lambda key: key_ok(key, part.observation_ranges),
+        lambda keys: [key_ok(key, part.observation_ranges) for key in keys],
         "lifted sensor row",
     )
 

@@ -1,5 +1,6 @@
 """Command line driver: exit codes, artifacts, determinism."""
 
+import gc
 import importlib
 import importlib.util
 import json
@@ -138,6 +139,15 @@ def test_validate_parse_error(tmp_path, capsys):
     path.write_text("{nope")
     assert main(["validate", str(path)]) == 1
     assert "error [parse]" in capsys.readouterr().err
+
+
+def test_validate_an_int_beyond_the_float_range_is_a_schema_error(tmp_path, capsys):
+    path = tmp_path / "mdp.json"
+    path.write_text(json.dumps({**CHAIN_MDP, "discount": 10**400}))
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error [schema]: mdp.discount: integer beyond the float range\n"
+    )
 
 
 def test_missing_file_is_io_error(capsys):
@@ -417,6 +427,35 @@ def test_closed_stdout_keeps_the_exit_code(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert _run_with_closed_stdout(["validate", str(path)], buffered=False) == (1, "")
+
+
+def test_an_in_process_call_keeps_the_collector_and_freezes_nothing(team_file, capsys):
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert main(["validate", team_file]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+# two `main` calls in one process, with `gc.freeze` counted; a probe
+# registered before them runs after their exit hooks and reports on stderr
+_FREEZE_PROBE = """
+import atexit, gc, sys
+freezes = []
+freeze = gc.freeze
+gc.freeze = lambda: freezes.append(freeze())
+atexit.register(lambda: print(len(freezes), gc.get_freeze_count() > 0, file=sys.stderr))
+from declift.cli import main
+for _ in range(2):
+    main(sys.argv[1:])
+"""
+
+
+def test_a_process_that_calls_main_freezes_its_heap_once_at_exit(team_file):
+    proc = subprocess.run(
+        [sys.executable, "-c", _FREEZE_PROBE, "validate", team_file],
+        capture_output=True, text=True, env=_child_env(), timeout=120, check=True,
+    )
+    assert proc.stdout == "ok: decpomdp with 2 states, 2 agents\n" * 2
+    assert proc.stderr == "1 True\n"
 
 
 # ---------------------------------------------------------------------------

@@ -583,6 +583,16 @@ def test_canonical_json_edge_values_match_the_recursive_emitter():
         # a field name replaces that field of the document
         ({"initial_belief": {"zz": 1.0}}, "decpomdp.initial_belief: unknown label 'zz'"),
         ({"initial_belief": [1.0]}, "decpomdp.initial_belief: expected an object of probabilities"),
+        # an int beyond the float range is a schema error where it is met first
+        ({2: {"next": {"s0": 10**400}}}, "transition[2].next['s0']: integer beyond the float range"),
+        (
+            {1: {"next": {"s0": 10**400}}, 3: {"extra": 1}},
+            "transition[1].next['s0']: integer beyond the float range",
+        ),
+        ({1: {"extra": 1}, 3: {"next": {"s0": 10**400}}}, "transition[1]: unknown field 'extra'"),
+        ({"initial_belief": {"s0": 10**400}}, "decpomdp.initial_belief['s0']: integer beyond"),
+        ({"reward": {"s0": 0.0, "s1": -(10**400)}}, "decpomdp.reward['s1']: integer beyond"),
+        ({"discount": 10**400}, "decpomdp.discount: integer beyond the float range"),
     ],
 )
 def test_schema_errors_come_in_row_by_row_order(edits, message):
@@ -603,6 +613,7 @@ def test_schema_errors_come_in_row_by_row_order(edits, message):
         ({"o,o": "x", "q": 0.5}, "sensor[1].row['o,o']: expected a number"),
         ({"q": "x", "o,o": 0.5}, "sensor[1].row: joint key 'q' must have 2"),
         ({"o,o": 0.5, "o,n": None}, "sensor[1].row['o,n']: expected a number, got None"),
+        ({"o,o": 10**400, "q": 0.5}, "sensor[1].row['o,o']: integer beyond the float range"),
     ],
 )
 def test_sensor_schema_errors_come_in_entry_order(row, message):
@@ -619,6 +630,8 @@ def test_sensor_schema_errors_come_in_entry_order(row, message):
         # a bad row before a bad entry is reported first, and the reverse
         ({0: {"row": {"zz": 1}}, 1: {"extra": 1}}, "pomdp.sensor[0].row: unknown label 'zz'"),
         ({0: {"extra": 1}, 1: {"row": {"zz": 1}}}, "pomdp.sensor[0]: unknown field 'extra'"),
+        ({0: {"row": {"zz": 1}}, 1: {"row": {"z0": 10**400}}}, "pomdp.sensor[0].row: unknown label 'zz'"),
+        ({1: {"row": {"z0": 10**400}}}, "pomdp.sensor[1].row['z0']: integer beyond the float range"),
     ],
 )
 def test_pomdp_sensor_schema_errors_come_in_entry_order(edits, message):
