@@ -71,20 +71,24 @@ def bounded_compositions(total: int, bounds) -> Iterator[tuple[int, ...]]:
     Reverse-lexicographic order.  The lifted evaluator calls this in its
     innermost loop, so it validates nothing.
     """
-    def rec(i, remaining):
-        if i == len(bounds) - 1:
-            if remaining <= bounds[i]:
-                yield (remaining,)
-            return
-        for x in range(min(remaining, bounds[i]), -1, -1):
-            for rest in rec(i + 1, remaining - x):
-                yield (x,) + rest
-
     if len(bounds) == 0:
         if total == 0:
             yield ()
         return
-    yield from rec(0, total)
+    yield from _compositions_from(bounds, 0, total)
+
+
+def _compositions_from(bounds, i, remaining):
+    # the parts i, i+1, ... of `bounded_compositions`; a module-level
+    # generator, since a nested one refers to itself through its closure
+    # and leaves a reference cycle behind every call
+    if i == len(bounds) - 1:
+        if remaining <= bounds[i]:
+            yield (remaining,)
+        return
+    for x in range(min(remaining, bounds[i]), -1, -1):
+        for rest in _compositions_from(bounds, i + 1, remaining - x):
+            yield (x,) + rest
 
 
 def tuple_to_histogram(

@@ -521,11 +521,21 @@ def _check_row(out, name, dist: DiscreteDistribution, width: int):
         )
 
 
+def _finite_number(value) -> bool:
+    """Is this an int or a float whose float value is finite?"""
+    if not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _check_sparse_row(out, name, row: dict, keys_ok) -> None:
     for key, value in row.items():
         if not keys_ok(key):
             out.append(Violation("key", f"{name} has out-of-range key {key!r}"))
-        if not (isinstance(value, (int, float)) and math.isfinite(value)):
+        if not _finite_number(value):
             out.append(Violation("row", f"{name} entry {key!r} is not a finite number"))
             return
         if value < 0.0:
@@ -560,7 +570,10 @@ def _sparse_clean(row: dict, bad_keys: set) -> bool:
     values = list(row.values())
     if not bad_keys.isdisjoint(row) or not _plain_numbers(values):
         return False
-    arr = np.array(values, dtype=float)
+    try:
+        arr = np.array(values, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        return False
     if not np.isfinite(arr).all() or (arr < 0.0).any():
         return False
     return abs(math.fsum(values) - 1.0) <= PROB_TOL
@@ -626,7 +639,7 @@ def _check_reward(out, model):
             out.append(Violation("reward", f"no reward for state {state!r}"))
         else:
             value = model.reward[state]
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
+            if not _finite_number(value):
                 out.append(Violation("reward", f"reward for {state!r} is not finite"))
     for state in model.reward:
         if state not in model.states.labels:

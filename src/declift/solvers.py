@@ -611,19 +611,23 @@ def _group_allocations(groups, obs_counts):
     likely under a permutation-invariant sensor, so dividing the ways by
     the multinomial of obs_counts turns them into probabilities.
     """
-    def rec(g, remaining):
-        if g == len(groups):
-            if all(x == 0 for x in remaining):
-                yield (), 1
-            return
-        _, count = groups[g]
-        for row in bounded_compositions(count, remaining):
-            ways = histogram_multiplicity(row)
-            rest_remaining = tuple(r - x for r, x in zip(remaining, row))
-            for rest, rest_ways in rec(g + 1, rest_remaining):
-                yield (row,) + rest, ways * rest_ways
+    return _allocations_from(groups, 0, tuple(obs_counts))
 
-    yield from rec(0, tuple(obs_counts))
+
+def _allocations_from(groups, g, remaining):
+    # the groups g, g+1, ... of `_group_allocations`; module level, so the
+    # recursion makes no closure cycle, and apart from it, so a wrapper set
+    # on `_group_allocations` sees one call per enumeration
+    if g == len(groups):
+        if all(x == 0 for x in remaining):
+            yield (), 1
+        return
+    _, count = groups[g]
+    for row in bounded_compositions(count, remaining):
+        ways = histogram_multiplicity(row)
+        rest_remaining = tuple(r - x for r, x in zip(remaining, row))
+        for rest, rest_ways in _allocations_from(groups, g + 1, rest_remaining):
+            yield (row,) + rest, ways * rest_ways
 
 
 def _lifted_observation_keys(model: LiftedDecPomdp, states) -> list:
@@ -766,36 +770,6 @@ def lifted_exhaustive(
             row = kernels[key] = [split[obs_key[k]] for obs_key in obs_keys]
         return row
 
-    shallow: dict = {}
-    memo: dict = {}
-
-    def alpha(depth, occ, action_key):
-        if depth == 1:
-            return reward
-        if depth == 2:
-            hit = shallow.get(action_key)
-            if hit is None:
-                hit = shallow[action_key] = reward + gamma * trans[action_key].dot(reward)
-            return hit
-        key = (depth, occ)
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = backup(depth, occ, action_key)
-        return hit
-
-    def backup(depth, occ, action_key):
-        columns, weights, children = [], [], []
-        rows = [kernel(k, depth, occ[k]) for k in range(n_partitions)]
-        for j, entries in enumerate(zip(*rows)):
-            for combo in itertools.product(*entries):
-                child_occ, child_action, probs = zip(*combo)
-                columns.append(j)
-                weights.append(math.prod(probs))
-                children.append(alpha(depth - 1, child_occ, child_action))
-        coef = omega_t[columns] * np.array(weights)[:, None]
-        cont = (coef * np.array(children)).sum(axis=0)
-        return reward + gamma * trans[action_key].dot(cont)
-
     support = np.nonzero(b0)[0]
     b0_support = b0[support]
 
@@ -833,6 +807,37 @@ def lifted_exhaustive(
     if horizon <= 2:
         joint_classes = math.prod(map(len, per_partition))
         _check_cap(joint_classes, cap_joint, "joint action histogram classes", "joint")
+
+    shallow: dict = {}
+    memo: dict = {}
+
+    def alpha(depth, occ, action_key):
+        if depth == 1:
+            return reward
+        if depth == 2:
+            hit = shallow.get(action_key)
+            if hit is None:
+                hit = shallow[action_key] = reward + gamma * trans[action_key].dot(reward)
+            return hit
+        key = (depth, occ)
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = backup(depth, occ, action_key)
+        return hit
+
+    def backup(depth, occ, action_key):
+        columns, weights, children = [], [], []
+        rows = [kernel(k, depth, occ[k]) for k in range(n_partitions)]
+        for j, entries in enumerate(zip(*rows)):
+            for combo in itertools.product(*entries):
+                child_occ, child_action, probs = zip(*combo)
+                columns.append(j)
+                weights.append(math.prod(probs))
+                children.append(alpha(depth - 1, child_occ, child_action))
+        coef = omega_t[columns] * np.array(weights)[:, None]
+        cont = (coef * np.array(children)).sum(axis=0)
+        return reward + gamma * trans[action_key].dot(cont)
+
     evaluate = alpha if horizon <= 2 else backup
     best_occ, best_value = None, None
     for combo in itertools.product(*per_partition):
@@ -840,6 +845,10 @@ def lifted_exhaustive(
         v = value_of(evaluate(horizon, occ, action_key))
         if best_value is None or v > best_value:
             best_occ, best_value = occ, v
+    # alpha and backup refer to each other through their closures; unlinking
+    # them lets reference counting free the memo, the kernels and the pools
+    # when this call returns
+    alpha = backup = None
 
     cache: dict = {}
     plans = []

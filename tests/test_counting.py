@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from declift.counting import (
+    bounded_compositions,
     enumerate_histograms,
     format_histogram_tuple_key,
     histogram_count,
@@ -50,6 +51,21 @@ def test_enumeration_order_reverse_lexicographic():
     counts = list(enumerate_histograms(2, 3))
     assert counts == sorted(counts, reverse=True)
     assert counts[0] == (2, 0, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 8), st.lists(st.integers(0, 4), max_size=4))
+def test_bounded_compositions_match_a_filtered_product(total, bounds):
+    # every tuple under the bounds with the right sum, reverse-lexicographic
+    expected = sorted(
+        (
+            parts
+            for parts in itertools.product(*(range(b + 1) for b in bounds))
+            if sum(parts) == total
+        ),
+        reverse=True,
+    )
+    assert list(bounded_compositions(total, tuple(bounds))) == expected
 
 
 @pytest.mark.parametrize("n", range(0, 11))

@@ -635,6 +635,37 @@ def test_sparse_rows_with_unit_mass_are_still_checked_entry_by_entry(kind, edit)
     assert ("out-of-range key" if edit == "foreign" else "is negative") in report
 
 
+@pytest.mark.parametrize("kind", ["mdp", "decpomdp", "lifted-decpomdp"])
+def test_a_reward_int_beyond_the_float_range_is_a_violation(kind):
+    # math.isfinite raises OverflowError on such an int
+    rng = np.random.default_rng(3)
+    model = {"mdp": random_mdp, "decpomdp": random_team, "lifted-decpomdp": random_lifted}[
+        kind
+    ](rng)
+    state = model.states.labels[0]
+    broken = dataclasses.replace(model, reward={**model.reward, state: 10**400})
+    report = str(validate_model(broken))
+    assert report == reference_report(broken)
+    assert report == f"[reward] reward for {state!r} is not finite"
+
+
+@pytest.mark.parametrize("kind", ["decpomdp", "lifted-decpomdp"])
+def test_a_sparse_sensor_int_beyond_the_float_range_is_a_row_violation(kind):
+    # the screen's float array and the row check's math.isfinite both
+    # overflow on such an int
+    rng = np.random.default_rng(3)
+    model = random_team(rng) if kind == "decpomdp" else random_lifted(rng)
+    state = model.states.labels[-1]
+    sensor = {s: dict(row) for s, row in model.sensor.items()}
+    key = next(iter(sensor[state]))
+    sensor[state][key] = 10**400
+    broken = dataclasses.replace(model, sensor=sensor)
+    report = str(validate_model(broken))
+    assert report == reference_report(broken)
+    assert report.endswith(f"{state!r} entry {key!r} is not a finite number")
+    assert report.count("[") == 1 and report.startswith("[row] ")
+
+
 @pytest.mark.parametrize("kind", ["decpomdp", "lifted-decpomdp"])
 def test_team_validators_report_a_dropped_transition_row(kind):
     # a foreign row in its place keeps the row count, so only the

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog as highs_linprog
 
-from declift.counting import enumerate_histograms
+from declift.counting import enumerate_histograms, histogram_multiplicity
 from declift.errors import CapacityExceeded, NonConvergent, ValidationError
 from declift.modelio import serialize_model
 from declift.lifting import (
@@ -1089,6 +1089,22 @@ def test_peak_only_matches_shared_plan_brute_force():
     [entry] = peak.policy.plans
     [(_, count)] = entry
     assert count == 3
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=3), st.integers(1, 3), st.data())
+def test_group_allocations_split_every_member_tuple_once(counts, n_obs, data):
+    # the member-level ways of all allocations add up to every observation
+    # tuple behind the histogram, each counted once
+    groups = [(3 * g, count) for g, count in enumerate(counts)]
+    obs = data.draw(st.sampled_from(list(enumerate_histograms(sum(counts), n_obs))))
+    allocations = list(solvers._group_allocations(groups, obs))
+    for rows, ways in allocations:
+        assert [sum(row) for row in rows] == counts
+        assert tuple(map(sum, zip(*rows))) == obs
+        assert ways == math.prod(map(histogram_multiplicity, rows))
+    assert len({rows for rows, _ in allocations}) == len(allocations)
+    assert sum(ways for _, ways in allocations) == histogram_multiplicity(obs)
 
 
 def test_lifted_policy_counts_cover_partitions():
