@@ -107,21 +107,10 @@ def _plan_text(plan, observations) -> str:
     return f"{plan.action}({branches})"
 
 
-def _params_doc(params) -> dict:
-    return {
-        "states": params.states,
-        "agents": params.agents,
-        "partitions": params.partitions,
-        "actions_per_agent": params.actions_per_agent,
-        "observations_per_agent": params.observations_per_agent,
-        "partition_size": params.partition_size,
-    }
-
-
 def _size_doc(params, report) -> dict:
     return {
         "kind": "size-report",
-        "params": _params_doc(params),
+        "params": dataclasses.asdict(params),
         "ground": {
             "log2_transition": report.ground_transition,
             "log2_sensor": report.ground_sensor,
@@ -185,8 +174,13 @@ def _cmd_validate(args):
     return 0, [f"ok: {_kind_name(model)} with {len(model.states)} states{extra}"]
 
 
-# the generator fields the flags set; a rates file may set every other one
-_FLAG_FIELDS = {"marker_types", "message_types", "partition_size", "release_threshold"}
+# the generator field each flag sets; a rates file may set every other one
+_FLAG_FIELDS = {
+    "kappa": "marker_types",
+    "iota": "message_types",
+    "partition_size": "partition_size",
+    "theta": "release_threshold",
+}
 
 
 def _nano_params_from_args(args):
@@ -198,25 +192,19 @@ def _nano_params_from_args(args):
             raise SchemaError(f"rates file is not valid JSON: {err}") from None
         if not isinstance(rates, dict):
             raise SchemaError("rates file must hold one JSON object")
-        fields = {f.name for f in dataclasses.fields(params)} - _FLAG_FIELDS
+        fields = {f.name for f in dataclasses.fields(params)} - {*_FLAG_FIELDS.values()}
         unknown = set(rates) - fields
         if unknown:
             raise SchemaError(
                 f"rates file has unknown fields: {', '.join(sorted(unknown))}"
             )
         params = dataclasses.replace(params, **rates)
-    overrides = {}
-    if args.kappa is not None:
-        overrides["marker_types"] = args.kappa
-    if args.iota is not None:
-        overrides["message_types"] = args.iota
-    if args.partition_size is not None:
-        overrides["partition_size"] = args.partition_size
-    if args.theta is not None:
-        overrides["release_threshold"] = args.theta
-    if overrides:
-        params = dataclasses.replace(params, **overrides)
-    return params
+    overrides = {
+        field: getattr(args, flag)
+        for flag, field in _FLAG_FIELDS.items()
+        if getattr(args, flag) is not None
+    }
+    return dataclasses.replace(params, **overrides)
 
 
 def _cmd_gen_nano(args):
@@ -226,7 +214,7 @@ def _cmd_gen_nano(args):
         # too large to materialize; emit the size parameters instead so the
         # instance can still be analyzed
         params = _cli.nano_size_params(args.nano)
-        doc = {"kind": "size-params", **_params_doc(params)}
+        doc = {"kind": "size-params", **dataclasses.asdict(params)}
         _write(args.out, _cli.canonical_json(doc))
         return 0, [
             f"above capacity ({err.measured} > {err.cap} keys); wrote size "

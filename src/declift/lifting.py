@@ -20,23 +20,23 @@ each group by its first tuple; ground groups the product of the
 declared ranges, coded by position.  Python work runs once per group
 (64 keys for the 512 distinct tuples behind the 8,192 transition
 entries of nine two-action agents); the rest is array work over codes.
-A transition table (`models.TransitionTable`) already holds one int
-code per entry for its state, joint tuple and row object, and lift and
-ground write their tables as such columns; sensor entries are coded the
-same way once per pass (`_sensor_entries`).
+A transition table (`models.TransitionTable`) holds one int code per
+entry for its state, joint tuple and row object, and lift and ground
+write their tables as such columns.  The sensor entries are read as a
+table of the same type (`_sensor_table`), whose row objects are the
+probabilities, so both tables are read through the same columns.
 
 symmetry_refine tests a swap of agents i and j by mapping each distinct
 joint tuple to its swap partner once (`_Partners`) and looking up each
-entry's partner entry by codes.  The row checks of symmetry_refine and
-lift compare row codes: entries holding the same row object agree, and
-two different objects are compared once.
+entry's partner entry in the table's index.  The row checks of
+symmetry_refine and lift compare row codes: entries holding the same row
+object agree, and two different objects are compared once.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -47,19 +47,17 @@ from .counting import (
     tuple_to_histogram,
 )
 from .errors import CapacityExceeded, NotLiftable, RangeMismatch
-# the lifted types and their validator live in models; importing them here
-# keeps `declift.lifting.LiftedDecPomdp` and the like working
+# the lifted types live in models; importing them here keeps
+# `declift.lifting.LiftedDecPomdp` and the like working
 from .models import (
     PROB_TOL,
     GroundDecPomdp,
     LiftedDecPomdp,
-    PairIndex,
     Partitioning,
     SortedIndex,
     TransitionTable,
     first_groups,
     intern,
-    validate_lifted,
     void_rows,
 )
 
@@ -112,52 +110,37 @@ def _collapse(codes: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
     return first_groups(void_rows(rows))
 
 
-class _Coded(NamedTuple):
-    """Entries of a table keyed by (state, joint tuple), as int codes.
-
-    `states` and `joints` hold the distinct states and joint tuples in
-    order of first use; entry k is (states[state_codes[k]],
-    joints[joint_codes[k]]).
-    """
-
-    states: tuple
-    state_codes: np.ndarray
-    joints: tuple
-    joint_codes: np.ndarray
-
-
-def _transition_entries(model) -> _Coded:
-    table = model.transition
-    return _Coded(table.states, table.state_codes, table.actions, table.action_codes)
-
-
-def _sensor_entries(model: GroundDecPomdp) -> tuple[_Coded, list]:
-    """(entries, values) of a ground model's sensor rows, row by row."""
+def _sensor_table(model: GroundDecPomdp) -> TransitionTable:
+    """A ground model's sensor entries as a table keyed by (state, joint
+    tuple), in row order; each entry's probability is its own row object."""
     rows = model.sensor
     states = np.repeat(np.arange(len(rows)), [len(row) for row in rows.values()])
     joints, codes = intern(list(itertools.chain.from_iterable(rows.values())))
-    values = list(itertools.chain.from_iterable(row.values() for row in rows.values()))
-    return _Coded(tuple(rows), states, joints, codes), values
+    probs = tuple(itertools.chain.from_iterable(row.values() for row in rows.values()))
+    return TransitionTable(tuple(rows), joints, probs, states, codes, np.arange(len(probs)))
 
 
 def _first_entry(codes: np.ndarray, code: int) -> int:
     return int(np.argmax(codes == code))
 
 
-def _arity(entries: _Coded, n_agents: int, where: str) -> tuple[int, RangeMismatch | None]:
+def _arity(
+    table: TransitionTable, n_agents: int, where: str
+) -> tuple[int, RangeMismatch | None]:
     """(m, error): the joint tuples before the first that does not hold one
     value per agent, and that tuple's error (None if there is none).
 
     `where` is a format string naming the row of the tuple's first entry
     from its state.
     """
-    lengths = np.fromiter(map(len, entries.joints), np.int64, len(entries.joints))
+    joints = table.actions
+    lengths = np.fromiter(map(len, joints), np.int64, len(joints))
     short = np.flatnonzero(lengths != n_agents)
     if not short.size:
-        return len(entries.joints), None
+        return len(joints), None
     m = int(short[0])
-    joint = entries.joints[m]
-    state = entries.states[entries.state_codes[_first_entry(entries.joint_codes, m)]]
+    joint = joints[m]
+    state = table.states[table.state_codes[_first_entry(table.action_codes, m)]]
     return m, RangeMismatch(
         f"{where.format(state)}: joint tuple {joint!r} has {len(joint)} values "
         f"for {n_agents} agents"
@@ -171,7 +154,7 @@ def _labels(joints, n_agents: int) -> np.ndarray:
     return codes.reshape(len(joints), n_agents)
 
 
-def _histograms(entries: _Coded, n_agents: int, blocks, positions, where: str):
+def _histograms(table: TransitionTable, n_agents: int, blocks, positions, where: str):
     """(keys, codes, error): the histogram key of each joint tuple.
 
     keys lists the distinct histogram keys in order of first use and
@@ -182,36 +165,42 @@ def _histograms(entries: _Coded, n_agents: int, blocks, positions, where: str):
     labels per block, so they are all in range or all out of it, and the
     first group out of range starts at the first tuple without a key.
     """
-    m, error = _arity(entries, n_agents, where)
-    first, group = _collapse(_labels(entries.joints[:m], n_agents), blocks)
+    m, error = _arity(table, n_agents, where)
+    first, group = _collapse(_labels(table.actions[:m], n_agents), blocks)
     keys = []
     for t in first.tolist():
         try:
-            keys.append(_joint_to_key(entries.joints[t], blocks, positions))
+            keys.append(_joint_to_key(table.actions[t], blocks, positions))
         except RangeMismatch as err:
             return keys, group[:t], err
     return keys, group, error
 
 
 class _Partners(SortedIndex):
-    """Swap partners among the distinct joint tuples of one table.
+    """Swap partners among the entries of one table keyed by joint tuples.
 
     `labels` holds one row of label codes per distinct tuple; the rows are
     sorted once by their bytes, and each swap looks its tuples up.
     """
 
-    __slots__ = ("labels",)
+    __slots__ = ("table", "labels")
 
-    def __init__(self, labels: np.ndarray):
-        self.labels = labels
-        super().__init__(void_rows(labels))
+    def __init__(self, table: TransitionTable, n_agents: int):
+        _, error = _arity(table, n_agents, "row for state {!r}")
+        if error:
+            raise error
+        self.table = table
+        self.labels = _labels(table.actions, n_agents)
+        super().__init__(void_rows(self.labels))
 
-    def of(self, i: int, j: int) -> np.ndarray:
-        """partner[c]: the tuple that is tuple c with the values of agents i
-        and j traded, or -1 where no tuple is."""
+    def entries(self, i: int, j: int) -> np.ndarray:
+        """other[k]: the entry in entry k's state whose tuple is entry k's
+        with the values of agents i and j traded, or -1 where there is none."""
         swapped = self.labels.copy()
         swapped[:, [i, j]] = self.labels[:, [j, i]]
-        return self.find(void_rows(swapped))
+        partner = self.find(void_rows(swapped))
+        table = self.table
+        return table.index.find(table.state_codes, partner[table.action_codes])
 
 
 class _SwapCheck:
@@ -228,23 +217,11 @@ class _SwapCheck:
     def __init__(self, model: GroundDecPomdp):
         n_agents = len(model.agents)
         table = model.transition
-        self.transition = _transition_entries(model)
-        self.partners = self._partners(self.transition, n_agents)
-        self.index, self.codes = table.index, table.row_codes
+        self.transition = _Partners(table, n_agents)
         self.rows = np.stack([row.probs for row in table.rows]) if table.rows else None
-        self.sensor, values = _sensor_entries(model)
-        self.sensor_partners = self._partners(self.sensor, n_agents)
-        self.sensor_index = PairIndex(
-            self.sensor.state_codes, self.sensor.joint_codes, len(self.sensor.joints)
-        )
-        self.sensor_probs = np.array(values, dtype=float)
-
-    @staticmethod
-    def _partners(entries: _Coded, n_agents: int) -> _Partners:
-        _, error = _arity(entries, n_agents, "row for state {!r}")
-        if error:
-            raise error
-        return _Partners(_labels(entries.joints, n_agents))
+        sensor = _sensor_table(model)
+        self.sensor = _Partners(sensor, n_agents)
+        self.sensor_probs = np.array(sensor.rows, dtype=float)
 
     def invariant(self, i: int, j: int, tol: float) -> bool:
         """Is the model unchanged when agents at positions i and j trade places?
@@ -252,16 +229,13 @@ class _SwapCheck:
         A transition row without a swapped counterpart breaks invariance; a
         missing sensor entry reads as probability 0.
         """
-        entries = self.transition
-        partner = self.partners.of(i, j)[entries.joint_codes]
-        other = self.index.find(entries.state_codes, partner)
+        other = self.transition.entries(i, j)
         if (other < 0).any():
             return False
-        if (_row_gaps(self.rows, self.codes, self.codes[other]) > tol).any():
+        codes = self.transition.table.row_codes
+        if (_row_gaps(self.rows, codes, codes[other]) > tol).any():
             return False
-        entries = self.sensor
-        partner = self.sensor_partners.of(i, j)[entries.joint_codes]
-        other = self.sensor_index.find(entries.state_codes, partner)
+        other = self.sensor.entries(i, j)
         probs = np.where(other < 0, 0.0, self.sensor_probs[other])
         # NaN fails `> tol`, as it does in |p - q| > tol
         with np.errstate(invalid="ignore"):
@@ -386,8 +360,7 @@ def lift(
 
     table = model.transition
     action_keys, codes, error = _histograms(
-        _transition_entries(model), n_agents, blocks, action_positions,
-        "transition row for state {!r}",
+        table, n_agents, blocks, action_positions, "transition row for state {!r}"
     )
     # entries before the first joint tuple without a key
     n = len(table) if error is None else _first_entry(table.action_codes, len(codes))
@@ -415,17 +388,18 @@ def lift(
     )
 
     sensor = {state: {} for state in model.sensor}
-    entries, values = _sensor_entries(model)
+    table = _sensor_table(model)
     obs_keys, codes, error = _histograms(
-        entries, n_agents, blocks, obs_positions, "sensor row {!r}"
+        table, n_agents, blocks, obs_positions, "sensor row {!r}"
     )
     # whole rows before the one holding the first joint tuple without a key
+    values = table.rows
     n = len(values)
     if error:
-        bad = entries.state_codes[_first_entry(entries.joint_codes, len(codes))]
-        n = int(np.searchsorted(entries.state_codes, bad))
+        bad = table.state_codes[_first_entry(table.action_codes, len(codes))]
+        n = int(np.searchsorted(table.state_codes, bad))
     first, group = first_groups(
-        entries.state_codes[:n] * len(obs_keys) + codes[entries.joint_codes[:n]]
+        table.state_codes[:n] * len(obs_keys) + codes[table.action_codes[:n]]
     )
     # summed in entry order, as a row-by-row pass adds them
     totals = np.bincount(group, values[:n], len(first)).tolist()
@@ -434,9 +408,9 @@ def lift(
         members[g].append(value)
     multiplicity = [key_multiplicity(key) for key in obs_keys]
     for g, i in enumerate(first.tolist()):
-        state = entries.states[entries.state_codes[i]]
-        joint = entries.joints[entries.joint_codes[i]]
-        code = codes[entries.joint_codes[i]]
+        state = table.states[table.state_codes[i]]
+        joint = table.actions[table.action_codes[i]]
+        code = codes[table.action_codes[i]]
         key = obs_keys[code]
         # min and max keep the first of equal values, as a running fold
         # does, so NaN and signed zeros come out as a row-by-row pass has them

@@ -273,6 +273,8 @@ class TransitionTable(Mapping):
     As a mapping it reads like the dict it is built from (`of`): `len`,
     iteration order, `get` and `==`.  Bulk consumers read the columns and
     find entries with `find` (by label) or `index.find` (by code).
+    `lifting` also holds a ground model's sensor entries in one, keyed by
+    (state, joint observation) with each probability as its row object.
     """
 
     __slots__ = (

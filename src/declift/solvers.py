@@ -891,7 +891,8 @@ class EquivalenceReport:
 
 
 def _split_witness(candidate, refined):
-    """First agent pair a refinement separated inside one candidate block."""
+    """First agent pair a refinement separated inside one candidate block
+    (`symmetry_refine` only splits blocks, so blocks that differ hold one)."""
     member_block = {}
     for b, block in enumerate(refined.blocks):
         for i in block:
@@ -903,7 +904,6 @@ def _split_witness(candidate, refined):
         if len(first_in_group) > 1:
             i, j = sorted(first_in_group.values())[:2]
             return i, j
-    return None
 
 
 def verify_equivalence(
@@ -930,10 +930,7 @@ def verify_equivalence(
         candidate = range_partition(model)
         refined = symmetry_refine(model, candidate)
         if refined.blocks != candidate.blocks:
-            witness = _split_witness(candidate, refined)
-            if witness is None:
-                raise NotLiftable("model is not symmetric under its range partition")
-            i, j = witness
+            i, j = _split_witness(candidate, refined)
             raise NotLiftable(
                 f"agents {model.agents[i]!r} and {model.agents[j]!r} share "
                 f"ranges but swapping them changes the tables; lift the "

@@ -217,6 +217,21 @@ def test_gen_nano_rates_cannot_set_flag_fields(tmp_path, capsys):
     assert "rates file has unknown fields: marker_types\n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"discount": 0.5', "rates file is not valid JSON: "),
+        ('[{"discount": 0.5}]', "rates file must hold one JSON object\n"),
+    ],
+)
+def test_gen_nano_rejects_a_rates_file_that_is_not_an_object(tmp_path, capsys, text, message):
+    rates = tmp_path / "rates.json"
+    rates.write_text(text)
+    code = main(["gen-nano", "--rates", str(rates), "--out", str(tmp_path / "m.json")])
+    assert code == 1
+    assert f"error [schema]: {message}" in capsys.readouterr().err
+
+
 def test_gen_nano_rejects_bad_params(tmp_path, capsys):
     out = tmp_path / "m.json"
     assert main(["gen-nano", "--kappa", "0", "--out", str(out)]) == 1
@@ -245,6 +260,12 @@ def test_lift_then_ground_round_trip(team_file, tmp_path):
 def test_lift_rejects_wrong_kind(desk_file, tmp_path, capsys):
     assert main(["lift", desk_file, "--out", str(tmp_path / "x.json")]) == 1
     assert "error [invalid-params]" in capsys.readouterr().err
+
+
+def test_ground_rejects_wrong_kind(team_file, tmp_path, capsys):
+    assert main(["ground", team_file, "--out", str(tmp_path / "x.json")]) == 1
+    err = capsys.readouterr().err
+    assert "error [invalid-params]: ground needs a lifted-decpomdp document" in err
 
 
 def test_ground_capacity_exit(desk_file, tmp_path, capsys):

@@ -555,6 +555,15 @@ def test_lift_checks_partitioning_against_model():
         lift(model, bad)
 
 
+@pytest.mark.parametrize("blocks", [((0,),), ((0,), (2,)), ((0, 1, 2),)])
+def test_lift_rejects_a_partitioning_that_does_not_cover_the_agents(blocks):
+    # an agent missing, one in its place, or one too many
+    model = symmetric_pair()
+    part = Partitioning(blocks, (("x", "y"),) * len(blocks), (("o", "n"),) * len(blocks))
+    with pytest.raises(RangeMismatch, match="^partitioning does not cover the agents exactly$"):
+        lift(model, part)
+
+
 @pytest.mark.parametrize("table", ["transition", "sensor"])
 def test_lift_rejects_joint_values_outside_the_declared_range(table):
     model = symmetric_pair()

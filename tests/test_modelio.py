@@ -311,6 +311,80 @@ def test_unknown_partition_member_rejected():
         parse_model(json.dumps(doc))
 
 
+def _put(path, value):
+    """An edit of a document that sets the field at `path` to `value`."""
+
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+
+    return edit
+
+
+GROUND, LIFTED = "nano_desk_ground.json", "nano_desk.json"
+
+
+@pytest.mark.parametrize(
+    "name, edit, message",
+    [
+        (
+            GROUND,
+            _put(["transition", 0, "state"], 3),
+            "decpomdp.transition[0]: state and action must be strings",
+        ),
+        (GROUND, _put(["sensor", 0, "state"], 3), "decpomdp.sensor[0]: state must be a string"),
+        (
+            GROUND,
+            lambda doc: doc["sensor"].insert(8, doc["sensor"][0]),
+            "decpomdp.sensor[8]: duplicate sensor row for 'mk0_ms0_rl0'",
+        ),
+        (GROUND, _put(["sensor", 0, "row"], [1]), "decpomdp.sensor[0].row: expected an object"),
+        (
+            LIFTED,
+            _put(["partitions"], []),
+            "lifted-decpomdp.partitions: expected a non-empty list",
+        ),
+        (LIFTED, _put(["partitions", 0], 3), "lifted-decpomdp.partitions[0]: expected an object"),
+        (
+            LIFTED,
+            _put(["partitions", 0, "name"], 3),
+            "lifted-decpomdp.partitions[0].name: expected a string",
+        ),
+        (
+            LIFTED,
+            _put(["partitions", 1, "members"], ["sensor0_0"]),
+            "lifted-decpomdp.partitions: partition blocks must be disjoint",
+        ),
+        (
+            LIFTED,
+            _put(["transition", 0, "action"], "[1,0]"),
+            "lifted-decpomdp.transition: key '[1,0]' has 1 histograms, expected 2",
+        ),
+        (LIFTED, _put(["states"], [1, 2]), "lifted-decpomdp.states: expected a list of strings"),
+        (
+            LIFTED,
+            lambda doc: doc["states"].append(doc["states"][0]),
+            "lifted-decpomdp.states: state labels must be unique",
+        ),
+        (LIFTED, _put(["reward"], [1]), "lifted-decpomdp.reward: expected an object"),
+        (
+            LIFTED,
+            _put(["transition"], {}),
+            "lifted-decpomdp.transition: expected a list of entries",
+        ),
+        (LIFTED, _put(["transition", 0], 3), "lifted-decpomdp.transition[0]: expected an object"),
+        (GROUND, _put(["actions"], []), "decpomdp.actions: expected an object of label lists"),
+    ],
+)
+def test_a_bundled_model_with_one_broken_field_is_a_schema_error(name, edit, message):
+    doc = json.loads(_bundled(name))
+    edit(doc)
+    with pytest.raises(SchemaError) as err:
+        parse_model(json.dumps(doc))
+    assert str(err.value) == message
+
+
 def test_discount_out_of_range_is_a_validation_error():
     doc = json.loads(serialize_model(sample_models()["mdp"]))
     doc["discount"] = 1.5

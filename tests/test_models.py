@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from declift.counting import enumerate_histograms
 from declift.errors import ZeroProbabilityObservation
+from declift.lifting import lift, range_partition
 from declift.modelio import parse_model
 from declift.models import (
     DEFAULT_JOINT_CAP,
@@ -22,6 +23,7 @@ from declift.models import (
     GroundDecPomdp,
     LiftedDecPomdp,
     Mdp,
+    Partitioning,
     Pomdp,
     StateSpace,
     TransitionTable,
@@ -683,6 +685,131 @@ def test_team_validators_report_a_dropped_transition_row(kind):
     report = validate_model(broken)
     assert str(report) == reference_report(broken)
     assert report.codes().count("missing-row") == 1
+
+
+def tiny_lifted():
+    """`tiny_ground` lifted under its one block of two agents."""
+    model = tiny_ground()
+    return lift(model, range_partition(model))
+
+
+BROKEN_BASES = {
+    "mdp": lambda: random_mdp(np.random.default_rng(0)),
+    "pomdp": two_state_pomdp,
+    "ground": tiny_ground,
+    "lifted": tiny_lifted,
+}
+SINGLETON_BLOCKS = Partitioning(((0,), (1,)), (("x", "y"),) * 2, (("o", "n"),) * 2)
+
+
+@pytest.mark.parametrize(
+    "kind, changes, detail",
+    [
+        (
+            "ground",
+            lambda m: {"initial_belief": Belief(StateSpace(("x", "y")), np.array([1.0, 0.0]))},
+            "initial belief indexes a different state space",
+        ),
+        (
+            "ground",
+            lambda m: {"initial_belief": Belief(m.states, np.array([1.0]))},
+            "initial belief has the wrong dimension",
+        ),
+        (
+            "lifted",
+            lambda m: {"initial_belief": Belief(m.states, np.array([1.5, -0.5]))},
+            "initial belief entries must be finite and non-negative",
+        ),
+        (
+            "ground",
+            lambda m: {"initial_belief": Belief(m.states, np.array([0.5, 0.2]))},
+            "initial belief sums to 0.7",
+        ),
+        (
+            "ground",
+            lambda m: {"actions": {"a0": (), "a1": ("x", "y")}},
+            "agent 'a0' declares no actions",
+        ),
+        (
+            "ground",
+            lambda m: {"observations": {"a0": ("o", "o"), "a1": ("o", "n")}},
+            "agent 'a0' has duplicate observations",
+        ),
+        (
+            "lifted",
+            lambda m: {
+                "partitioning": dataclasses.replace(m.partitioning, action_ranges=(("x", "y z"),))
+            },
+            "partition 'p0' actions label 'y z' is not allowed",
+        ),
+        ("mdp", lambda m: {"reward": {**m.reward, "zz": 0.0}}, "reward for unknown state 'zz'"),
+        (
+            "mdp",
+            lambda m: {"actions": {s: m.actions[s] for s in ("s1", "s2")}},
+            "state 's0' declares no action range",
+        ),
+        (
+            "mdp",
+            lambda m: {"actions": {**m.actions, "zz": ("a0",)}},
+            "action range for unknown state 'zz'",
+        ),
+        (
+            "pomdp",
+            lambda m: {"sensor": {"healthy": m.sensor["healthy"]}},
+            "no sensor row for state 'ill'",
+        ),
+        (
+            "pomdp",
+            lambda m: {"sensor": {**m.sensor, "zz": m.sensor["ill"]}},
+            "sensor row for unknown state 'zz'",
+        ),
+        ("ground", lambda m: {"agents": ()}, "no agents declared"),
+        ("ground", lambda m: {"agents": ("a0", "a0")}, "duplicate agent names"),
+        ("ground", lambda m: {"agents": ("a0", "a 1")}, "agent name 'a 1' is not allowed"),
+        (
+            "lifted",
+            lambda m: {"partition_names": ("p0", "p0"), "partitioning": SINGLETON_BLOCKS},
+            "duplicate partition names",
+        ),
+        (
+            "lifted",
+            lambda m: {"partition_names": ("p0", "p1")},
+            "partition names do not match the blocks",
+        ),
+        ("lifted", lambda m: {"agents": ("a0", "a0")}, "duplicate agent names"),
+        (
+            "lifted",
+            lambda m: {"partitioning": dataclasses.replace(m.partitioning, blocks=((0,),))},
+            "blocks do not cover the agents exactly",
+        ),
+        ("lifted", lambda m: {"partition_names": ("p 0",)}, "partition name 'p 0' is not allowed"),
+        (
+            "lifted",
+            lambda m: {
+                "transition": {
+                    **m.transition,
+                    ("s0", ((1, 1), (0, 0))): m.transition[("s0", ((2, 0),))],
+                }
+            },
+            "lifted transition row ('s0', ((1, 1), (0, 0))): malformed histogram key",
+        ),
+        (
+            "lifted",
+            lambda m: {"sensor": {**m.sensor, "s1": {((2, 0, 0),): 1.0}}},
+            "lifted sensor row 's1' has out-of-range key ((2, 0, 0),)",
+        ),
+        (
+            "lifted",
+            lambda m: {"sensor": {**m.sensor, "s0": {((3, -1),): 1.0}}},
+            "lifted sensor row 's0' has out-of-range key ((3, -1),)",
+        ),
+    ],
+)
+def test_validate_reports_each_broken_field(kind, changes, detail):
+    model = BROKEN_BASES[kind]()
+    broken = dataclasses.replace(model, **changes(model))
+    assert detail in [v.detail for v in validate_model(broken).violations]
+    assert str(validate_model(broken)) == reference_report(broken)
 
 
 # ---------------------------------------------------------------------------

@@ -1388,22 +1388,64 @@ def test_lifted_and_ground_optima_agree_on_generated_models(seed, case):
     assert abs(lifted_exhaustive(lifted, horizon).value - ground_value) <= 1e-9
 
 
-@settings(max_examples=20, deadline=None)
+def member_plans(lifted: LiftedDecPomdp, policy) -> list:
+    """Each agent's plan under a lifted policy: the members of block k take
+    the entry's plans in order, each `count` times."""
+    plans = [None] * len(lifted.agents)
+    for block, entry in zip(lifted.partitioning.blocks, policy.plans):
+        members = [plan for plan, count in entry for _ in range(count)]
+        for agent, plan in zip(block, members):
+            plans[agent] = plan
+    return plans
+
+
+@settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    case=st.sampled_from([((1,), 1), ((1,), 2), ((1,), 3), ((1, 1), 1), ((1, 1), 2)]),
+    case=st.sampled_from(
+        [
+            ((1,), 1),
+            ((1,), 2),
+            ((1,), 3),
+            ((1, 1), 1),
+            ((1, 1), 2),
+            ((2,), 1),
+            ((2,), 2),
+            ((2,), 3),
+            ((3,), 1),
+            ((3,), 2),
+            ((2, 1), 1),
+            ((2, 1), 2),
+            ((1, 2), 1),
+            ((1, 2), 2),
+        ]
+    ),
+    peak_only=st.booleans(),
 )
-def test_team_solvers_match_recursive_oracle(seed, case):
-    # singleton partitions: both solvers, and the value of the policy each
-    # returns, against the recursion over trajectories
+def test_team_solvers_match_recursive_oracle(seed, case, peak_only):
+    # both solvers, and the value of the policy each returns re-valued on
+    # the ground model, against the recursion over trajectories; brute
+    # force over the joint plans where it is quick, the ground solver
+    # elsewhere.  A peak-only search returns the value of its own policy,
+    # no more than the optimum, and the optimum on singleton partitions.
     sizes, horizon = case
     lifted = random_lifted(np.random.default_rng(seed), sizes)
     model = ground(lifted)
-    optimum = brute_team_optimum(model, horizon)
-    for result in (decpomdp_exhaustive(model, horizon), lifted_exhaustive(lifted, horizon)):
-        assert abs(result.value - optimum) <= 1e-9
-        plans = tuple(plan for [(plan, _)] in result.policy.plans)
+    ground_result = decpomdp_exhaustive(model, horizon)
+    if plan_count(2, 2, horizon) ** len(model.agents) <= 512:
+        optimum = brute_team_optimum(model, horizon)
+        assert abs(ground_result.value - optimum) <= 1e-9
+        plans = tuple(plan for [(plan, _)] in ground_result.policy.plans)
         assert abs(joint_value(model, plans, {}) - optimum) <= 1e-9
+    else:
+        optimum = ground_result.value
+    result = lifted_exhaustive(lifted, horizon, peak_only=peak_only)
+    value = joint_value(model, member_plans(lifted, result.policy), {})
+    assert abs(value - result.value) <= 1e-9
+    if peak_only and max(sizes) > 1:
+        assert result.value <= optimum + 1e-9
+    else:
+        assert abs(result.value - optimum) <= 1e-9
 
 
 def test_solvers_reject_zero_horizon():
