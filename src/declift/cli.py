@@ -36,6 +36,7 @@ from .errors import (
     CapacityExceeded,
     DecliftError,
     InvalidParams,
+    ParseError,
     SchemaError,
     ValidationError,
 )
@@ -68,23 +69,16 @@ def _preset(name: str):
 # shared plumbing
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path} is not UTF-8 text ({err.reason})") from None
 
 
 def _write(path: str, text: str):
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
-
-
-def _kind_name(model) -> str:
-    if isinstance(model, _cli.LiftedDecPomdp):
-        return "lifted-decpomdp"
-    if isinstance(model, _cli.GroundDecPomdp):
-        return "decpomdp"
-    if isinstance(model, _cli.Pomdp):
-        return "pomdp"
-    return "mdp"
 
 
 def _plan_doc(plan, observations) -> dict:
@@ -171,7 +165,7 @@ def _cmd_validate(args):
         extra = f", {len(model.partitioning.blocks)} partitions"
     elif isinstance(model, _cli.GroundDecPomdp):
         extra = f", {len(model.agents)} agents"
-    return 0, [f"ok: {_kind_name(model)} with {len(model.states)} states{extra}"]
+    return 0, [f"ok: {model.kind} with {len(model.states)} states{extra}"]
 
 
 # the generator field each flag sets; a rates file may set every other one
@@ -188,7 +182,7 @@ def _nano_params_from_args(args):
     if args.rates:
         try:
             rates = json.loads(_read(args.rates))
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, RecursionError) as err:
             raise SchemaError(f"rates file is not valid JSON: {err}") from None
         if not isinstance(rates, dict):
             raise SchemaError("rates file must hold one JSON object")
@@ -265,7 +259,7 @@ def _solve_mdp(model, args):
     table, policy = _cli.mdp_value_iteration(model, epsilon=epsilon)
     doc = {
         "kind": "solution",
-        "model_kind": "mdp",
+        "model_kind": model.kind,
         "epsilon": epsilon,
         "iterations": table.iterations,
         "converged": table.converged,
@@ -293,7 +287,7 @@ def _solve_pomdp(model, args):
     )
     doc = {
         "kind": "solution",
-        "model_kind": "pomdp",
+        "model_kind": model.kind,
         "horizon": args.horizon,
         "vectors": [
             {
@@ -357,7 +351,7 @@ def _solve_team(model, args):
         role = "agent"
     doc = {
         "kind": "solution",
-        "model_kind": _kind_name(model),
+        "model_kind": model.kind,
         "horizon": args.horizon,
         "value": result.value,
         "policy": _policy_doc(result, names, obs_ranges, role),
@@ -368,34 +362,31 @@ def _solve_team(model, args):
     return doc, lines
 
 
-# the optional flags `solve` reads for each model kind; the others default
-# to None, so a given flag the kind does not read is refused
-_SOLVE_FLAGS = {
-    "mdp": ("epsilon",),
-    "pomdp": ("horizon", "cap_plans"),
-    "decpomdp": ("horizon", "cap_plans", "cap_joint"),
-    "lifted-decpomdp": ("horizon", "peak_only", "cap_plans", "cap_joint"),
+# each model kind's solve and the optional flags it reads; the others
+# default to None, so a given flag the kind does not read is refused
+_SOLVES = {
+    "mdp": (_solve_mdp, ("epsilon",)),
+    "pomdp": (_solve_pomdp, ("horizon", "cap_plans")),
+    "decpomdp": (_solve_team, ("horizon", "cap_plans", "cap_joint")),
+    "lifted-decpomdp": (_solve_team, ("horizon", "peak_only", "cap_plans", "cap_joint")),
 }
 
 
 def _cmd_solve(args):
     model = _cli.parse_model(_read(args.input))
-    kind = _kind_name(model)
+    solve, flags = _SOLVES[model.kind]
     unread = [
         "--" + name.replace("_", "-")
         for name in ("horizon", "epsilon", "peak_only", "cap_plans", "cap_joint")
-        if getattr(args, name) is not None and name not in _SOLVE_FLAGS[kind]
+        if getattr(args, name) is not None and name not in flags
     ]
     if unread:
-        raise InvalidParams(f"solve does not read {', '.join(unread)} on {kind} models")
-    if kind == "mdp":
-        doc, lines = _solve_mdp(model, args)
-    elif args.horizon is None:
+        raise InvalidParams(
+            f"solve does not read {', '.join(unread)} on {model.kind} models"
+        )
+    if "horizon" in flags and args.horizon is None:
         raise InvalidParams("solve needs --horizon for this model kind")
-    elif isinstance(model, _cli.Pomdp):
-        doc, lines = _solve_pomdp(model, args)
-    else:
-        doc, lines = _solve_team(model, args)
+    doc, lines = solve(model, args)
     return 0, _with_document(args, doc, lines)
 
 

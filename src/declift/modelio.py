@@ -1,10 +1,12 @@
 """Model interchange format: parsing, validation, canonical serialization.
 
-One JSON document describes one model.  The `kind` field selects the
-shape (mdp, pomdp, decpomdp, lifted-decpomdp); transition rows are listed
-as {state, action, next}, sensing as {state, row}.  Joint action and
-observation keys are comma-joined label tuples in ground form and
-pipe-joined count vectors like "[2,0]|[1,1]" in counting form.
+One JSON document describes one model.  Its `kind` field is the `kind`
+of one model type (mdp, pomdp, decpomdp, lifted-decpomdp); transition
+rows are listed as {state, action, next}, sensing as {state, row}.  Joint
+action and observation keys are comma-joined label tuples in ground form
+and pipe-joined count vectors like "[2,0]|[1,1]" in counting form.  Both
+team kinds are read by one parser, and the emitter writes the fields all
+kinds share once, then each kind's own.
 
 Serialization is canonical so that result files diff cleanly and tests
 can compare bytes: object keys sorted, table entries sorted by state and
@@ -36,14 +38,16 @@ float and key once, and the objects of one list share one head
 transition table is written from its columns: each distinct state, key
 text and row is encoded once, and each entry fills one template.
 
-Error taxonomy: ParseError for text that is not JSON, SchemaError for
-structure the grammar does not allow (unknown fields, malformed keys,
-wrong arity, bad histogram sums), ValidationError when the assembled
-model breaches a model invariant (reported via validate_model).
+Error taxonomy: ParseError for text that is not JSON or is nested too
+deep to read, SchemaError for structure the grammar does not allow
+(unknown fields, malformed keys, wrong arity, bad histogram sums),
+ValidationError when the assembled model breaches a model invariant
+(reported via validate_model).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from operator import itemgetter
@@ -70,44 +74,17 @@ from .models import (
     void_rows,
 )
 
-MODEL_KINDS = ("mdp", "pomdp", "decpomdp", "lifted-decpomdp")
-
+# the fields every document has, those every team document adds, and each
+# kind's own; the keys are the document kinds in the order errors list them
+_SHARED_FIELDS = {"kind", "states", "discount", "transition", "reward"}
+_TEAM_FIELDS = _SHARED_FIELDS | {"agents", "initial_belief", "sensor"}
 _FIELDS = {
-    "mdp": {"kind", "states", "actions", "discount", "transition", "reward"},
-    "pomdp": {
-        "kind",
-        "states",
-        "actions",
-        "observations",
-        "discount",
-        "transition",
-        "sensor",
-        "reward",
-    },
-    "decpomdp": {
-        "kind",
-        "states",
-        "agents",
-        "actions",
-        "observations",
-        "discount",
-        "initial_belief",
-        "transition",
-        "sensor",
-        "reward",
-    },
-    "lifted-decpomdp": {
-        "kind",
-        "states",
-        "agents",
-        "partitions",
-        "discount",
-        "initial_belief",
-        "transition",
-        "sensor",
-        "reward",
-    },
+    Mdp.kind: _SHARED_FIELDS | {"actions"},
+    Pomdp.kind: _SHARED_FIELDS | {"actions", "observations", "sensor"},
+    GroundDecPomdp.kind: _TEAM_FIELDS | {"actions", "observations"},
+    LiftedDecPomdp.kind: _TEAM_FIELDS | {"partitions"},
 }
+MODEL_KINDS = tuple(_FIELDS)
 
 
 # ---------------------------------------------------------------------------
@@ -489,14 +466,13 @@ def _sparse_sensor(doc: dict, where: str, parse_key) -> dict:
 # ---------------------------------------------------------------------------
 # per-kind parsers
 
-def _parse_mdp(doc: dict, kind: str):
-    where = kind
+def _parse_mdp(doc: dict, where: str):
     states = _state_space(doc, where)
     actions = _range_map(_field(doc, "actions", where), f"{where}.actions")
-    transition = _transition_table(doc, states, where, lambda action: action)
+    transition = _transition_table(doc, states, where, str)
     reward = _reward(doc, where)
     discount = _number(_field(doc, "discount", where), f"{where}.discount")
-    if kind == "mdp":
+    if where == Mdp.kind:
         return Mdp(states, actions, transition, reward, discount)
 
     observations = _str_list(
@@ -508,41 +484,13 @@ def _parse_mdp(doc: dict, kind: str):
     )
 
 
-def _split_joint(key: str, arity: int, where: str) -> tuple[str, ...]:
+def _split_joint(arity: int, key: str, where: str) -> tuple[str, ...]:
     parts = tuple(key.split(","))
     if len(parts) != arity or not all(parts):
         raise SchemaError(
             f"{where}: joint key {key!r} must have {arity} comma-joined labels"
         )
     return parts
-
-
-def _parse_decpomdp(doc: dict):
-    where = "decpomdp"
-    states = _state_space(doc, where)
-    agents = _str_list(_field(doc, "agents", where), f"{where}.agents")
-    actions = _range_map(_field(doc, "actions", where), f"{where}.actions")
-    observations = _range_map(
-        _field(doc, "observations", where), f"{where}.observations"
-    )
-    arity = len(agents)
-    transition = _transition_table(
-        doc, states, where, lambda text: _split_joint(text, arity, f"{where}.transition")
-    )
-    sensor = _sparse_sensor(
-        doc, where, lambda key, key_where: _split_joint(key, arity, key_where)
-    )
-    return GroundDecPomdp(
-        agents,
-        states,
-        actions,
-        observations,
-        transition,
-        sensor,
-        _reward(doc, where),
-        _number(_field(doc, "discount", where), f"{where}.discount"),
-        _belief(doc, states, where),
-    )
 
 
 def _parse_partitions(doc: dict, agents: tuple[str, ...], where: str):
@@ -585,7 +533,7 @@ def _parse_partitions(doc: dict, agents: tuple[str, ...], where: str):
     return tuple(names), partitioning
 
 
-def _histogram_key(key: str, partitioning: Partitioning, ranges, where: str):
+def _histogram_key(partitioning: Partitioning, ranges, key: str, where: str):
     """Parse a histogram-tuple key and check it against the partitions."""
     counts = parse_histogram_tuple_key(key)
     if len(counts) != len(partitioning.blocks):
@@ -608,29 +556,39 @@ def _histogram_key(key: str, partitioning: Partitioning, ranges, where: str):
     return counts
 
 
-def _parse_lifted(doc: dict):
-    where = "lifted-decpomdp"
+def _parse_team(doc: dict, where: str):
+    """A team document, ground or lifted.
+
+    The two kinds differ only in their two range fields (per-agent actions
+    and observations, or partition names and the partitioning), in how a
+    key text parses, and in the type built; everything else is read in the
+    same order.
+    """
     states = _state_space(doc, where)
     agents = _str_list(_field(doc, "agents", where), f"{where}.agents")
-    names, partitioning = _parse_partitions(doc, agents, where)
-
-    def action_key(text):
-        return _histogram_key(
-            text, partitioning, partitioning.action_ranges, f"{where}.transition"
+    if where == GroundDecPomdp.kind:
+        team = GroundDecPomdp
+        ranges = (
+            _range_map(_field(doc, "actions", where), f"{where}.actions"),
+            _range_map(_field(doc, "observations", where), f"{where}.observations"),
         )
-
-    def observation_key(text, key_where):
-        return _histogram_key(
-            text, partitioning, partitioning.observation_ranges, key_where
+        action_key = observation_key = functools.partial(_split_joint, len(agents))
+    else:
+        team = LiftedDecPomdp
+        ranges = _parse_partitions(doc, agents, where)
+        partitioning = ranges[1]
+        action_key, observation_key = (
+            functools.partial(_histogram_key, partitioning, key_ranges)
+            for key_ranges in (partitioning.action_ranges, partitioning.observation_ranges)
         )
-
-    transition = _transition_table(doc, states, where, action_key)
+    transition = _transition_table(
+        doc, states, where, lambda text: action_key(text, f"{where}.transition")
+    )
     sensor = _sparse_sensor(doc, where, observation_key)
-    return LiftedDecPomdp(
+    return team(
         agents,
         states,
-        names,
-        partitioning,
+        *ranges,
         transition,
         sensor,
         _reward(doc, where),
@@ -651,6 +609,8 @@ def parse_model(text: str):
         raise ParseError(
             f"not valid JSON: {err.msg} at line {err.lineno} column {err.colno}"
         ) from None
+    except RecursionError:
+        raise ParseError("not valid JSON: nested too deeply to read") from None
     if not isinstance(doc, dict):
         raise SchemaError("top level must be an object")
     kind = doc.get("kind")
@@ -662,12 +622,8 @@ def parse_model(text: str):
         )
     _no_unknown(doc, _FIELDS[kind], kind)
 
-    if kind in ("mdp", "pomdp"):
-        model = _parse_mdp(doc, kind)
-    elif kind == "decpomdp":
-        model = _parse_decpomdp(doc)
-    else:
-        model = _parse_lifted(doc)
+    parse = _parse_mdp if kind in (Mdp.kind, Pomdp.kind) else _parse_team
+    model = parse(doc, kind)
 
     report = validate_model(model)
     if not report.ok:
@@ -755,68 +711,42 @@ def _team_sensor_list(model, key_fn) -> list:
 
 def serialize_model(model) -> str:
     """Canonical interchange text for any supported model."""
-    if isinstance(model, Pomdp):
-        doc = {
-            "kind": "pomdp",
-            "states": list(model.states),
-            "actions": {s: list(r) for s, r in model.actions.items()},
-            "observations": list(model.observations),
-            "discount": model.discount,
-            "transition": _TableText(model.transition, model.states, lambda action: action),
-            "sensor": [
-                {
-                    "state": s,
-                    "row": _prob_map(model.observations, model.sensor[s].probs),
-                }
-                for s in sorted(model.sensor)
-            ],
-            "reward": dict(model.reward),
-        }
-    elif isinstance(model, Mdp):
-        doc = {
-            "kind": "mdp",
-            "states": list(model.states),
-            "actions": {s: list(r) for s, r in model.actions.items()},
-            "discount": model.discount,
-            "transition": _TableText(model.transition, model.states, lambda action: action),
-            "reward": dict(model.reward),
-        }
-    elif isinstance(model, GroundDecPomdp):
-        doc = {
-            "kind": "decpomdp",
-            "states": list(model.states),
-            "agents": list(model.agents),
-            "actions": {a: list(r) for a, r in model.actions.items()},
-            "observations": {a: list(r) for a, r in model.observations.items()},
-            "discount": model.discount,
-            "initial_belief": _prob_map(model.states, model.initial_belief.probs),
-            "transition": _TableText(model.transition, model.states, _joint_key),
-            "sensor": _team_sensor_list(model, _joint_key),
-            "reward": dict(model.reward),
-        }
-    elif isinstance(model, LiftedDecPomdp):
-        part = model.partitioning
-        doc = {
-            "kind": "lifted-decpomdp",
-            "states": list(model.states),
-            "agents": list(model.agents),
-            "partitions": [
-                {
-                    "name": model.partition_names[k],
-                    "members": [model.agents[i] for i in part.blocks[k]],
-                    "actions": list(part.action_ranges[k]),
-                    "observations": list(part.observation_ranges[k]),
-                }
-                for k in range(len(part.blocks))
-            ],
-            "discount": model.discount,
-            "initial_belief": _prob_map(model.states, model.initial_belief.probs),
-            "transition": _TableText(
-                model.transition, model.states, format_histogram_tuple_key
-            ),
-            "sensor": _team_sensor_list(model, format_histogram_tuple_key),
-            "reward": dict(model.reward),
-        }
-    else:
+    if not isinstance(model, (Mdp, GroundDecPomdp, LiftedDecPomdp)):
         raise TypeError(f"cannot serialize {type(model).__name__}")
+    doc = {
+        "kind": model.kind,
+        "states": list(model.states),
+        "discount": model.discount,
+        "reward": dict(model.reward),
+    }
+    if isinstance(model, Mdp):
+        doc["actions"] = {s: list(r) for s, r in model.actions.items()}
+        doc["transition"] = _TableText(model.transition, model.states, str)
+        if isinstance(model, Pomdp):
+            doc["observations"] = list(model.observations)
+            doc["sensor"] = [
+                {"state": s, "row": _prob_map(model.observations, model.sensor[s].probs)}
+                for s in sorted(model.sensor)
+            ]
+        return canonical_json(doc)
+    doc["agents"] = list(model.agents)
+    doc["initial_belief"] = _prob_map(model.states, model.initial_belief.probs)
+    if isinstance(model, GroundDecPomdp):
+        key_text = _joint_key
+        doc["actions"] = {a: list(r) for a, r in model.actions.items()}
+        doc["observations"] = {a: list(r) for a, r in model.observations.items()}
+    else:
+        key_text = format_histogram_tuple_key
+        part = model.partitioning
+        doc["partitions"] = [
+            {
+                "name": model.partition_names[k],
+                "members": [model.agents[i] for i in part.blocks[k]],
+                "actions": list(part.action_ranges[k]),
+                "observations": list(part.observation_ranges[k]),
+            }
+            for k in range(len(part.blocks))
+        ]
+    doc["transition"] = _TableText(model.transition, model.states, key_text)
+    doc["sensor"] = _team_sensor_list(model, key_text)
     return canonical_json(doc)

@@ -8,7 +8,8 @@ are dense vectors.
 
 A ground team model keys its rows by per-agent tuples; a lifted one by
 tuples of per-partition count histograms (`lifting` compiles between the
-two).  `validate_model` checks all of them.
+two).  `validate_model` checks all of them.  Each model type names its
+document kind in a class attribute, `kind`, not a dataclass field.
 
 Every transition table is one read-only `TransitionTable`: a mapping from
 (state, key) to a row, stored as columns.  Each distinct state, key and
@@ -32,7 +33,7 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -360,6 +361,7 @@ class Mdp:
     for the state.  reward is a function of the state alone.
     """
 
+    kind: ClassVar[str] = "mdp"
     states: StateSpace
     actions: dict[str, tuple[str, ...]]
     transition: TransitionTable  # a dict is converted on construction
@@ -382,6 +384,7 @@ class Mdp:
 class Pomdp(Mdp):
     """MDP whose state is only seen through a noisy sensor."""
 
+    kind: ClassVar[str] = "pomdp"
     observations: tuple[str, ...] = ()
     sensor: dict[str, DiscreteDistribution] = field(default_factory=dict)
 
@@ -396,6 +399,7 @@ class GroundDecPomdp:
     The team shares a single state-only reward and an initial belief.
     """
 
+    kind: ClassVar[str] = "decpomdp"
     agents: tuple[str, ...]
     states: StateSpace
     actions: dict[str, tuple[str, ...]]
@@ -444,6 +448,7 @@ class LiftedDecPomdp:
     with the original agent order.
     """
 
+    kind: ClassVar[str] = "lifted-decpomdp"
     agents: tuple[str, ...]
     states: StateSpace
     partition_names: tuple[str, ...]

@@ -6,10 +6,11 @@ exhaustive finite-horizon team search in ground and in counting form.
 `verify_equivalence` runs both team searches on one model and compares
 the optima.  Every solver reads transition rows through one dense table
 builder, `_transitions`, the team solvers read sensor rows through
-`_sensor`, and both refuse a missing row before any search.  Plan pools
-are per-depth (actions, children) integer arrays in declaration order,
-built by one pool builder, `_plan_pool`; that order is the tie-break of
-every finite-horizon solver.
+`_sensor`, and both refuse a missing row before any search, as every
+solver refuses rewards whose values could leave the float range
+(`_require_finite_values`).  Plan pools are per-depth (actions, children)
+integer arrays in declaration order, built by one pool builder,
+`_plan_pool`; that order is the tie-break of every finite-horizon solver.
 
 Value convention, used consistently by every finite-horizon routine: a
 depth-d plan executed from state s collects the state reward now and the
@@ -116,6 +117,23 @@ def _sensor(model, states, keys) -> np.ndarray:
     return table
 
 
+def _require_finite_values(rewards, gamma: float, steps: float) -> None:
+    """Raise ValidationError unless a sum of `steps` discounted rewards is
+    bounded by a finite float, max |reward| * (1 + gamma + ... +
+    gamma^(steps-1)); so a NaN reward is refused too."""
+    bound = float(np.max(np.abs(np.array(rewards, dtype=float))))
+    # a float discount below 1 adds nothing past 2**64 steps, and a search
+    # that long never ends at 1; the cap keeps the power within float range
+    terms = min(steps, 2**64)
+    weight = terms if gamma == 1.0 else (1.0 - gamma**terms) / (1.0 - gamma)
+    if not math.isfinite(bound * weight):
+        span = "every step" if steps == math.inf else f"{steps} steps"
+        raise ValidationError(
+            f"rewards up to {bound!r} summed over {span} at discount {gamma!r} "
+            "leave the float range"
+        )
+
+
 # ---------------------------------------------------------------------------
 # value iteration
 
@@ -146,6 +164,8 @@ def mdp_value_iteration(
         )
     threshold = epsilon * (1.0 - gamma) / gamma
     states = list(model.states)
+    steps = max_iterations if gamma >= 1.0 else math.inf
+    _require_finite_values([model.reward[s] for s in states], gamma, steps)
     trans = {
         s: _transitions(model, [s], model.actions.get(s, ()), "transition row")[:, 0]
         for s in states
@@ -470,6 +490,7 @@ def pomdp_plan_iteration(
     actions = model.action_union()
     states = list(model.states)
     reward = np.array([model.reward[s] for s in states])
+    _require_finite_values(reward, model.discount, horizon)
     n_obs = len(model.observations)
     omega = np.stack(  # [s', o]
         [
@@ -549,6 +570,7 @@ def decpomdp_exhaustive(
     states = list(model.states)
     n = len(states)
     reward = np.array([model.reward[s] for s in states])
+    _require_finite_values(reward, model.discount, horizon)
     b0 = model.initial_belief.probs
 
     act_ranges = [model.actions[a] for a in agents]
@@ -695,6 +717,7 @@ def lifted_exhaustive(
     states = list(model.states)
     reward = np.array([model.reward[s] for s in states])
     gamma = model.discount
+    _require_finite_values(reward, gamma, horizon)
     b0 = model.initial_belief.probs
     n_partitions = len(part.blocks)
     sizes = part.sizes

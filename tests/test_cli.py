@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +154,35 @@ def test_validate_an_int_beyond_the_float_range_is_a_schema_error(tmp_path, caps
 def test_missing_file_is_io_error(capsys):
     assert main(["validate", "/does/not/exist.json"]) == 1
     assert "error [io]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content, model_error, rates_error",
+    [
+        (b'\xff\xfe{"kind": "mdp"}', "[parse]: ", "[parse]: "),
+        (b"[" * 100_000 + b"]" * 100_000, "[parse]: not valid JSON: ", "[schema]: rates file"),
+    ],
+    ids=["not-utf8", "nested-too-deep"],
+)
+@pytest.mark.parametrize("command", ["validate", "gen-nano"])
+def test_an_unreadable_input_file_is_one_error_line(
+    tmp_path, capsys, command, content, model_error, rates_error
+):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    if command == "validate":
+        argv, message = ["validate", str(path)], model_error
+    else:
+        argv = ["gen-nano", "--rates", str(path), "--out", str(tmp_path / "m.json")]
+        message = rates_error
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error {message}")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not (tmp_path / "m.json").exists()
+    if content.startswith(b"\xff"):
+        assert f"{path} is not UTF-8 text" in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +365,56 @@ def test_solve_needs_horizon_for_team_models(team_file, capsys):
 def test_solve_capacity_exit(desk_file, capsys):
     code = main(["solve", desk_file, "--horizon", "3", "--cap-joint", "5"])
     assert code == 2
+    assert "error [capacity]" in capsys.readouterr().err
+
+
+ONE_STATE_POMDP = {
+    "kind": "pomdp",
+    "states": ["s"],
+    "actions": {"s": ["a"]},
+    "observations": ["o"],
+    "discount": 0.9,
+    "transition": [{"state": "s", "action": "a", "next": {"s": 1.0}}],
+    "sensor": [{"state": "s", "row": {"o": 1.0}}],
+    "reward": {"s": 1.0},
+}
+
+
+@pytest.mark.parametrize(
+    "name, flags",
+    [
+        ("mdp", []),
+        ("pomdp", ["--horizon", "2"]),
+        ("nano_desk", ["--horizon", "3"]),
+        ("nano_desk_ground", ["--horizon", "3"]),
+    ],
+)
+def test_solve_refuses_rewards_whose_values_leave_the_float_range(name, flags, tmp_path, capsys):
+    # at 1e308 a value sum overflows: value iteration never met its stopping
+    # rule, and the others wrote inf or nan into a document JSON rejects
+    if name in ("mdp", "pomdp"):
+        doc = dict(ONE_STATE_POMDP)
+        if name == "mdp":
+            doc = {**doc, "kind": "mdp"}
+            del doc["observations"], doc["sensor"]
+    else:
+        models = Path(__file__).resolve().parents[1] / "models"
+        doc = json.loads((models / f"{name}.json").read_text())
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({**doc, "reward": {s: 1e308 for s in doc["reward"]}}))
+    out = tmp_path / "solution.json"
+    start = time.perf_counter()
+    assert main(["solve", str(path), *flags, "--out", str(out)]) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error [validation]: rewards up to 1e+308 summed over ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_solve_at_a_horizon_beyond_the_float_range_meets_its_cap(desk_file, capsys):
+    assert main(["solve", desk_file, "--horizon", str(10**400)]) == 2
     assert "error [capacity]" in capsys.readouterr().err
 
 

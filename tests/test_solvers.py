@@ -1378,6 +1378,11 @@ def test_shallow_root_search_refuses_oversized_partitions_up_front(monkeypatch):
             ((1, 1), 2),
             ((2, 1), 2),
             ((2,), 3),
+            ((2, 2), 1),
+            ((2, 2), 2),
+            ((1, 1, 1), 2),
+            ((2, 1, 1), 2),
+            ((3, 1), 2),
         ]
     ),
 )
@@ -1418,6 +1423,11 @@ def member_plans(lifted: LiftedDecPomdp, policy) -> list:
             ((2, 1), 2),
             ((1, 2), 1),
             ((1, 2), 2),
+            ((2, 2), 1),
+            ((2, 2), 2),
+            ((1, 1, 1), 2),
+            ((2, 1, 1), 2),
+            ((3, 1), 2),
         ]
     ),
     peak_only=st.booleans(),
@@ -1446,6 +1456,54 @@ def test_team_solvers_match_recursive_oracle(seed, case, peak_only):
         assert result.value <= optimum + 1e-9
     else:
         assert abs(result.value - optimum) <= 1e-9
+
+
+def one_state_pomdp(reward: float, gamma: float = 0.9) -> Pomdp:
+    states = StateSpace(("s",))
+    return Pomdp(
+        states,
+        {"s": ("a",)},
+        {("s", "a"): DiscreteDistribution([1.0])},
+        {"s": reward},
+        gamma,
+        ("o",),
+        {"s": DiscreteDistribution([1.0])},
+    )
+
+
+def test_solvers_refuse_rewards_whose_values_leave_the_float_range():
+    # max |reward| * (1 + g + ... + g^(h-1)) must be a finite float; value
+    # iteration sums 1/(1-g), or max_iterations rewards at g = 1
+    huge = one_state_pomdp(1e308)
+    mdp = Mdp(huge.states, huge.actions, huge.transition, huge.reward, huge.discount)
+    lifted = random_lifted(np.random.default_rng(0), (2,))
+    lifted = dataclasses.replace(lifted, reward={s: 1e308 for s in lifted.reward})
+    calls = [
+        lambda: mdp_value_iteration(mdp),
+        lambda: mdp_value_iteration(dataclasses.replace(mdp, discount=1.0), max_iterations=10),
+        lambda: mdp_value_iteration(dataclasses.replace(mdp, reward={"s": math.nan})),
+        lambda: pomdp_plan_iteration(huge, 2),
+        lambda: pomdp_plan_iteration(dataclasses.replace(huge, reward={"s": -math.nan}), 1),
+        lambda: decpomdp_exhaustive(ground(lifted), 2),
+        lambda: lifted_exhaustive(lifted, 2),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="leave the float range"):
+            call()
+    # the same rewards stay finite over fewer discounted steps
+    capped = dataclasses.replace(mdp, reward={"s": 1e307}, discount=1.0)
+    table, _ = mdp_value_iteration(capped, max_iterations=10)
+    assert not table.converged and math.isfinite(table.values["s"])
+    assert pomdp_plan_iteration(huge, 1)[0].alpha.tolist() == [1e308]
+
+
+def test_rewards_of_1e300_solve_as_before():
+    model = one_state_pomdp(1e300)
+    mdp = Mdp(model.states, model.actions, model.transition, model.reward, model.discount)
+    table, policy = mdp_value_iteration(mdp)
+    assert (table.iterations, table.converged, policy) == (327, True, {"s": "a"})
+    assert table.values["s"] == 9.9999999999999922e300
+    assert [v.alpha.tolist() for v in pomdp_plan_iteration(model, 2)] == [[1.9e300]]
 
 
 def test_solvers_reject_zero_horizon():
