@@ -59,7 +59,6 @@ _EXPORTS = {
             "StateSpace",
             "ValidationReport",
             "belief_update",
-            "validate_lifted",
             "validate_model",
         ),
         "nano": (

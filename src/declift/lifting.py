@@ -26,11 +26,12 @@ write their tables as such columns.  The sensor entries are read as a
 table of the same type (`_sensor_table`), whose row objects are the
 probabilities, so both tables are read through the same columns.
 
-symmetry_refine tests a swap of agents i and j by mapping each distinct
-joint tuple to its swap partner once (`_Partners`) and looking up each
-entry's partner entry in the table's index.  The row checks of
-symmetry_refine and lift compare row codes: entries holding the same row
-object agree, and two different objects are compared once.
+symmetry_refine tests a swap of agents i and j the same way: it groups
+the distinct tuples under the blocks ((i, j), (k,) ...), so each tuple
+meets its swap partner, and reads each entry against the first entry of
+its (state, group) (`_SwapCheck`).  The row checks of symmetry_refine
+and lift compare row codes: entries holding the same row object agree,
+and two different objects are compared once.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .models import (
     GroundDecPomdp,
     LiftedDecPomdp,
     Partitioning,
-    SortedIndex,
     TransitionTable,
     first_groups,
     intern,
@@ -176,52 +176,45 @@ def _histograms(table: TransitionTable, n_agents: int, blocks, positions, where:
     return keys, group, error
 
 
-class _Partners(SortedIndex):
-    """Swap partners among the entries of one table keyed by joint tuples.
+def _agent_labels(table: TransitionTable, n_agents: int) -> np.ndarray:
+    """`_labels` of a table's joint tuples, which must hold one value per agent."""
+    _, error = _arity(table, n_agents, "row for state {!r}")
+    if error:
+        raise error
+    return _labels(table.actions, n_agents)
 
-    `labels` holds one row of label codes per distinct tuple; the rows are
-    sorted once by their bytes, and each swap looks its tuples up.
-    """
 
-    __slots__ = ("table", "labels")
-
-    def __init__(self, table: TransitionTable, n_agents: int):
-        _, error = _arity(table, n_agents, "row for state {!r}")
-        if error:
-            raise error
-        self.table = table
-        self.labels = _labels(table.actions, n_agents)
-        super().__init__(void_rows(self.labels))
-
-    def entries(self, i: int, j: int) -> np.ndarray:
-        """other[k]: the entry in entry k's state whose tuple is entry k's
-        with the values of agents i and j traded, or -1 where there is none."""
-        swapped = self.labels.copy()
-        swapped[:, [i, j]] = self.labels[:, [j, i]]
-        partner = self.find(void_rows(swapped))
-        table = self.table
-        return table.index.find(table.state_codes, partner[table.action_codes])
+def _swap_partners(table: TransitionTable, labels: np.ndarray, i: int, j: int):
+    """(partner, lone) of each entry: the first entry of its state whose tuple
+    is its own up to trading agents i and j, and whether its traded tuple
+    differs from it and has no entry."""
+    blocks = [(i, j)] + [(k,) for k in range(labels.shape[1]) if k not in (i, j)]
+    _, tuples = _collapse(labels, blocks)
+    first, group = first_groups(table.state_codes * len(labels) + tuples[table.action_codes])
+    differ = (labels[:, i] != labels[:, j])[table.action_codes]
+    return first[group], differ & (np.bincount(group)[group] == 1)
 
 
 class _SwapCheck:
     """A ground model's tables, coded once for testing agent swaps.
 
     Trading agents i and j maps each joint tuple to a partner tuple (the
-    tuple itself when the two agents hold the same label), so the model is
-    unchanged by the swap when every transition entry has a partner entry
-    (same state, partner tuple) whose row is within tolerance, and every
-    sensor entry is within tolerance of its partner entry's probability,
-    which is 0 when there is no partner entry.
+    tuple itself when the two agents hold the same label), and grouping
+    the tuples with i and j in one block puts each with its partner.  The
+    model is unchanged by the swap when every transition entry has a
+    partner entry whose row is within tolerance, and every sensor entry is
+    within tolerance of its partner entry's probability, which is 0 when
+    there is no partner entry.
     """
 
     def __init__(self, model: GroundDecPomdp):
         n_agents = len(model.agents)
-        table = model.transition
-        self.transition = _Partners(table, n_agents)
+        table = self.transition = model.transition
+        self.transition_labels = _agent_labels(table, n_agents)
         self.rows = np.stack([row.probs for row in table.rows]) if table.rows else None
-        sensor = _sensor_table(model)
-        self.sensor = _Partners(sensor, n_agents)
-        self.sensor_probs = np.array(sensor.rows, dtype=float)
+        table = self.sensor = _sensor_table(model)
+        self.sensor_labels = _agent_labels(table, n_agents)
+        self.sensor_probs = np.array(table.rows, dtype=float)
 
     def invariant(self, i: int, j: int, tol: float) -> bool:
         """Is the model unchanged when agents at positions i and j trade places?
@@ -229,14 +222,14 @@ class _SwapCheck:
         A transition row without a swapped counterpart breaks invariance; a
         missing sensor entry reads as probability 0.
         """
-        other = self.transition.entries(i, j)
-        if (other < 0).any():
+        partner, lone = _swap_partners(self.transition, self.transition_labels, i, j)
+        if lone.any():
             return False
-        codes = self.transition.table.row_codes
-        if (_row_gaps(self.rows, codes, codes[other]) > tol).any():
+        codes = self.transition.row_codes
+        if (_row_gaps(self.rows, codes, codes[partner]) > tol).any():
             return False
-        other = self.sensor.entries(i, j)
-        probs = np.where(other < 0, 0.0, self.sensor_probs[other])
+        partner, lone = _swap_partners(self.sensor, self.sensor_labels, i, j)
+        probs = np.where(lone, 0.0, self.sensor_probs[partner])
         # NaN fails `> tol`, as it does in |p - q| > tol
         with np.errstate(invalid="ignore"):
             return not (np.abs(self.sensor_probs - probs) > tol).any()
@@ -252,8 +245,8 @@ def symmetry_refine(
     against one representative per emerging sub-block reaches the fixed
     point in a single pass with O(block size) swap checks per block in the
     fully symmetric case.  The tables are coded once per call; each swap
-    check then maps the distinct joint tuples to their swap partners and
-    compares each entry with its partner entry.
+    check then groups the distinct joint tuples with their swap partners
+    and compares each entry with its group's first entry.
     """
     check = _SwapCheck(model)
     blocks: list[tuple[int, ...]] = []

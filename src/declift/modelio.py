@@ -50,6 +50,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from operator import itemgetter
 
 import numpy as np
@@ -90,6 +91,13 @@ MODEL_KINDS = tuple(_FIELDS)
 # ---------------------------------------------------------------------------
 # canonical emitter
 
+def _float_text(value: float) -> str:
+    """`float_text` of a finite float; JSON has no text for inf or nan."""
+    if not math.isfinite(value):
+        raise ValueError(f"cannot serialize non-finite float {value!r}")
+    return float_text(value)
+
+
 def _format_scalar(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -100,7 +108,7 @@ def _format_scalar(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return float_text(float(value))
+        return _float_text(float(value))
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
@@ -138,7 +146,7 @@ class _Emitter:
 
     def __init__(self):
         self.strings = _Memo(json.encoder.encode_basestring_ascii)
-        self.floats = _Memo(float_text)
+        self.floats = _Memo(_float_text)
         self.heads: dict = {}
 
     def key(self, key) -> str:
@@ -177,7 +185,9 @@ class _Emitter:
 
 
 def canonical_json(value) -> str:
-    """Deterministic JSON text: sorted keys, 17-digit floats, 2-space indent."""
+    """Deterministic JSON text: sorted keys, 17-digit floats, 2-space indent.
+
+    A non-finite float raises ValueError, as JSON cannot hold it."""
     return _Emitter().text(value, "") + "\n"
 
 
@@ -330,9 +340,9 @@ def _screened_transitions(doc: dict, states: StateSpace, action_key) -> Transiti
     """The transition table when all entries pass one screen at once, else None.
 
     The screen asks for objects of exactly the three fields, string states
-    and actions, no (state, action) pair twice, action texts that
-    `action_key` parses (each once, in order of first use) and rows that
-    `_dense_table` reads.
+    and actions, action texts that `action_key` parses (each once, in
+    order of first use), rows that `_dense_table` reads and, as the table
+    checks, no (state, action) pair twice.
     """
     value = doc.get("transition")
     if not (
@@ -351,9 +361,6 @@ def _screened_transitions(doc: dict, states: StateSpace, action_key) -> Transiti
         return None
     state_labels, state_codes = intern(state_texts)
     texts, action_codes = intern(action_texts)
-    pairs = np.sort(state_codes * len(texts) + action_codes)
-    if (pairs[1:] == pairs[:-1]).any():
-        return None
     try:
         keys = list(map(action_key.__getitem__, texts))
     except SchemaError:
@@ -362,9 +369,12 @@ def _screened_transitions(doc: dict, states: StateSpace, action_key) -> Transiti
     if dense is None:
         return None
     row_codes, table = dense
-    return TransitionTable(
-        state_labels, keys, _distributions(table), state_codes, action_codes, row_codes
-    )
+    try:
+        return TransitionTable(
+            state_labels, keys, _distributions(table), state_codes, action_codes, row_codes
+        )
+    except ValueError:  # a (state, action) pair twice
+        return None
 
 
 def _read_transitions(doc: dict, where: str, states: StateSpace, action_key) -> None:

@@ -218,46 +218,6 @@ def _frozen(codes: np.ndarray) -> np.ndarray:
     return codes
 
 
-class SortedIndex:
-    """Finds values in an array by searching a sorted copy of it."""
-
-    __slots__ = ("order", "values")
-
-    def __init__(self, values: np.ndarray):
-        self.order = np.argsort(values, kind="stable")
-        self.values = values[self.order]
-
-    def duplicated(self) -> bool:
-        """Is some value held twice?"""
-        return bool((self.values[1:] == self.values[:-1]).any())
-
-    def find(self, wanted: np.ndarray) -> np.ndarray:
-        """The position of each wanted value, or -1 where there is none."""
-        found = np.full(np.shape(wanted), -1, dtype=np.int64)
-        if self.values.size:
-            at = np.minimum(np.searchsorted(self.values, wanted), self.values.size - 1)
-            hit = self.values[at] == wanted
-            found[hit] = self.order[at[hit]]
-        return found
-
-
-class PairIndex(SortedIndex):
-    """Finds table entries by their (state code, key code) pair."""
-
-    __slots__ = ("width",)
-
-    def __init__(self, state_codes: np.ndarray, key_codes: np.ndarray, width: int):
-        self.width = width
-        super().__init__(state_codes * width + key_codes)
-
-    def find(self, state_codes, key_codes) -> np.ndarray:
-        """The entry of each (state code, key code) pair, or -1 where there is
-        none; a negative code finds none."""
-        state_codes, key_codes = np.broadcast_arrays(state_codes, key_codes)
-        found = super().find(state_codes * self.width + key_codes)
-        return np.where((state_codes >= 0) & (key_codes >= 0), found, -1)
-
-
 class TransitionTable(Mapping):
     """Read-only transition table: (state, key) -> row, stored as columns.
 
@@ -273,14 +233,15 @@ class TransitionTable(Mapping):
 
     As a mapping it reads like the dict it is built from (`of`): `len`,
     iteration order, `get` and `==`.  Bulk consumers read the columns and
-    find entries with `find` (by label) or `index.find` (by code).
+    find entries with `find` (by label); the search by code behind it
+    (`_entries`) is private.
     `lifting` also holds a ground model's sensor entries in one, keyed by
     (state, joint observation) with each probability as its row object.
     """
 
     __slots__ = (
         "states", "actions", "rows", "state_codes", "action_codes", "row_codes",
-        "index", "_state_code", "_action_code",
+        "_pairs", "_order", "_state_code", "_action_code",
     )
 
     def __init__(self, states, actions, rows, state_codes, action_codes, row_codes):
@@ -292,8 +253,11 @@ class TransitionTable(Mapping):
         self.state_codes = _frozen(state_codes)
         self.action_codes = _frozen(action_codes)
         self.row_codes = _frozen(row_codes)
-        self.index = PairIndex(state_codes, action_codes, len(self.actions))
-        if self.index.duplicated():
+        # each entry's (state, key) pair as one code, sorted for searching
+        pairs = state_codes * len(self.actions) + action_codes
+        self._order = np.argsort(pairs, kind="stable")
+        self._pairs = pairs[self._order]
+        if (self._pairs[1:] == self._pairs[:-1]).any():
             raise ValueError("transition table holds a (state, key) pair twice")
         self._state_code = dict(zip(self.states, range(len(self.states))))
         self._action_code = dict(zip(self.actions, range(len(self.actions))))
@@ -320,16 +284,28 @@ class TransitionTable(Mapping):
         table has none."""
         state_codes = [self._state_code.get(s, -1) for s in states]
         action_codes = [self._action_code.get(a, -1) for a in actions]
-        return self.index.find(
+        return self._entries(
             np.array(state_codes, dtype=np.int64)[:, np.newaxis],
             np.array(action_codes, dtype=np.int64)[np.newaxis, :],
         )
+
+    def _entries(self, state_codes, key_codes) -> np.ndarray:
+        """The entry of each (state code, key code) pair, or -1 where there is
+        none; a negative code finds none."""
+        state_codes, key_codes = np.broadcast_arrays(state_codes, key_codes)
+        wanted = state_codes * len(self.actions) + key_codes
+        found = np.full(wanted.shape, -1, dtype=np.int64)
+        if self._pairs.size:
+            at = np.minimum(np.searchsorted(self._pairs, wanted), self._pairs.size - 1)
+            hit = (self._pairs[at] == wanted) & (state_codes >= 0) & (key_codes >= 0)
+            found[hit] = self._order[at[hit]]
+        return found
 
     def __getitem__(self, key):
         if isinstance(key, tuple) and len(key) == 2:
             state, action = key
             s, a = self._state_code.get(state, -1), self._action_code.get(action, -1)
-            entry = self.index.find(s, a)
+            entry = self._entries(s, a)
             if entry >= 0:
                 return self.rows[self.row_codes[entry]]
         raise KeyError(key)
@@ -775,7 +751,7 @@ def _validate_ground(model: GroundDecPomdp, out: list[Violation], cap: int):
     _check_belief(out, model.initial_belief, model.states)
 
 
-def validate_lifted(model: LiftedDecPomdp, out: list, cap: int = DEFAULT_JOINT_CAP):
+def _validate_lifted(model: LiftedDecPomdp, out: list, cap: int = DEFAULT_JOINT_CAP):
     """Append every violated invariant of a lifted model to `out`."""
     _check_discount(out, model)
     _check_reward(out, model)
@@ -851,7 +827,7 @@ def validate_model(model, cap: int = DEFAULT_JOINT_CAP) -> ValidationReport:
     elif isinstance(model, GroundDecPomdp):
         _validate_ground(model, out, cap)
     elif isinstance(model, LiftedDecPomdp):
-        validate_lifted(model, out, cap)
+        _validate_lifted(model, out, cap)
     else:
         out.append(Violation("kind", f"unsupported model type {type(model).__name__}"))
     return ValidationReport(out)

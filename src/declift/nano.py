@@ -358,21 +358,14 @@ def generate_nano(params: NanoParams, cap: int = DEFAULT_JOINT_CAP) -> LiftedDec
 
     sensor = {}
     for ns in states:
-        per_partition = []
-        for i in range(params.marker_types):
-            own = bool(ns.markers[i])
-            other = any(ns.markers[j] for j in range(params.marker_types) if j != i)
-            per_partition.append(
-                _binomial_histograms(n, _detect_rate(own, other, params))
+        # a partition senses its own bit; the other bits of its kind cross-react
+        per_partition = [
+            _binomial_histograms(
+                n, _detect_rate(bool(bits[i]), any(bits[:i] + bits[i + 1 :]), params)
             )
-        for m in range(params.message_types):
-            own = bool(ns.messages[m])
-            other = any(
-                ns.messages[j] for j in range(params.message_types) if j != m
-            )
-            per_partition.append(
-                _binomial_histograms(n, _detect_rate(own, other, params))
-            )
+            for bits in (ns.markers, ns.messages)
+            for i in range(len(bits))
+        ]
         row = {}
         for combo in itertools.product(*per_partition):
             key = tuple(h for h, _ in combo)
@@ -396,17 +389,12 @@ def generate_nano(params: NanoParams, cap: int = DEFAULT_JOINT_CAP) -> LiftedDec
             continue
         belief[i] = math.prod(rate if b else 1.0 - rate for b in ns.markers)
 
-    agents = []
-    blocks = []
-    names = []
-    for i in range(params.marker_types):
-        blocks.append(tuple(range(len(agents), len(agents) + n)))
-        agents.extend(f"sensor{i}_{j}" for j in range(n))
-        names.append(f"sensor{i}")
-    for m in range(params.message_types):
-        blocks.append(tuple(range(len(agents), len(agents) + n)))
-        agents.extend(f"bot{m}_{j}" for j in range(n))
-        names.append(f"bot{m}")
+    agents, blocks, names = [], [], []
+    for kind, count in (("sensor", params.marker_types), ("bot", params.message_types)):
+        for i in range(count):
+            blocks.append(tuple(range(len(agents), len(agents) + n)))
+            agents.extend(f"{kind}{i}_{j}" for j in range(n))
+            names.append(f"{kind}{i}")
     partitioning = Partitioning(
         tuple(blocks),
         tuple(ACTIONS for _ in range(n_partitions)),

@@ -84,6 +84,16 @@ def test_histogram_count_power_bound(n, r):
     assert histogram_count(n, r) <= n ** r
 
 
+@pytest.mark.parametrize(
+    "n, r, message",
+    [(-1, 2, "partition size must be non-negative"), (2, 0, "range size must be at least 1")],
+    ids=["negative-size", "empty-range"],
+)
+def test_histogram_count_rejects_bad_sizes(n, r, message):
+    with pytest.raises(ValueError, match=message):
+        histogram_count(n, r)
+
+
 @pytest.mark.parametrize("n,r", [(2, 2), (3, 3), (10, 4), (7, 3)])
 def test_multiplicities_sum_to_power(n, r):
     total = sum(histogram_multiplicity(h) for h in enumerate_histograms(n, r))

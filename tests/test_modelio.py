@@ -518,7 +518,7 @@ def reference_json(value) -> str:
     return "".join(out)
 
 
-json_floats = st.floats() | st.sampled_from(
+json_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 0.1, 1 / 3]
 )
 json_scalars = (
@@ -528,7 +528,7 @@ json_scalars = (
     | st.integers(-(2**62), 2**62).map(np.int64)
     | json_floats
     | json_floats.map(np.float64)
-    | st.floats(width=32).map(np.float32)
+    | st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32)
     | st.text()
     | st.sampled_from(
         ['"quoted"', "back\\slash", "tab\tnew\nline", "\x00\x1f", "ünï 日本 🎲"]
@@ -616,13 +616,34 @@ def test_canonical_json_edge_values_match_the_recursive_emitter():
     row = {"p": 0.25, "q": -0.0, "r": 5e-324}
     values = [
         True, False, None, 0, -7, 2**80, np.int64(-3), np.uint8(200), 0.0, -0.0,
-        5e-324, 1e308, -1e308, float("inf"), np.float64(0.1), np.float32(0.1),
+        5e-324, 1e308, -1e308, np.float64(0.1), np.float32(0.1),
         "ünïcode ✓", 'q"uote\\', "\t\n\x01", [], {}, (), [[]], {"": {}},
         {"n": [row, row, {"x": row}], "m": row}, (1, "two", 3.0, None),
     ]
     for value in values:
         assert canonical_json(value) == reference_json(value)
     assert canonical_json(values) == reference_json(values)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [float("nan"), float("inf"), float("-inf"), np.float32("nan")],
+    ids=["nan", "inf", "-inf", "float32-nan"],
+)
+def test_canonical_json_refuses_non_finite_floats(value):
+    # JSON has no text for them; the largest finite floats still write
+    for doc in (value, {"a": value}, [1.0, value], {"row": {"p": 0.5, "q": value}}):
+        with pytest.raises(ValueError, match="non-finite float"):
+            canonical_json(doc)
+    assert canonical_json([1e308, -1e308]) == "[\n  1e+308,\n  -1e+308\n]\n"
+
+
+def test_serialize_model_refuses_an_infinite_reward():
+    model = random_mdp(np.random.default_rng(0))
+    state = model.states.labels[0]
+    model = dataclasses.replace(model, reward={**model.reward, state: float("inf")})
+    with pytest.raises(ValueError, match="cannot serialize non-finite float inf"):
+        serialize_model(model)
 
 
 @pytest.mark.parametrize(
@@ -696,6 +717,27 @@ def test_sensor_schema_errors_come_in_entry_order(row, message):
     doc["sensor"][1]["row"] = row
     with pytest.raises(SchemaError, match=re.escape(message)):
         parse_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "value",
+    [float("nan"), float("inf"), float("-inf"), np.float32("nan")],
+    ids=["nan", "inf", "-inf", "float32-nan"],
+)
+def test_canonical_json_refuses_non_finite_floats(value):
+    # JSON has no text for them; the largest finite floats still write
+    for doc in (value, {"a": value}, [1.0, value], {"row": {"p": 0.5, "q": value}}):
+        with pytest.raises(ValueError, match="non-finite float"):
+            canonical_json(doc)
+    assert canonical_json([1e308, -1e308]) == "[\n  1e+308,\n  -1e+308\n]\n"
+
+
+def test_serialize_model_refuses_an_infinite_reward():
+    model = random_mdp(np.random.default_rng(0))
+    state = model.states.labels[0]
+    model = dataclasses.replace(model, reward={**model.reward, state: float("inf")})
+    with pytest.raises(ValueError, match="cannot serialize non-finite float inf"):
+        serialize_model(model)
 
 
 @pytest.mark.parametrize(

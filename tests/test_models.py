@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -940,6 +941,37 @@ def test_transition_tables_are_read_only():
         TransitionTable.of({"s0": model.transition[key]})
     with pytest.raises(ValueError, match="twice"):
         TransitionTable(("s",), ("a",), (model.transition[key],), [0, 0], [0, 0], [0, 0])
+
+
+ONE_ROW = (DiscreteDistribution(np.array([1.0])),)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: Partitioning(((0,), (1,)), (("x",),), (("o",),) * 2),
+            "blocks and ranges must align",
+        ),
+        (
+            lambda: TransitionTable(("s",), ("a",), ONE_ROW, [0], [0, 0], [0]),
+            "transition table columns differ in length",
+        ),
+        (
+            lambda: TransitionTable(("s",), ("a",), ONE_ROW, [0, 0], [0, 0], [0, 0]),
+            "transition table holds a (state, key) pair twice",
+        ),
+    ],
+    ids=["partitioning", "column-lengths", "pair-twice"],
+)
+def test_constructors_refuse_columns_that_do_not_fit(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
+def test_validate_reports_an_unsupported_model_type():
+    violations = validate_model(object()).violations
+    assert violations == [Violation("kind", "unsupported model type object")]
 
 
 def test_transition_table_numbers_columns_in_order_of_first_use():

@@ -28,7 +28,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog as highs_linprog
 
 from declift.counting import enumerate_histograms, histogram_multiplicity
-from declift.errors import CapacityExceeded, NonConvergent, ValidationError
+from declift.errors import CapacityExceeded, InvalidParams, NonConvergent, ValidationError
 from declift.modelio import serialize_model
 from declift.lifting import (
     LiftedDecPomdp,
@@ -1518,6 +1518,11 @@ def test_solvers_reject_zero_horizon():
         pomdp_plan_iteration(random_pomdp(rng), 0)
 
 
+@pytest.mark.parametrize("depth, count", [(0, 1), (-1, 0)])
+def test_plan_count_below_depth_one(depth, count):
+    assert plan_count(2, 2, depth) == count
+
+
 # ---------------------------------------------------------------------------
 # ground and lifted optima compared
 
@@ -1526,6 +1531,11 @@ def test_verify_equivalence_api_reports_sizes():
     assert report.passed
     assert report.size_params.agents == 2
     assert report.size_comparison.exact_key_counts == ((3, 3),)
+
+
+def test_verify_equivalence_refuses_a_single_agent_model():
+    with pytest.raises(InvalidParams, match="equivalence check needs a team model document"):
+        verify_equivalence(random_mdp(np.random.default_rng(0)), horizon=2)
 
 
 def test_split_witness_finds_separated_pair():
