@@ -37,6 +37,10 @@ kernel.  Depth-1 vectors equal the reward, so a depth-2 vector depends only
 on the action histogram the occupancy induces.  Optimal values of the two
 forms therefore agree on liftable models.  A root search at horizon 1 or 2
 values each joint action histogram once, not every candidate behind it.
+Deeper, the root builds no vector per candidate: b0 . alpha is the sum of
+b0 . reward and one weighted scalar per term of the backup, each the dot
+of a child vector with gamma * (b0 T[a]) * omega_j, memoised per root
+action histogram.
 
 The POMDP solver is the one-agent case of the same backup step, pruned
 after every depth: `dominance_prune` returns the kept row indices, and
@@ -702,7 +706,11 @@ def lifted_exhaustive(
     scans per-partition classes, not the product of candidates: at horizon
     1 or 2 the first candidate of each action histogram in declaration
     order, so each joint histogram is valued once; deeper, every candidate,
-    whose root vector is not memoised.  `joint_candidates` counts the
+    valued without a root vector: b0 . reward plus, per (observation key
+    j, weight w, child) term of its backup, w * u[a][j] . alpha_child with
+    u[a][j] = gamma * (b0 T[a]) * omega_j.  u and each dot are memoised
+    per root action histogram, so a candidate costs dictionary lookups and
+    float products, summed by `math.fsum`.  `joint_candidates` counts the
     policy class searched, not the vectors valued.  `cap_joint` bounds the
     root's work: at horizon 3 or more the candidates valued; at horizon 1
     or 2 each partition's multisets walked and the joint classes valued.
@@ -848,24 +856,53 @@ def lifted_exhaustive(
             hit = memo[key] = backup(depth, occ, action_key)
         return hit
 
-    def backup(depth, occ, action_key):
-        columns, weights, children = [], [], []
+    def terms(depth, occ):
+        # the backup terms of a joint occupancy, (observation key index,
+        # weight, child occupancy, child action histogram): per observation
+        # key, the product over partitions of their kernel entries
         rows = [kernel(k, depth, occ[k]) for k in range(n_partitions)]
         for j, entries in enumerate(zip(*rows)):
             for combo in itertools.product(*entries):
                 child_occ, child_action, probs = zip(*combo)
-                columns.append(j)
-                weights.append(math.prod(probs))
-                children.append(alpha(depth - 1, child_occ, child_action))
+                yield j, math.prod(probs), child_occ, child_action
+
+    def backup(depth, occ, action_key):
+        columns, weights, children = [], [], []
+        for j, weight, child_occ, child_action in terms(depth, occ):
+            columns.append(j)
+            weights.append(weight)
+            children.append(alpha(depth - 1, child_occ, child_action))
         coef = omega_t[columns] * np.array(weights)[:, None]
         cont = (coef * np.array(children)).sum(axis=0)
         return reward + gamma * trans[action_key].dot(cont)
 
-    evaluate = alpha if horizon <= 2 else backup
+    # the root at horizon 3 or more: b0 . backup(horizon, occ, action_key)
+    # as a sum of memoised scalars (see the docstring)
+    immediate = value_of(reward)
+    root_u: dict = {}
+    root_dots: dict = {}
+
+    def root_value(occ, action_key):
+        u = root_u.get(action_key)
+        if u is None:
+            u = root_u[action_key] = gamma * (b0 @ trans[action_key]) * omega_t
+        parts = [immediate]
+        for j, weight, child_occ, child_action in terms(horizon, occ):
+            key = (action_key, j, child_occ, child_action)
+            dot = root_dots.get(key)
+            if dot is None:
+                child = alpha(horizon - 1, child_occ, child_action)
+                dot = root_dots[key] = float(u[j].dot(child))
+            parts.append(weight * dot)
+        return math.fsum(parts)
+
     best_occ, best_value = None, None
     for combo in itertools.product(*per_partition):
         occ, action_key = zip(*combo)
-        v = value_of(evaluate(horizon, occ, action_key))
+        if horizon <= 2:
+            v = value_of(alpha(horizon, occ, action_key))
+        else:
+            v = root_value(occ, action_key)
         if best_value is None or v > best_value:
             best_occ, best_value = occ, v
     # alpha and backup refer to each other through their closures; unlinking

@@ -70,6 +70,13 @@ for horizon in (1, 2, 3):
             lambda h=horizon, p=peak_only: lifted_exhaustive(DESK, h, peak_only=p)
         )
 CALLS["lifted_exhaustive two partitions h2"] = lambda: lifted_exhaustive(TWO_PARTITIONS, 2)
+# the h3 root values each candidate from its memoised scalar terms
+for sizes in ((1, 1), (2,)):
+    generated = random_lifted(np.random.default_rng(7), sizes=sizes)
+    for peak_only in (False, True):
+        CALLS[f"lifted_exhaustive {sizes} h3 peak_only={peak_only}"] = (
+            lambda m=generated, p=peak_only: lifted_exhaustive(m, 3, peak_only=p)
+        )
 
 
 @pytest.mark.parametrize("name", list(CALLS))

@@ -1183,13 +1183,28 @@ def test_peak_only_value_never_exceeds_full_value_at_horizon_three(seed):
 
 
 def test_lifted_tie_breaks_to_first_multiset():
-    first = enumerate_plans(("x", "y"), 2, 2)[0]
-    for sizes in [(2, 1), (1, 1)]:
+    # with flat rewards every candidate is worth exactly 0, at horizon 3
+    # through the root's sum of scalar terms too
+    for sizes, horizon in [((2, 1), 2), ((1, 1), 2), ((1, 1), 3), ((2,), 3)]:
+        first = enumerate_plans(("x", "y"), 2, horizon)[0]
         lifted = random_lifted(np.random.default_rng(5), sizes)
         flat = dataclasses.replace(lifted, reward={s: 0.0 for s in lifted.states})
-        result = lifted_exhaustive(flat, 2)
+        result = lifted_exhaustive(flat, horizon)
         assert result.value == 0.0
         assert result.policy.plans == tuple(((first, n),) for n in sizes)
+
+
+@pytest.mark.parametrize("sizes", [(1,), (1, 1)])
+def test_lifted_policy_matches_the_ground_policy_at_horizon_three(sizes):
+    # singleton partitions: each multiset is one plan per agent, so both
+    # searches scan the same candidates in the same order and must keep
+    # the same tie-broken policy
+    for seed in range(20):
+        lifted = random_lifted(np.random.default_rng(seed), sizes)
+        lifted_result = lifted_exhaustive(lifted, 3)
+        ground_result = decpomdp_exhaustive(ground(lifted), 3)
+        assert abs(lifted_result.value - ground_result.value) <= 1e-9
+        assert lifted_result.policy.plans == ground_result.policy.plans, seed
 
 
 @pytest.mark.parametrize(
