@@ -21,10 +21,11 @@ declared ranges, coded by position.  Python work runs once per group
 (64 keys for the 512 distinct tuples behind the 8,192 transition
 entries of nine two-action agents); the rest is array work over codes.
 A transition table (`models.TransitionTable`) holds one int code per
-entry for its state, joint tuple and row object, and lift and ground
-write their tables as such columns.  The sensor entries are read as a
-table of the same type (`_sensor_table`), whose row objects are the
-probabilities, so both tables are read through the same columns.
+entry for its state, joint tuple and row object, and a sensor table
+(`models.SensorTable`) one code for its state and joint tuple and the
+probability itself.  Both share their state and key columns, so lift,
+ground and the swap check read the two tables through the same columns
+and write them as columns.
 
 symmetry_refine tests a swap of agents i and j the same way: it groups
 the distinct tuples under the blocks ((i, j), (k,) ...), so each tuple
@@ -55,6 +56,7 @@ from .models import (
     GroundDecPomdp,
     LiftedDecPomdp,
     Partitioning,
+    SensorTable,
     TransitionTable,
     first_groups,
     intern,
@@ -108,16 +110,6 @@ def _collapse(codes: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros(min(len(codes), 1), np.int64), np.zeros(len(codes), np.int64)
     rows = np.concatenate([np.sort(codes[:, list(b)], axis=1) for b in blocks], axis=1)
     return first_groups(void_rows(rows))
-
-
-def _sensor_table(model: GroundDecPomdp) -> TransitionTable:
-    """A ground model's sensor entries as a table keyed by (state, joint
-    tuple), in row order; each entry's probability is its own row object."""
-    rows = model.sensor
-    states = np.repeat(np.arange(len(rows)), [len(row) for row in rows.values()])
-    joints, codes = intern(list(itertools.chain.from_iterable(rows.values())))
-    probs = tuple(itertools.chain.from_iterable(row.values() for row in rows.values()))
-    return TransitionTable(tuple(rows), joints, probs, states, codes, np.arange(len(probs)))
 
 
 def _first_entry(codes: np.ndarray, code: int) -> int:
@@ -212,9 +204,8 @@ class _SwapCheck:
         table = self.transition = model.transition
         self.transition_labels = _agent_labels(table, n_agents)
         self.rows = np.stack([row.probs for row in table.rows]) if table.rows else None
-        table = self.sensor = _sensor_table(model)
-        self.sensor_labels = _agent_labels(table, n_agents)
-        self.sensor_probs = np.array(table.rows, dtype=float)
+        self.sensor = model.sensor
+        self.sensor_labels = _agent_labels(self.sensor, n_agents)
 
     def invariant(self, i: int, j: int, tol: float) -> bool:
         """Is the model unchanged when agents at positions i and j trade places?
@@ -229,10 +220,10 @@ class _SwapCheck:
         if (_row_gaps(self.rows, codes, codes[partner]) > tol).any():
             return False
         partner, lone = _swap_partners(self.sensor, self.sensor_labels, i, j)
-        probs = np.where(lone, 0.0, self.sensor_probs[partner])
+        probs = self.sensor.probs
         # NaN fails `> tol`, as it does in |p - q| > tol
         with np.errstate(invalid="ignore"):
-            return not (np.abs(self.sensor_probs - probs) > tol).any()
+            return not (np.abs(probs - np.where(lone, 0.0, probs[partner])) > tol).any()
 
 
 def symmetry_refine(
@@ -380,30 +371,27 @@ def lift(
         table.state_codes[first], key_codes, table.row_codes[first],
     )
 
-    sensor = {state: {} for state in model.sensor}
-    table = _sensor_table(model)
+    table = model.sensor
     obs_keys, codes, error = _histograms(
         table, n_agents, blocks, obs_positions, "sensor row {!r}"
     )
     # whole rows before the one holding the first joint tuple without a key
-    values = table.rows
-    n = len(values)
+    n = len(table.probs)
     if error:
         bad = table.state_codes[_first_entry(table.action_codes, len(codes))]
         n = int(np.searchsorted(table.state_codes, bad))
-    first, group = first_groups(
-        table.state_codes[:n] * len(obs_keys) + codes[table.action_codes[:n]]
-    )
+    key_codes = codes[table.action_codes[:n]]
+    first, group = first_groups(table.state_codes[:n] * len(obs_keys) + key_codes)
     # summed in entry order, as a row-by-row pass adds them
-    totals = np.bincount(group, values[:n], len(first)).tolist()
+    totals = np.bincount(group, table.probs[:n], len(first))
     members = [[] for _ in range(len(first))]
-    for g, value in zip(group.tolist(), values):
+    for g, value in zip(group.tolist(), table.probs[:n].tolist()):
         members[g].append(value)
     multiplicity = [key_multiplicity(key) for key in obs_keys]
     for g, i in enumerate(first.tolist()):
         state = table.states[table.state_codes[i]]
         joint = table.actions[table.action_codes[i]]
-        code = codes[table.action_codes[i]]
+        code = key_codes[i]
         key = obs_keys[code]
         # min and max keep the first of equal values, as a running fold
         # does, so NaN and signed zeros come out as a row-by-row pass has them
@@ -416,10 +404,14 @@ def lift(
                 f"spread over [{lo:g}, {hi:g}] (first tuple {joint!r})",
                 detail={"state": state, "key": key},
             )
-        if totals[g] != 0.0:
-            sensor[state][key] = totals[g]
     if error:
         raise error
+    # every row keeps its state, even with no entry left
+    kept = totals != 0.0
+    sensor = SensorTable(
+        table.states, obs_keys, totals[kept],
+        table.state_codes[first[kept]], key_codes[first[kept]],
+    )
 
     return LiftedDecPomdp(
         agents=model.agents,
@@ -495,16 +487,15 @@ def ground(model: LiftedDecPomdp, cap: int = DEFAULT_JOINT_CAP) -> GroundDecPomd
         state_codes, action_codes, lifted.row_codes[entry[present]],
     )
 
+    # each key's mass is split once per state; zero shares are left out
     joints, keys, group = _product_keys(obs_ranges, part.blocks, part.observation_ranges)
-    group = group.tolist()
-    multiplicity = [key_multiplicity(key) for key in keys]
-    sensor: dict = {}
-    for state in model.states:
-        lifted_row = model.sensor.get(state, {})
-        shares = [lifted_row.get(key, 0.0) / n for key, n in zip(keys, multiplicity)]
-        sensor[state] = {
-            joint: shares[g] for joint, g in zip(joints, group) if shares[g] != 0.0
-        }
+    multiplicity = np.array([key_multiplicity(key) for key in keys], dtype=float)
+    shares = (model.sensor.dense(model.states.labels, keys) / multiplicity)[:, group]
+    present = np.flatnonzero(shares.ravel() != 0.0)
+    state_codes, obs_codes = np.divmod(present, len(joints))
+    sensor = SensorTable(
+        model.states.labels, joints, shares.ravel()[present], state_codes, obs_codes
+    )
 
     return GroundDecPomdp(
         agents=model.agents,

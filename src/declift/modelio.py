@@ -15,7 +15,7 @@ zero probability entries omitted.  Parsing a canonical document and
 serializing the result reproduces the document byte for byte.
 
 Both directions work a table at a time, and a table holds each distinct
-row once.  The transition table, the POMDP sensor table and the initial
+row once.  The transition table, the sensor table and the initial
 belief are each read in two steps.  A screen checks the whole table at
 once and only says whether it is clean: transition entries are objects
 of exactly their three fields with string states and actions and no
@@ -27,16 +27,18 @@ chunk's distinct rows; the table's distinct rows are canonicalised with
 one `canonical_rows` call, and every entry whose row read to the same
 float64 bytes gets the same distribution object (so 0.0 and -0.0 stay
 apart).  A transition table is built straight from those row codes and
-the interned state and key texts (`models.TransitionTable`).  Only when
-the screen fails does an error pass read the entries in order, checking
-each entry's fields, then its row, then its key, and raise the first
-SchemaError, the one a row-by-row reader meets first; the text naming
-where an entry sits is built on this pass only.  Key texts are parsed
-once per distinct text.  The emitter encodes each distinct string,
-float and key once, and the objects of one list share one head
-(indented key and colon) per key, built once per key order met.  A
-transition table is written from its columns: each distinct state, key
-text and row is encoded once, and each entry fills one template.
+the interned state and key texts (`models.TransitionTable`), and a team
+sensor table from its key codes and one float array
+(`models.SensorTable`).  Only when a screen fails does an error pass
+read the entries in order, checking each entry's fields, then its row,
+then its key (a sensor row's keys and values entry by entry), and raise
+the first SchemaError, the one a row-by-row reader meets first; the
+text naming where an entry sits is built on this pass only.  Key texts
+are parsed once per distinct text.  The emitter encodes each distinct
+string, float and key once, and the objects of one list share one head
+(indented key and colon) per key, built once per key order met.  Both
+team tables are written from their columns, each distinct state, key
+text and row encoded once.
 
 Error taxonomy: ParseError for text that is not JSON or is nested too
 deep to read, SchemaError for structure the grammar does not allow
@@ -65,9 +67,9 @@ from .models import (
     Mdp,
     Partitioning,
     Pomdp,
+    SensorTable,
     StateSpace,
     TransitionTable,
-    _plain_numbers,
     canonical_rows,
     first_groups,
     intern,
@@ -247,6 +249,11 @@ def _check_dense_row(mapping, labels, where: str) -> None:
         if label not in labels:
             raise SchemaError(f"{where}: unknown label {label!r}")
         _number(value, f"{where}[{label!r}]")
+
+
+def _plain_numbers(values) -> bool:
+    """Is every value exactly an int or a float (no bool, no subclass)?"""
+    return {int, float}.issuperset(map(type, values))
 
 
 _CHUNK_CELLS = 1 << 13  # dense cells read at a time
@@ -447,30 +454,34 @@ def _pomdp_sensor(doc: dict, where: str, observations) -> dict:
     return {state: dists[code] for (_, state, _), code in zip(entries, codes.tolist())}
 
 
-def _sparse_sensor(doc: dict, where: str, parse_key) -> dict:
-    """Team sensor rows as {state: {parsed key: probability}}.
+def _team_sensor(doc: dict, where: str, parse_key) -> SensorTable:
+    """A team model's sensor rows as a table keyed by (state,
+    parse_key(text, where)).
 
-    `parse_key(text, where)` runs once per distinct key text; its results
-    are shared by every row that uses the text.
+    The entries and their rows are screened as one table, with each key
+    text parsed once (in order of first use) and every value an int or a
+    float within the float range; only when the screen fails are they
+    read one by one, each entry's key and then its value, which raises
+    the first error with the row it sits in.
     """
-    parsed: dict = {}
-    sensor = {}
-    for row_where, state, row in _sensor_entries(doc, where):
-        keys = list(map(parsed.get, row))
-        values = list(row.values())
-        try:
-            probs = list(map(float, values)) if _plain_numbers(values) else None
-        except OverflowError:
-            probs = None
-        if None in keys or probs is None:
-            keys, probs = [], []
+    parsed = _Memo(lambda text: parse_key(text, f"{where}.sensor"))
+    try:
+        entries = list(_sensor_entries(doc, where))
+        rows = [row for *_, row in entries]
+        texts, key_codes = intern(list(itertools.chain.from_iterable(rows)))
+        keys = list(map(parsed.__getitem__, texts))
+        values = list(itertools.chain.from_iterable(map(dict.values, rows)))
+        probs = np.array(values, dtype=float) if _plain_numbers(values) else None
+    except (SchemaError, OverflowError):
+        probs = None
+    if probs is None:
+        for row_where, _, row in _sensor_entries(doc, where):
             for text, value in row.items():
                 if text not in parsed:
                     parsed[text] = parse_key(text, row_where)
-                keys.append(parsed[text])
-                probs.append(_number(value, f"{row_where}[{text!r}]"))
-        sensor[state] = dict(zip(keys, probs))
-    return sensor
+                _number(value, f"{row_where}[{text!r}]")
+    state_codes = np.repeat(np.arange(len(rows)), list(map(len, rows)))
+    return SensorTable([state for _, state, _ in entries], keys, probs, state_codes, key_codes)
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +605,7 @@ def _parse_team(doc: dict, where: str):
     transition = _transition_table(
         doc, states, where, lambda text: action_key(text, f"{where}.transition")
     )
-    sensor = _sparse_sensor(doc, where, observation_key)
+    sensor = _team_sensor(doc, where, observation_key)
     return team(
         agents,
         states,
@@ -703,19 +714,20 @@ class _TableText:
         return f"[\n{body}\n{indent}]"
 
 
-def _team_sensor_list(model, key_fn) -> list:
-    """Sensor entries of a team model; `key_fn` runs once per distinct key."""
-    key_text = _Memo(key_fn)
+def _team_sensor_list(table, key_text) -> list:
+    """A team sensor table's document entries, read from its columns: each
+    key's text is built once, and zero probabilities are left out."""
+    texts = list(map(key_text, table.actions))
     return [
         {
-            "state": s,
+            "state": state,
             "row": {
-                key_text[key]: float(p)
-                for key, p in model.sensor[s].items()
-                if float(p) != 0.0
+                texts[a]: p
+                for a, p in zip(row.codes.tolist(), row.probs.tolist())
+                if p != 0.0
             },
         }
-        for s in sorted(model.sensor)
+        for state, row in sorted(table.items(), key=itemgetter(0))
     ]
 
 
@@ -758,5 +770,5 @@ def serialize_model(model) -> str:
             for k in range(len(part.blocks))
         ]
     doc["transition"] = _TableText(model.transition, model.states, key_text)
-    doc["sensor"] = _team_sensor_list(model, key_text)
+    doc["sensor"] = _team_sensor_list(model.sensor, key_text)
     return canonical_json(doc)

@@ -15,9 +15,11 @@ Every transition table is one read-only `TransitionTable`: a mapping from
 (state, key) to a row, stored as columns.  Each distinct state, key and
 row object is held once, and each entry is three int codes into them, so
 validation, lifting, grounding and serialization work once per distinct
-state, key or row and per entry only in array code.  Model
-constructors take a dict (or a table) and convert it once.  Sensor
-tables stay dicts.
+state, key or row and per entry only in array code.  A team model's
+sensor table is one read-only `SensorTable` of the same make, with a
+state code, a key code and a probability per entry, read as a mapping
+from state to {key: probability} row.  Model constructors take a dict
+(or a table) and convert it once; a POMDP keeps a dict of dense rows.
 
 Probability rows must carry unit mass within PROB_TOL.  Rows that are off
 by more than EXACT_SUM_TOL but still within PROB_TOL are divided by their
@@ -218,66 +220,41 @@ def _frozen(codes: np.ndarray) -> np.ndarray:
     return codes
 
 
-class TransitionTable(Mapping):
-    """Read-only transition table: (state, key) -> row, stored as columns.
+class _Columns(Mapping):
+    """The coding and search `TransitionTable` and `SensorTable` share.
 
-    `states`, `actions` and `rows` hold each distinct state, key (action,
-    joint action or action histogram tuple) and row object once, numbered
-    in order of first use.  Entry k maps (`states[state_codes[k]]`,
-    `actions[action_codes[k]]`) to `rows[row_codes[k]]`, and entries keep
-    the order they were given in.  States and keys are told apart by
-    equality and rows by identity, so a row read back is the object put
-    in.  Any state, key and row can be held (validation reports unknown
-    states, out-of-range keys and rows of the wrong width per entry), but
-    each (state, key) pair only once.
-
-    As a mapping it reads like the dict it is built from (`of`): `len`,
-    iteration order, `get` and `==`.  Bulk consumers read the columns and
-    find entries with `find` (by label); the search by code behind it
-    (`_entries`) is private.
-    `lifting` also holds a ground model's sensor entries in one, keyed by
-    (state, joint observation) with each probability as its row object.
+    `states` and `actions` hold each distinct state and key once (keys in
+    order of first use; a sensor table's keys are joint observations or
+    observation histogram tuples), told apart by equality, and entry k is
+    the pair (`states[state_codes[k]]`, `actions[action_codes[k]]`), each
+    pair held once.  `find` finds entries by label; the search by code
+    behind it (`_entries`) is private.
     """
 
     __slots__ = (
-        "states", "actions", "rows", "state_codes", "action_codes", "row_codes",
+        "states", "actions", "state_codes", "action_codes",
         "_pairs", "_order", "_state_code", "_action_code",
     )
+    _name: ClassVar[str]
 
-    def __init__(self, states, actions, rows, state_codes, action_codes, row_codes):
-        self.states, state_codes = _first_use(tuple(states), state_codes)
+    def _code(self, states: tuple, state_codes, actions, action_codes, values) -> None:
+        """Hold the state and key columns of entries whose values (row codes
+        or probabilities) are `values`."""
+        self.states = states
         self.actions, action_codes = _first_use(tuple(actions), action_codes)
-        self.rows, row_codes = _first_use(tuple(rows), row_codes)
-        if not len(state_codes) == len(action_codes) == len(row_codes):
-            raise ValueError("transition table columns differ in length")
+        state_codes = np.array(state_codes, dtype=np.int64).reshape(-1)
+        if not len(state_codes) == len(action_codes) == len(values):
+            raise ValueError(f"{self._name} columns differ in length")
         self.state_codes = _frozen(state_codes)
         self.action_codes = _frozen(action_codes)
-        self.row_codes = _frozen(row_codes)
         # each entry's (state, key) pair as one code, sorted for searching
         pairs = state_codes * len(self.actions) + action_codes
         self._order = np.argsort(pairs, kind="stable")
         self._pairs = pairs[self._order]
         if (self._pairs[1:] == self._pairs[:-1]).any():
-            raise ValueError("transition table holds a (state, key) pair twice")
+            raise ValueError(f"{self._name} holds a (state, key) pair twice")
         self._state_code = dict(zip(self.states, range(len(self.states))))
         self._action_code = dict(zip(self.actions, range(len(self.actions))))
-
-    @classmethod
-    def of(cls, table: Mapping) -> TransitionTable:
-        """The table of a {(state, key): row} mapping (a table is kept as is)."""
-        if isinstance(table, TransitionTable):
-            return table
-        pairs = list(table)
-        if not ({tuple}.issuperset(map(type, pairs)) and {2}.issuperset(map(len, pairs))):
-            for pair in pairs:
-                if not (isinstance(pair, tuple) and len(pair) == 2):
-                    raise TypeError(f"transition key {pair!r} is not a (state, key) pair")
-        states, state_codes = intern(list(map(itemgetter(0), pairs)))
-        actions, action_codes = intern(list(map(itemgetter(1), pairs)))
-        objects = list(table.values())
-        by_id = dict(zip(map(id, objects), objects))
-        _, row_codes = intern(list(map(id, objects)))
-        return cls(states, actions, by_id.values(), state_codes, action_codes, row_codes)
 
     def find(self, states: Sequence, actions: Sequence) -> np.ndarray:
         """entry[i, k] of the pair (states[i], actions[k]), or -1 where the
@@ -301,6 +278,49 @@ class TransitionTable(Mapping):
             found[hit] = self._order[at[hit]]
         return found
 
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+class TransitionTable(_Columns):
+    """Read-only transition table: (state, key) -> row, stored as columns.
+
+    `states`, `actions` and `rows` hold each distinct state, key (action,
+    joint action or action histogram tuple) and row object once, numbered
+    in order of first use, and entry k maps its pair to
+    `rows[row_codes[k]]`; entries keep the order they were given in.  Rows
+    are told apart by identity, so a row read back is the object put in.
+    Any state, key and row can be held (validation reports what is out of
+    place).  As a mapping it reads like the dict it is built from (`of`):
+    `len`, iteration order, `get` and `==`.
+    """
+
+    __slots__ = ("rows", "row_codes")
+    _name = "transition table"
+
+    def __init__(self, states, actions, rows, state_codes, action_codes, row_codes):
+        states, state_codes = _first_use(tuple(states), state_codes)
+        self.rows, row_codes = _first_use(tuple(rows), row_codes)
+        self._code(states, state_codes, actions, action_codes, row_codes)
+        self.row_codes = _frozen(row_codes)
+
+    @classmethod
+    def of(cls, table: Mapping) -> TransitionTable:
+        """The table of a {(state, key): row} mapping (a table is kept as is)."""
+        if isinstance(table, TransitionTable):
+            return table
+        pairs = list(table)
+        if not ({tuple}.issuperset(map(type, pairs)) and {2}.issuperset(map(len, pairs))):
+            for pair in pairs:
+                if not (isinstance(pair, tuple) and len(pair) == 2):
+                    raise TypeError(f"transition key {pair!r} is not a (state, key) pair")
+        states, state_codes = intern(list(map(itemgetter(0), pairs)))
+        actions, action_codes = intern(list(map(itemgetter(1), pairs)))
+        objects = list(table.values())
+        by_id = dict(zip(map(id, objects), objects))
+        _, row_codes = intern(list(map(id, objects)))
+        return cls(states, actions, by_id.values(), state_codes, action_codes, row_codes)
+
     def __getitem__(self, key):
         if isinstance(key, tuple) and len(key) == 2:
             state, action = key
@@ -319,13 +339,107 @@ class TransitionTable(Mapping):
             map(self.actions.__getitem__, self.action_codes.tolist()),
         )
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({dict(self.items())!r})"
+
+def _probability(value) -> float:
+    """float(value) of an int or a float, else NaN (which validation reports
+    as not a finite number, as it would the value)."""
+    if isinstance(value, (int, float)):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    return math.nan
 
 
-def _table_field(model) -> None:
-    """Hold a model's transition table as a TransitionTable."""
-    object.__setattr__(model, "transition", TransitionTable.of(model.transition))
+class SensorTable(_Columns):
+    """Read-only team sensor table: state -> {key: probability}, as columns.
+
+    `states` holds each state with a row once, in row order, an empty row
+    too.  Entry k gives its key the probability `probs[k]` in its state's
+    row; entries are given and held row by row, in row order.  As a
+    mapping it reads like the dict of dicts it is built from (`of`):
+    `len`, order, `get` and `==`, each row a read-only `SensorRow`.  A
+    value that is not an int or a float is held as NaN.
+    """
+
+    __slots__ = ("probs", "_bounds")
+    _name = "sensor table"
+
+    def __init__(self, states, actions, probs, state_codes, action_codes):
+        states = tuple(states)
+        if len(set(states)) != len(states):
+            raise ValueError(f"{self._name} holds a state twice")
+        self.probs = _frozen(np.array(probs, dtype=float).reshape(-1))
+        self._code(states, state_codes, actions, action_codes, self.probs)
+        if (self.state_codes[1:] < self.state_codes[:-1]).any():
+            raise ValueError(f"{self._name} entries are not given row by row")
+        self._bounds = np.searchsorted(self.state_codes, np.arange(len(states) + 1)).tolist()
+
+    @classmethod
+    def of(cls, sensor: Mapping) -> SensorTable:
+        """The table of a {state: {key: probability}} mapping (a table is
+        kept as is)."""
+        if isinstance(sensor, SensorTable):
+            return sensor
+        rows = list(sensor.values())
+        actions, action_codes = intern(list(itertools.chain.from_iterable(rows)))
+        probs = [_probability(value) for row in rows for value in row.values()]
+        state_codes = np.repeat(np.arange(len(rows)), list(map(len, rows)))
+        return cls(tuple(sensor), actions, probs, state_codes, action_codes)
+
+    def dense(self, states: Sequence, actions: Sequence) -> np.ndarray:
+        """P[i, k], the probability of actions[k] in the row of states[i]:
+        0 where the table has no such entry."""
+        entry = self.find(states, actions)
+        dense = np.zeros(entry.shape)
+        hit = entry >= 0
+        dense[hit] = self.probs[entry[hit]]
+        return dense
+
+    def __getitem__(self, state) -> SensorRow:
+        return SensorRow(self, self._state_code[state])
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def __iter__(self):
+        return iter(self.states)
+
+
+class SensorRow(Mapping):
+    """One state's row of a `SensorTable`, read as {key: probability}.
+
+    `codes` and `probs` are the row's slices of the table's key codes and
+    probabilities, in row order.  Reading a key builds the row's dict once.
+    """
+
+    __slots__ = ("table", "codes", "probs", "_dict")
+
+    def __init__(self, table: SensorTable, state_code: int):
+        entries = slice(*table._bounds[state_code : state_code + 2])
+        self.table, self._dict = table, None
+        self.codes, self.probs = table.action_codes[entries], table.probs[entries]
+
+    def mass(self) -> float:
+        return math.fsum(self.probs.tolist())
+
+    def __getitem__(self, key) -> float:
+        if self._dict is None:
+            self._dict = dict(zip(self, self.probs.tolist()))
+        return self._dict[key]
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __iter__(self):
+        return map(self.table.actions.__getitem__, self.codes.tolist())
+
+    __repr__ = _Columns.__repr__
+
+
+def _table_field(model, name: str = "transition", table=TransitionTable) -> None:
+    """Hold a model's table field as a `table` (TransitionTable or SensorTable)."""
+    object.__setattr__(model, name, table.of(getattr(model, name)))
 
 
 @dataclass(frozen=True)
@@ -381,13 +495,14 @@ class GroundDecPomdp:
     actions: dict[str, tuple[str, ...]]
     observations: dict[str, tuple[str, ...]]
     transition: TransitionTable  # keyed by (state, joint action tuple)
-    sensor: dict[str, dict[tuple[str, ...], float]]
+    sensor: SensorTable  # rows keyed by joint observation tuple
     reward: dict[str, float]
     discount: float
     initial_belief: Belief
 
     def __post_init__(self):
         _table_field(self)
+        _table_field(self, "sensor", SensorTable)
 
 
 @dataclass(frozen=True)
@@ -430,13 +545,14 @@ class LiftedDecPomdp:
     partition_names: tuple[str, ...]
     partitioning: Partitioning
     transition: TransitionTable  # keyed by (state, action histogram tuple)
-    sensor: dict[str, dict[tuple[tuple[int, ...], ...], float]]
+    sensor: SensorTable  # rows keyed by observation histogram tuple
     reward: dict[str, float]
     discount: float
     initial_belief: Belief
 
     def __post_init__(self):
         _table_field(self)
+        _table_field(self, "sensor", SensorTable)
 
     def action_key_count(self) -> int:
         return math.prod(
@@ -543,25 +659,6 @@ def _dense_flags(rows: Sequence, width: int) -> np.ndarray:
     return flags
 
 
-def _plain_numbers(values) -> bool:
-    """Is every value exactly an int or a float (no bool, no subclass)?"""
-    return {int, float}.issuperset(map(type, values))
-
-
-def _sparse_clean(row: dict, bad_keys: set) -> bool:
-    """Does `_check_sparse_row` find nothing in this row?"""
-    values = list(row.values())
-    if not bad_keys.isdisjoint(row) or not _plain_numbers(values):
-        return False
-    try:
-        arr = np.array(values, dtype=float)
-    except OverflowError:  # an int beyond the float range
-        return False
-    if not np.isfinite(arr).all() or (arr < 0.0).any():
-        return False
-    return abs(math.fsum(values) - 1.0) <= PROB_TOL
-
-
 def _check_team_transitions(
     out, model, keys_ok, row_name: str, key_problem: str, n_keys: int, all_keys, cap: int
 ) -> None:
@@ -600,19 +697,30 @@ def _check_team_transitions(
 
 
 def _check_team_sensor(out, model, keys_ok, row_name: str) -> None:
-    """Report the sparse sensor rows of a ground or lifted team model;
-    `keys_ok(keys)` says which of the distinct keys are good."""
+    """Report the sparse sensor rows of a ground or lifted team model.
+
+    The entries are screened in bulk, and `keys_ok(keys)` says which of the
+    distinct keys are good; a row is checked again entry by entry, for
+    the text of its reports, only when the screen finds a bad key, a value
+    that is not finite or is negative, or a mass off 1 by more than
+    PROB_TOL.
+    """
+    table = model.sensor
     known = set(model.states.labels)
     for state in model.states:
-        if state not in model.sensor:
+        if state not in table:
             out.append(Violation("missing-row", f"no sensor row for state {state!r}"))
-    rows = [row for state, row in model.sensor.items() if state in known]
-    keys = list(set().union(*rows))
-    bad_keys = {key for key, ok in zip(keys, keys_ok(keys)) if not ok}
-    for state, row in model.sensor.items():
+    good = np.array(keys_ok(table.actions), dtype=bool)
+    probs = table.probs
+    bad = ~good[table.action_codes] | ~np.isfinite(probs) | (probs < 0.0)
+    flagged = np.bincount(table.state_codes[bad], minlength=len(table.states)) > 0
+    bad_keys = {table.actions[k] for k in np.flatnonzero(~good).tolist()}
+    for code, state in enumerate(table.states):
         if state not in known:
             out.append(Violation("undeclared-row", f"sensor row for unknown state {state!r}"))
-        elif not _sparse_clean(row, bad_keys):
+            continue
+        row = table[state]
+        if flagged[code] or abs(row.mass() - 1.0) > PROB_TOL:
             _check_sparse_row(out, f"{row_name} {state!r}", row, lambda key: key not in bad_keys)
 
 

@@ -308,6 +308,7 @@ def generate_nano(params: NanoParams, cap: int = DEFAULT_JOINT_CAP) -> LiftedDec
         DiscreteDistribution,
         LiftedDecPomdp,
         Partitioning,
+        SensorTable,
         StateSpace,
         TransitionTable,
     )
@@ -356,8 +357,11 @@ def generate_nano(params: NanoParams, cap: int = DEFAULT_JOINT_CAP) -> LiftedDec
         row_codes,
     )
 
-    sensor = {}
-    for ns in states:
+    # an observation key is coded by its place among `keys`, which are the
+    # observation histogram tuples too
+    key_code = dict(zip(keys, range(len(keys))))
+    sensor_states, sensor_codes, probs = [], [], []
+    for s, ns in enumerate(states):
         # a partition senses its own bit; the other bits of its kind cross-react
         per_partition = [
             _binomial_histograms(
@@ -366,11 +370,11 @@ def generate_nano(params: NanoParams, cap: int = DEFAULT_JOINT_CAP) -> LiftedDec
             for bits in (ns.markers, ns.messages)
             for i in range(len(bits))
         ]
-        row = {}
         for combo in itertools.product(*per_partition):
-            key = tuple(h for h, _ in combo)
-            row[key] = math.prod(p for _, p in combo)
-        sensor[ns.label] = row
+            sensor_states.append(s)
+            sensor_codes.append(key_code[tuple(h for h, _ in combo)])
+            probs.append(math.prod(p for _, p in combo))
+    sensor = SensorTable(labels, keys, probs, sensor_states, sensor_codes)
 
     reward = {}
     for ns in states:

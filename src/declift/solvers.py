@@ -5,12 +5,14 @@ finite-horizon plan-set backup with dominance pruning for POMDPs, and
 exhaustive finite-horizon team search in ground and in counting form.
 `verify_equivalence` runs both team searches on one model and compares
 the optima.  Every solver reads transition rows through one dense table
-builder, `_transitions`, the team solvers read sensor rows through
-`_sensor`, and both refuse a missing row before any search, as every
-solver refuses rewards whose values could leave the float range
-(`_require_finite_values`).  Plan pools are per-depth (actions, children)
-integer arrays in declaration order, built by one pool builder,
-`_plan_pool`; that order is the tie-break of every finite-horizon solver.
+builder, `_transitions`, and checks its sensor rows with `_sensor_rows`
+(the team solvers then fill their sensor matrices from the model's
+columns); both refuse a missing row, and the latter a row whose mass is
+not 1, before any search, as every solver refuses rewards whose values
+could leave the float range (`_require_finite_values`).  Plan pools are
+per-depth (actions, children) integer arrays in declaration order, built
+by one pool builder, `_plan_pool`; that order is the tie-break of every
+finite-horizon solver.
 
 Value convention, used consistently by every finite-horizon routine: a
 depth-d plan executed from state s collects the state reward now and the
@@ -108,17 +110,23 @@ def _transitions(model, states, keys, row_name: str) -> np.ndarray:
     return table.reshape(len(keys), len(states), len(model.states))
 
 
-def _sensor(model, states, keys) -> np.ndarray:
-    """Sensor matrix O[i, j] = P(keys[j] | states[i]) of a team model.
+def _sensor_rows(model, states) -> list:
+    """The sensor row of each state, read by every solver before it searches.
 
-    A key missing from a sparse sensor row has probability 0; a missing
-    row raises ValidationError.
+    A missing row, or a row whose mass (`row.mass()`, the dense row of a
+    POMDP or a team model's sparse `SensorRow`) is not 1 within PROB_TOL,
+    raises ValidationError naming its state.
     """
-    table = np.empty((len(states), len(keys)))
-    for i, s in enumerate(states):
+    rows = []
+    for s in states:
         row = _require_row(model.sensor.get(s), f"sensor row for state {s!r}")
-        table[i] = [row.get(key, 0.0) for key in keys]
-    return table
+        mass = row.mass()
+        if not abs(mass - 1.0) <= PROB_TOL:
+            raise ValidationError(
+                f"sensor row for state {s!r} has mass {mass!r}, not 1 within {PROB_TOL}"
+            )
+        rows.append(row)
+    return rows
 
 
 def _require_finite_values(rewards, gamma: float, steps: float) -> None:
@@ -487,7 +495,7 @@ def pomdp_plan_iteration(
     is given, one (generated, surviving) pair is appended per depth.
     Plans may take any action in any state, so ValidationError is raised
     before searching when a state lacks a sensor row or a transition row
-    for some action.
+    for some action, or its sensor row's mass is not 1.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -496,12 +504,7 @@ def pomdp_plan_iteration(
     reward = np.array([model.reward[s] for s in states])
     _require_finite_values(reward, model.discount, horizon)
     n_obs = len(model.observations)
-    omega = np.stack(  # [s', o]
-        [
-            _require_row(model.sensor.get(s), f"sensor row for state {s!r}").probs
-            for s in states
-        ]
-    )
+    omega = np.stack([row.probs for row in _sensor_rows(model, states)])  # [s', o]
     trans = _transitions(model, states, actions, "transition row")
 
     pools = []
@@ -565,8 +568,9 @@ def decpomdp_exhaustive(
     against `cap_joint` at every depth before anything is enumerated.
 
     Raises ValidationError before searching when a state lacks a sensor
-    row or a (state, joint action) pair lacks a transition row; a joint
-    observation missing from a sensor row has probability 0.
+    row, a sensor row's mass is not 1, or a (state, joint action) pair
+    lacks a transition row; a joint observation missing from a sensor row
+    has probability 0.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -590,7 +594,8 @@ def decpomdp_exhaustive(
         for ar, orr in zip(act_ranges, obs_ranges)
     ]
 
-    sensor = _sensor(model, states, list(itertools.product(*obs_ranges)))
+    _sensor_rows(model, states)
+    sensor = model.sensor.dense(states, list(itertools.product(*obs_ranges)))
     sensor = sensor.reshape((n,) + tuple(len(orr) for orr in obs_ranges))
     trans = _transitions(
         model, states, list(itertools.product(*act_ranges)), "transition row"
@@ -656,25 +661,11 @@ def _allocations_from(groups, g, remaining):
             yield (row,) + rest, ways * rest_ways
 
 
-def _lifted_observation_keys(model: LiftedDecPomdp, states) -> list:
-    """Observation keys with mass in some sensor row, in first-appearance order.
-
-    The vector backup reads every state's sensor row, and its depth-2
-    shortcut is exact only when those rows carry unit mass, so a missing
-    row or a row whose mass is not 1 within PROB_TOL raises
-    ValidationError here, before any search.
-    """
-    keys: dict = {}
-    for s in states:
-        row = _require_row(model.sensor.get(s), f"sensor row for state {s!r}")
-        mass = math.fsum(row.values())
-        if abs(mass - 1.0) > PROB_TOL:
-            raise ValidationError(
-                f"sensor row for state {s!r} has mass {mass!r}, not 1 within "
-                f"{PROB_TOL}"
-            )
-        keys.update((key, None) for key, prob in row.items() if prob != 0.0)
-    return list(keys)
+def _lifted_observation_keys(model: LiftedDecPomdp, rows) -> list:
+    """Observation keys with mass in some of these sensor rows, in
+    first-appearance order."""
+    codes = np.concatenate([row.codes[row.probs != 0.0] for row in rows]).tolist()
+    return list(map(model.sensor.actions.__getitem__, dict.fromkeys(codes)))
 
 
 def lifted_exhaustive(
@@ -729,8 +720,8 @@ def lifted_exhaustive(
     b0 = model.initial_belief.probs
     n_partitions = len(part.blocks)
     sizes = part.sizes
-    obs_keys = _lifted_observation_keys(model, states)
-    omega_t = _sensor(model, states, obs_keys).T  # [observation key, state]
+    obs_keys = _lifted_observation_keys(model, _sensor_rows(model, states))
+    omega_t = model.sensor.dense(states, obs_keys).T  # [observation key, state]
     action_keys = model.action_keys()
     matrices = _transitions(model, states, action_keys, "lifted transition row")
     trans = dict(zip(action_keys, matrices))

@@ -564,6 +564,13 @@ def test_lift_rejects_a_partitioning_that_does_not_cover_the_agents(blocks):
         lift(model, part)
 
 
+def with_sensor_entry(model, state, joint, prob):
+    """A copy of the model whose sensor row of `state` gains one entry."""
+    sensor = {s: dict(row) for s, row in model.sensor.items()}
+    sensor[state][joint] = prob
+    return dataclasses.replace(model, sensor=sensor)
+
+
 @pytest.mark.parametrize("table", ["transition", "sensor"])
 def test_lift_rejects_joint_values_outside_the_declared_range(table):
     model = symmetric_pair()
@@ -571,7 +578,7 @@ def test_lift_rejects_joint_values_outside_the_declared_range(table):
         transition = {**model.transition, ("lo", ("zz", "x")): DiscreteDistribution([1.0, 0.0])}
         model = dataclasses.replace(model, transition=transition)
     else:
-        model.sensor["lo"][("zz", "o")] = 0.0
+        model = with_sensor_entry(model, "lo", ("zz", "o"), 0.0)
     with pytest.raises(RangeMismatch, match="'zz'"):
         lift(model, range_partition(model))
 
@@ -583,7 +590,7 @@ def test_lift_reads_a_whole_sensor_row_before_judging_its_keys(bad, message):
     model = symmetric_pair()
     row = list(model.sensor["lo"].items())
     row.insert(2, (bad, 0.0))
-    model.sensor["lo"] = dict(row)
+    model = dataclasses.replace(model, sensor={**model.sensor, "lo": dict(row)})
     with pytest.raises(RangeMismatch, match=message):
         lift(model, range_partition(model))
 
@@ -596,7 +603,7 @@ def test_lift_rejects_joint_tuples_shorter_than_the_agent_list(table):
         model = dataclasses.replace(model, transition=transition)
         row = "transition row for state 'lo'"
     else:
-        model.sensor["lo"][("o",)] = 0.0
+        model = with_sensor_entry(model, "lo", ("o",), 0.0)
         row = "sensor row 'lo'"
     with pytest.raises(RangeMismatch, match=re.escape(row) + ".*1 values for 2 agents"):
         lift(model, range_partition(model))
@@ -610,8 +617,12 @@ def test_ground_splits_mass_uniformly():
     assert back.sensor["lo"][("n", "o")] == pytest.approx(0.25, abs=1e-15)
 
 
-def test_round_trip_ground_lift_ground():
+@pytest.mark.parametrize("empty", [None, "lo", "hi"])
+def test_round_trip_ground_lift_ground(empty):
     model = symmetric_pair()
+    if empty:
+        # a state whose sensor row is empty keeps its row, empty, both ways
+        model = dataclasses.replace(model, sensor={**model.sensor, empty: {}})
     part = symmetry_refine(model, range_partition(model))
     lifted = lift(model, part)
     back = ground(lifted)
@@ -622,6 +633,9 @@ def test_round_trip_ground_lift_ground():
     again = lift(back, part)
     assert again.transition == lifted.transition
     assert again.sensor == lifted.sensor
+    assert list(again.sensor) == list(lifted.sensor) == list(model.sensor)
+    if empty:
+        assert again.sensor[empty] == lifted.sensor[empty] == {}
 
 
 def test_ground_capacity_cap():

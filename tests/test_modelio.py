@@ -83,6 +83,16 @@ def reference_transition_entries(model) -> list:
     return sorted(entries, key=lambda entry: (entry["state"], entry["action"]))
 
 
+def reference_sensor_entries(model) -> list:
+    """The sensor entries of a team model's document, built row by row from
+    the table's items, zero probabilities left out and sorted by state."""
+    key_text = format_histogram_tuple_key if isinstance(model, LiftedDecPomdp) else ",".join
+    return [
+        {"row": {key_text(key): p for key, p in row.items() if p != 0.0}, "state": state}
+        for state, row in sorted(model.sensor.items(), key=lambda item: item[0])
+    ]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     kind=st.sampled_from(["mdp", "pomdp", "decpomdp", "lifted-decpomdp"]),
@@ -106,11 +116,36 @@ def test_tables_are_written_entry_for_entry(kind, seed, data):
         # equal rows as one object, as a parsed table holds them
         shared = {}
         entries = [(key, shared.setdefault(row.probs.tobytes(), row)) for key, row in entries]
-    shuffled = dataclasses.replace(model, transition=dict(entries))
+    changes = {"transition": dict(entries)}
+    team = kind in ("decpomdp", "lifted-decpomdp")
+    if team:
+        # sensor rows and their entries in any order, with zero-probability
+        # entries under keys no row has, which the document leaves out
+        foreign = ("q",) * len(model.agents) if kind == "decpomdp" else ((9, 9),)
+        sensor = {}
+        for state, row in data.draw(st.permutations(list(model.sensor.items()))):
+            items = data.draw(st.permutations(list(row.items())))
+            zero = data.draw(st.sampled_from([0.0, -0.0]))
+            items.insert(data.draw(st.integers(0, len(items))), (foreign, zero))
+            sensor[state] = dict(items)
+        changes["sensor"] = sensor
+    shuffled = dataclasses.replace(model, **changes)
     text = serialize_model(shuffled)
     assert text == serialize_model(model)
     assert json.loads(text)["transition"] == reference_transition_entries(model)
     assert serialize_model(parse_model(text)) == text
+    if team:
+        assert json.loads(text)["sensor"] == reference_sensor_entries(model)
+        # an empty row is still a row: written as one, and read back as a
+        # row whose mass is off, not as a missing row
+        state = data.draw(st.sampled_from(model.states.labels))
+        emptied = dataclasses.replace(shuffled, sensor={**shuffled.sensor, state: {}})
+        text = serialize_model(emptied)
+        assert json.loads(text)["sensor"] == reference_sensor_entries(emptied)
+        assert {"row": {}, "state": state} in json.loads(text)["sensor"]
+        with pytest.raises(ValidationError) as err:
+            parse_model(text)
+        assert err.value.report.codes() == ["normalization"]
 
 
 def test_round_trip_random_lifted():

@@ -26,6 +26,7 @@ from declift.models import (
     Mdp,
     Partitioning,
     Pomdp,
+    SensorTable,
     StateSpace,
     TransitionTable,
     ValidationReport,
@@ -654,8 +655,8 @@ def test_a_reward_int_beyond_the_float_range_is_a_violation(kind):
 
 @pytest.mark.parametrize("kind", ["decpomdp", "lifted-decpomdp"])
 def test_a_sparse_sensor_int_beyond_the_float_range_is_a_row_violation(kind):
-    # the screen's float array and the row check's math.isfinite both
-    # overflow on such an int
+    # the sensor table holds such an int as NaN, which the row check
+    # reports as it would the int (math.isfinite overflows on it)
     rng = np.random.default_rng(3)
     model = random_team(rng) if kind == "decpomdp" else random_lifted(rng)
     state = model.states.labels[-1]
@@ -799,6 +800,27 @@ SINGLETON_BLOCKS = Partitioning(((0,), (1,)), (("x", "y"),) * 2, (("o", "n"),) *
             lambda m: {"sensor": {**m.sensor, "s1": {((2, 0, 0),): 1.0}}},
             "lifted sensor row 's1' has out-of-range key ((2, 0, 0),)",
         ),
+        # an empty sensor row is a row whose mass is off, not a missing row
+        (
+            "ground",
+            lambda m: {"sensor": {**m.sensor, "s1": {}}},
+            "sensor row 's1' sums to 0.0, expected 1",
+        ),
+        (
+            "lifted",
+            lambda m: {"sensor": {**m.sensor, "s0": {}}},
+            "lifted sensor row 's0' sums to 0.0, expected 1",
+        ),
+        (
+            "ground",
+            lambda m: {"sensor": {**m.sensor, "zz": m.sensor["s0"]}},
+            "sensor row for unknown state 'zz'",
+        ),
+        (
+            "lifted",
+            lambda m: {"sensor": {"zz": m.sensor["s1"], **m.sensor}},
+            "sensor row for unknown state 'zz'",
+        ),
         (
             "lifted",
             lambda m: {"sensor": {**m.sensor, "s0": {((3, -1),): 1.0}}},
@@ -930,6 +952,88 @@ def test_transition_table_reads_like_its_dict(kind, seed, data):
     assert str(validate_model(broken)) == reference_report(reference)
 
 
+def drawn_sensor(data, model) -> dict:
+    """A {state: {key: probability}} dict drawn from a team model's sensor
+    table: rows and entries reordered, entries dropped or zeroed, rows
+    emptied, and malformed ones added (unknown states, out-of-range keys,
+    values that are not numbers)."""
+    rows = list(model.sensor.items())
+    if data.draw(st.booleans()):
+        rows = data.draw(st.permutations(rows))
+    sensor: dict = {}
+    edits = ["keep", "keep", "shuffle", "drop", "zero", "empty", "unknown", "foreign", "value"]
+    for state, row in rows:
+        edit = data.draw(st.sampled_from(edits))
+        items = list(row.items())
+        if edit == "shuffle":
+            items = data.draw(st.permutations(items))
+        elif edit == "drop":
+            items = items[1:]
+        elif edit == "zero" and items:
+            items[0] = (items[0][0], data.draw(st.sampled_from([0.0, -0.0])))
+        elif edit == "empty":
+            items = []
+        elif edit == "foreign":
+            items.insert(data.draw(st.integers(0, len(items))), (foreign_key(model), 0.25))
+        elif edit == "value" and items:
+            items[-1] = (items[-1][0], data.draw(st.sampled_from(["x", None, True, 10**400])))
+        sensor[state] = dict(items)
+        if edit == "unknown":
+            sensor["zz"] = dict(items)
+    return sensor
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["decpomdp", "lifted-decpomdp"]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_sensor_table_reads_like_its_dict(kind, seed, data):
+    model = table_model(kind, np.random.default_rng(seed), data)
+    sensor = drawn_sensor(data, model)
+    table = SensorTable.of(sensor)
+    numbers = {  # the value a table holds for each value of the dict
+        state: {
+            key: float(p) if isinstance(p, (int, float)) and abs(p) < 1e308 else math.nan
+            for key, p in row.items()
+        }
+        for state, row in sensor.items()
+    }
+    assert len(table) == len(sensor) and list(table) == list(sensor)
+    assert table.states == tuple(sensor)
+    for state, row in numbers.items():
+        assert state in table and table.get(state) is not None
+        read = table[state]
+        assert len(read) == len(row) and list(read) == list(row)
+        assert [repr(p) for p in read.values()] == [repr(p) for p in row.values()]
+        assert read.mass() == math.fsum(row.values()) or math.isnan(read.mass())
+        for key, p in row.items():
+            assert repr(read[key]) == repr(read.get(key)) == repr(p)
+        assert read.get("nowhere") is None and "nowhere" not in read
+        with pytest.raises(TypeError):
+            read[next(iter(row), "k")] = 0.5
+    assert "nowhere" not in table and table.get("nowhere") is None
+    if not any(math.isnan(p) for row in numbers.values() for p in row.values()):
+        assert table == numbers and numbers == table
+        assert table == SensorTable.of(table) == SensorTable.of(dict(table))
+    # each distinct key once, in order of first use
+    keys = tuple(dict.fromkeys(key for row in sensor.values() for key in row))
+    assert table.actions == keys
+    states = tuple(sensor) + ("nowhere",)
+    dense = table.dense(states, keys)
+    for i, state in enumerate(states):
+        for k, key in enumerate(keys):
+            want = numbers.get(state, {}).get(key, 0.0)
+            assert repr(float(dense[i, k])) == repr(want)
+    # a model holds the table, and validates it as the row-by-row
+    # validators validate the dict itself
+    broken = dataclasses.replace(model, sensor=sensor)
+    reference = dataclasses.replace(model, sensor=sensor)
+    object.__setattr__(reference, "sensor", sensor)
+    assert str(validate_model(broken)) == reference_report(reference)
+
+
 def test_transition_tables_are_read_only():
     model = random_mdp(np.random.default_rng(0))
     key = next(iter(model.transition))
@@ -937,6 +1041,11 @@ def test_transition_tables_are_read_only():
         model.transition[key] = model.transition[key]
     with pytest.raises(ValueError):
         model.transition.state_codes[0] = 1
+    team = tiny_ground()
+    with pytest.raises(TypeError):
+        team.sensor["s0"] = {}
+    with pytest.raises(ValueError):
+        team.sensor.probs[0] = 1.0
     with pytest.raises(TypeError, match="not a .state, key. pair"):
         TransitionTable.of({"s0": model.transition[key]})
     with pytest.raises(ValueError, match="twice"):
@@ -961,8 +1070,27 @@ ONE_ROW = (DiscreteDistribution(np.array([1.0])),)
             lambda: TransitionTable(("s",), ("a",), ONE_ROW, [0, 0], [0, 0], [0, 0]),
             "transition table holds a (state, key) pair twice",
         ),
+        (
+            lambda: SensorTable(("s",), ("o",), [1.0], [0], [0, 0]),
+            "sensor table columns differ in length",
+        ),
+        (
+            lambda: SensorTable(("s",), ("o",), [0.5, 0.5], [0, 0], [0, 0]),
+            "sensor table holds a (state, key) pair twice",
+        ),
+        (
+            lambda: SensorTable(("s", "s"), ("o",), [1.0], [0], [0]),
+            "sensor table holds a state twice",
+        ),
+        (
+            lambda: SensorTable(("s", "t"), ("o",), [1.0, 1.0], [1, 0], [0, 0]),
+            "sensor table entries are not given row by row",
+        ),
     ],
-    ids=["partitioning", "column-lengths", "pair-twice"],
+    ids=[
+        "partitioning", "column-lengths", "pair-twice", "sensor-column-lengths",
+        "sensor-pair-twice", "sensor-state-twice", "sensor-row-order",
+    ],
 )
 def test_constructors_refuse_columns_that_do_not_fit(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -896,25 +896,30 @@ def test_plan_iteration_checks_the_cap_at_depth_one():
     assert stats == [(3, 1)]
 
 
-@pytest.mark.parametrize("table", ["transition", "sensor"])
+@pytest.mark.parametrize("table", ["transition", "sensor", "sensor-mass"])
 def test_plan_iteration_refuses_a_missing_row_before_searching(table, monkeypatch):
     model = random_pomdp(np.random.default_rng(5), n_states=3)
     if table == "transition":
         transition = dict(model.transition)
         del transition[("s1", "a1")]
         model = dataclasses.replace(model, transition=transition)
-        row = "transition row for ('s1', 'a1')"
-    else:
+        message = "model has no transition row for ('s1', 'a1')"
+    elif table == "sensor":
         sensor = dict(model.sensor)
         del sensor["s2"]
         model = dataclasses.replace(model, sensor=sensor)
-        row = "sensor row for state 's2'"
+        message = "model has no sensor row for state 's2'"
+    else:
+        # a row of half the mass is a row the solver must not read
+        half = DiscreteDistribution(0.5 * model.sensor["s2"].probs)
+        model = dataclasses.replace(model, sensor={**model.sensor, "s2": half})
+        message = f"sensor row for state 's2' has mass {half.mass()!r}, not 1"
 
     def no_search(vectors):
         raise AssertionError("searched a model with a missing row")
 
     monkeypatch.setattr(solvers, "dominance_prune", no_search)
-    with pytest.raises(ValidationError, match=re.escape(f"model has no {row}")):
+    with pytest.raises(ValidationError, match=re.escape(message)):
         pomdp_plan_iteration(model, 2)
 
 
@@ -991,10 +996,14 @@ def test_exhaustive_tie_breaks_to_first_tuple():
             assert all_first(plan)
 
 
-def test_exhaustive_rejects_missing_sensor_row_before_searching():
+@pytest.mark.parametrize("defect", ["missing", "mass"])
+def test_exhaustive_rejects_missing_sensor_row_before_searching(defect):
     model = random_team(np.random.default_rng(3))
     sensor = dict(model.sensor)
-    del sensor["s1"]
+    if defect == "missing":
+        del sensor["s1"]
+    else:
+        sensor["s1"] = {key: 0.5 * p for key, p in sensor["s1"].items()}
     broken = dataclasses.replace(model, sensor=sensor)
     # horizon 1 reads no sensor row, so only an up-front check can refuse it
     with pytest.raises(ValidationError, match="sensor row for state 's1'"):
