@@ -100,13 +100,11 @@ def tuple_to_histogram(
 
     `values` is a joint assignment indexed by agent position; the entries
     at `member_indices` (default: all of them) are counted against
-    `base_range`.  A value outside the range raises RangeMismatch.  Callers
-    that collapse many tuples against one range may pass it as the dict
-    from `range_positions`, which is then not rebuilt on every call.
+    `base_range`.  A value outside the range raises RangeMismatch.
     """
     if member_indices is None:
         member_indices = range(len(values))
-    positions = base_range if isinstance(base_range, dict) else range_positions(base_range)
+    positions = range_positions(base_range)
     counts = [0] * len(positions)
     for idx in member_indices:
         value = values[idx]

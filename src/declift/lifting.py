@@ -42,12 +42,7 @@ import math
 
 import numpy as np
 
-from .counting import (
-    DEFAULT_JOINT_CAP,
-    histogram_multiplicity,
-    range_positions,
-    tuple_to_histogram,
-)
+from .counting import DEFAULT_JOINT_CAP, histogram_multiplicity, tuple_to_histogram
 from .errors import CapacityExceeded, NotLiftable, RangeMismatch
 # the lifted types live in models; importing them here keeps
 # `declift.lifting.LiftedDecPomdp` and the like working
@@ -69,14 +64,10 @@ def key_multiplicity(key: tuple[tuple[int, ...], ...]) -> int:
     return math.prod(histogram_multiplicity(c) for c in key)
 
 
-def _joint_to_key(joint: tuple, blocks, positions) -> tuple[tuple[int, ...], ...]:
-    """Histogram-tuple key of a joint action or observation tuple.
-
-    `positions` holds one `range_positions` map per block.
-    """
-    return tuple(
-        tuple_to_histogram(joint, pos, block) for block, pos in zip(blocks, positions)
-    )
+def _joint_to_key(joint: tuple, blocks, ranges) -> tuple[tuple[int, ...], ...]:
+    """Histogram-tuple key of a joint action or observation tuple, over one
+    value range per block."""
+    return tuple(tuple_to_histogram(joint, r, block) for block, r in zip(blocks, ranges))
 
 
 def range_partition(model: GroundDecPomdp) -> Partitioning:
@@ -146,23 +137,23 @@ def _labels(joints, n_agents: int) -> np.ndarray:
     return codes.reshape(len(joints), n_agents)
 
 
-def _histograms(table: TransitionTable, n_agents: int, blocks, positions, where: str):
+def _histograms(table: TransitionTable, n_agents: int, blocks, ranges, where: str):
     """(keys, codes, error): the histogram key of each joint tuple.
 
     keys lists the distinct histogram keys in order of first use and
     codes[c] is the key of joint tuple c, for every tuple before the first
     that has no key; error is that tuple's RangeMismatch, or None.
-    `positions` holds one `range_positions` map per block.  Only the first
-    tuple of each collapsed group is keyed: a group's tuples hold the same
-    labels per block, so they are all in range or all out of it, and the
-    first group out of range starts at the first tuple without a key.
+    `ranges` holds one value range per block.  Only the first tuple of each
+    collapsed group is keyed: a group's tuples hold the same labels per
+    block, so they are all in range or all out of it, and the first group
+    out of range starts at the first tuple without a key.
     """
     m, error = _arity(table, n_agents, where)
     first, group = _collapse(_labels(table.actions[:m], n_agents), blocks)
     keys = []
     for t in first.tolist():
         try:
-            keys.append(_joint_to_key(table.actions[t], blocks, positions))
+            keys.append(_joint_to_key(table.actions[t], blocks, ranges))
         except RangeMismatch as err:
             return keys, group[:t], err
     return keys, group, error
@@ -337,14 +328,12 @@ def lift(
     _check_partitioning(model, partitioning)
     names = tuple(f"p{k}" for k in range(len(partitioning.blocks)))
     blocks = partitioning.blocks
-    action_positions = [range_positions(r) for r in partitioning.action_ranges]
-    obs_positions = [range_positions(r) for r in partitioning.observation_ranges]
-
     n_agents = len(model.agents)
 
     table = model.transition
+    ranges = partitioning.action_ranges
     action_keys, codes, error = _histograms(
-        table, n_agents, blocks, action_positions, "transition row for state {!r}"
+        table, n_agents, blocks, ranges, "transition row for state {!r}"
     )
     # entries before the first joint tuple without a key
     n = len(table) if error is None else _first_entry(table.action_codes, len(codes))
@@ -372,9 +361,8 @@ def lift(
     )
 
     table = model.sensor
-    obs_keys, codes, error = _histograms(
-        table, n_agents, blocks, obs_positions, "sensor row {!r}"
-    )
+    ranges = partitioning.observation_ranges
+    obs_keys, codes, error = _histograms(table, n_agents, blocks, ranges, "sensor row {!r}")
     # whole rows before the one holding the first joint tuple without a key
     n = len(table.probs)
     if error:
@@ -438,8 +426,7 @@ def _product_keys(ranges, blocks, block_ranges) -> tuple[list, list, np.ndarray]
     sizes = [len(r) for r in ranges]
     codes = np.indices(sizes).reshape(len(ranges), math.prod(sizes)).T
     first, group = _collapse(codes, blocks)
-    positions = [range_positions(r) for r in block_ranges]
-    keys = [_joint_to_key(joints[t], blocks, positions) for t in first.tolist()]
+    keys = [_joint_to_key(joints[t], blocks, block_ranges) for t in first.tolist()]
     return joints, keys, group
 
 

@@ -40,7 +40,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .counting import DEFAULT_JOINT_CAP, enumerate_histograms, histogram_count
-from .errors import ZeroProbabilityObservation
+from .errors import RangeMismatch, ZeroProbabilityObservation
 
 PROB_TOL = 1e-9
 EXACT_SUM_TOL = 1e-12
@@ -946,9 +946,19 @@ def belief_update(model: Pomdp, belief: Belief, action: str, observation: str) -
 
     new(s') is proportional to sensor(observation | s') times the one-step
     push-forward of `belief` under `action`.  Missing transition rows
-    contribute nothing.  Raises ZeroProbabilityObservation when the
-    observation has zero prior probability under the predicted belief.
+    contribute nothing.  Raises RangeMismatch naming an action outside
+    `model.action_union()` or an observation outside `model.observations`,
+    and ZeroProbabilityObservation when the observation has zero prior
+    probability under the predicted belief.
     """
+    for what, label, labels in (
+        ("action", action, model.action_union()),
+        ("observation", observation, model.observations),
+    ):
+        if label not in labels:
+            raise RangeMismatch(
+                f"{what} {label!r} is not in the model's {what}s {labels!r}"
+            )
     n = len(model.states)
     predicted = np.zeros(n)
     for i, state in enumerate(model.states):

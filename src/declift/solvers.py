@@ -30,19 +30,15 @@ states per joint plan node.  The ground one is a tensor backup, `_backup`:
 the values of every tuple of agent plans at one depth form one array,
 filled from the previous depth's array by one gather per joint observation
 and one transition product per joint action.  The lifted one keeps one
-vector per joint occupancy (how many members of each partition sit at each
-plan node).  Observation histograms are split over the plan nodes of a
-partition with multivariate hypergeometric weights, which is exactly the
-distribution induced by any permutation-invariant sensor; that split does
-not depend on the state, so it is cached per partition as an allocation
-kernel.  Depth-1 vectors equal the reward, so a depth-2 vector depends only
-on the action histogram the occupancy induces.  Optimal values of the two
-forms therefore agree on liftable models.  A root search at horizon 1 or 2
-values each joint action histogram once, not every candidate behind it.
-Deeper, the root builds no vector per candidate: b0 . alpha is the sum of
-b0 . reward and one weighted scalar per term of the backup, each the dot
-of a child vector with gamma * (b0 T[a]) * omega_j, memoised per root
-action histogram.
+vector per joint plan node, keyed by what its value depends on: at depth 1
+or 2 the node's action histogram (a depth-1 vector is the reward, a
+depth-2 vector the reward backed up once), deeper its occupancy, how many
+members of each partition sit at each plan node.  Observation histograms
+are split over a partition's plan nodes with multivariate hypergeometric
+weights, exactly the distribution any permutation-invariant sensor
+induces, so optimal values of the two forms agree on liftable models.
+`lifted_exhaustive` states how its root search avoids a vector per
+candidate.
 
 The POMDP solver is the one-agent case of the same backup step, pruned
 after every depth: `dominance_prune` returns the kept row indices, and
@@ -685,26 +681,25 @@ def lifted_exhaustive(
 
     Values are exact expectations computed in histogram space.  The
     execution state of a partition is the occupancy of its plan nodes, and
-    one alpha-vector over states is backed up per (depth, joint occupancy):
-    alpha = reward + gamma * T[action histogram] . cont, with cont the sum
-    over observation keys of the sensor column times the expected child
-    alpha.  Each partition's share of an observation key is allocated over
-    its occupied nodes hypergeometrically; these allocation kernels, from
-    (depth, occupancy, observation histogram) to child occupancies and
-    their probabilities, do not depend on the state and are built once per
-    entry.  Depth-1 vectors equal the reward, so a depth-2 vector depends
-    on the action histogram alone and is memoised by it.  The root search
-    scans per-partition classes, not the product of candidates: at horizon
-    1 or 2 the first candidate of each action histogram in declaration
-    order, so each joint histogram is valued once; deeper, every candidate,
-    valued without a root vector: b0 . reward plus, per (observation key
-    j, weight w, child) term of its backup, w * u[a][j] . alpha_child with
-    u[a][j] = gamma * (b0 T[a]) * omega_j.  u and each dot are memoised
-    per root action histogram, so a candidate costs dictionary lookups and
-    float products, summed by `math.fsum`.  `joint_candidates` counts the
-    policy class searched, not the vectors valued.  `cap_joint` bounds the
-    root's work: at horizon 3 or more the candidates valued; at horizon 1
-    or 2 each partition's multisets walked and the joint classes valued.
+    one alpha-vector over states is backed up per joint plan node: alpha =
+    reward + gamma * T[action histogram] . cont, with cont the sum over
+    observation keys of the sensor column times the expected child alpha.
+    One rule, `value_key`, names what a node's vector depends on: at depth
+    1 or 2 its action histogram, deeper its occupancy; one memo holds the
+    vectors by (depth, joint value key).  Each partition's share of an
+    observation key is allocated over its occupied nodes hypergeometrically;
+    these allocation kernels, from (depth, occupancy, observation histogram)
+    to child value keys and their probabilities, do not depend on the state
+    and are built once per entry.  The root search scans per-partition
+    classes, one per root value key, not the product of candidates.  At
+    horizon 3 or more a candidate is valued without a root vector: b0 .
+    reward plus, per (observation key j, weight w, child) term of its
+    backup, w * u[a][j] . alpha_child with u[a][j] = gamma * (b0 T[a]) *
+    omega_j, each dot memoised per root action histogram.
+    `joint_candidates` counts the policy class searched, not the vectors
+    valued.  `cap_joint` bounds the root's work: at horizon 3 or more the
+    candidates valued; at horizon 1 or 2 each partition's multisets walked
+    and the joint classes valued.
 
     Raises ValidationError before searching when a state lacks a sensor
     row, a sensor row's mass is not 1, or a (state, action histogram)
@@ -756,9 +751,13 @@ def lifted_exhaustive(
             counts[acts[node_idx]] += c
         return tuple(counts)
 
+    def value_key(k, depth, occ_k):
+        # what a depth-`depth` node's value depends on in partition k: at
+        # depth 1 or 2 its action histogram, deeper its occupancy
+        return action_histogram(k, depth, occ_k) if depth <= 2 else occ_k
+
     def allocate(k, depth, occ_k, obs_k):
-        # [(child occupancy, child action histogram, probability)]; children
-        # at depth 2 are merged by action histogram, all their vector needs
+        # [(child value key, probability)], children merged by value key
         kids = node_children[k][depth - 1]
         ways_by_child: dict = {}
         for rows, ways in _group_allocations(occ_k, obs_k):
@@ -768,14 +767,10 @@ def lifted_exhaustive(
                 for o, m in enumerate(row):
                     if m:
                         counts[children[o]] = counts.get(children[o], 0) + m
-            child = tuple(sorted(counts.items()))
-            child_key = (
-                None if depth == 3 else child,
-                action_histogram(k, depth - 1, child),
-            )
-            ways_by_child[child_key] = ways_by_child.get(child_key, 0) + ways
+            child = value_key(k, depth - 1, tuple(sorted(counts.items())))
+            ways_by_child[child] = ways_by_child.get(child, 0) + ways
         norm = histogram_multiplicity(obs_k)
-        return [(c, a, ways / norm) for (c, a), ways in ways_by_child.items()]
+        return [(child, ways / norm) for child, ways in ways_by_child.items()]
 
     part_obs = [
         list(dict.fromkeys(key[k] for key in obs_keys)) for k in range(n_partitions)
@@ -813,62 +808,60 @@ def lifted_exhaustive(
                 yield tuple(sorted(counts.items()))
 
     # Root classes: the candidates of one partition the root search must
-    # tell apart, each class as its first candidate in declaration order.  A
-    # depth-1 or depth-2 value depends on the action histogram alone, so
-    # there a class is every candidate sharing one; deeper, each candidate
-    # is its own class.  The product of classes visits, in order, the first
-    # candidate of every joint class, so the first strict maximum is the
-    # candidate a scan over the whole product would keep.
+    # tell apart, each class as its first candidate in declaration order,
+    # one per root value key.  The product of classes visits, in order, the
+    # first candidate of every joint class, so the first strict maximum is
+    # the candidate a scan over the whole product would keep.
     per_partition = []
     for k in range(n_partitions):
         classes: dict = {}
         for occ_k in candidates(k):
-            hist = action_histogram(k, horizon, occ_k)
-            classes.setdefault(hist if horizon <= 2 else occ_k, (occ_k, hist))
-        per_partition.append(list(classes.values()))
+            classes.setdefault(value_key(k, horizon, occ_k), occ_k)
+        per_partition.append(
+            [(occ_k, action_histogram(k, horizon, occ_k)) for occ_k in classes.values()]
+        )
     if horizon <= 2:
         joint_classes = math.prod(map(len, per_partition))
         _check_cap(joint_classes, cap_joint, "joint action histogram classes", "joint")
 
-    shallow: dict = {}
-    memo: dict = {}
-
-    def alpha(depth, occ, action_key):
-        if depth == 1:
-            return reward
-        if depth == 2:
-            hit = shallow.get(action_key)
-            if hit is None:
-                hit = shallow[action_key] = reward + gamma * trans[action_key].dot(reward)
-            return hit
-        key = (depth, occ)
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = backup(depth, occ, action_key)
-        return hit
-
     def terms(depth, occ):
         # the backup terms of a joint occupancy, (observation key index,
-        # weight, child occupancy, child action histogram): per observation
-        # key, the product over partitions of their kernel entries
+        # weight, joint child value key): per observation key, the product
+        # over partitions of their kernel entries
         rows = [kernel(k, depth, occ[k]) for k in range(n_partitions)]
         for j, entries in enumerate(zip(*rows)):
             for combo in itertools.product(*entries):
-                child_occ, child_action, probs = zip(*combo)
-                yield j, math.prod(probs), child_occ, child_action
+                child, probs = zip(*combo)
+                yield j, math.prod(probs), child
 
-    def backup(depth, occ, action_key):
-        columns, weights, children = [], [], []
-        for j, weight, child_occ, child_action in terms(depth, occ):
-            columns.append(j)
-            weights.append(weight)
-            children.append(alpha(depth - 1, child_occ, child_action))
-        coef = omega_t[columns] * np.array(weights)[:, None]
-        cont = (coef * np.array(children)).sum(axis=0)
-        return reward + gamma * trans[action_key].dot(cont)
+    memo: dict = {}
 
-    # the root at horizon 3 or more: b0 . backup(horizon, occ, action_key)
-    # as a sum of memoised scalars (see the docstring)
+    def alpha(depth, key):
+        # the value vector of a depth-`depth` joint node, memoised by its
+        # joint value key; a deep node's action histogram comes from its
+        # occupancy
+        if depth == 1:
+            return reward
+        hit = memo.get((depth, key))
+        if hit is None:
+            if depth == 2:
+                action_key, cont = key, reward
+            else:
+                action_key = tuple(
+                    action_histogram(k, depth, occ_k) for k, occ_k in enumerate(key)
+                )
+                columns, weights, children = [], [], []
+                for j, weight, child in terms(depth, key):
+                    columns.append(j)
+                    weights.append(weight)
+                    children.append(alpha(depth - 1, child))
+                coef = omega_t[columns] * np.array(weights)[:, None]
+                cont = (coef * np.array(children)).sum(axis=0)
+            hit = memo[depth, key] = reward + gamma * trans[action_key].dot(cont)
+        return hit
+
+    # the root at horizon 3 or more: b0 . alpha(horizon, occ) as a sum of
+    # memoised scalars (see the docstring)
     immediate = value_of(reward)
     root_u: dict = {}
     root_dots: dict = {}
@@ -878,28 +871,27 @@ def lifted_exhaustive(
         if u is None:
             u = root_u[action_key] = gamma * (b0 @ trans[action_key]) * omega_t
         parts = [immediate]
-        for j, weight, child_occ, child_action in terms(horizon, occ):
-            key = (action_key, j, child_occ, child_action)
+        for j, weight, child in terms(horizon, occ):
+            key = (action_key, j, child)
             dot = root_dots.get(key)
             if dot is None:
-                child = alpha(horizon - 1, child_occ, child_action)
-                dot = root_dots[key] = float(u[j].dot(child))
+                dot = root_dots[key] = float(u[j].dot(alpha(horizon - 1, child)))
             parts.append(weight * dot)
         return math.fsum(parts)
 
     best_occ, best_value = None, None
     for combo in itertools.product(*per_partition):
         occ, action_key = zip(*combo)
-        if horizon <= 2:
-            v = value_of(alpha(horizon, occ, action_key))
+        if horizon <= 2:  # the value key is the action histogram
+            v = value_of(alpha(horizon, action_key))
         else:
             v = root_value(occ, action_key)
         if best_value is None or v > best_value:
             best_occ, best_value = occ, v
-    # alpha and backup refer to each other through their closures; unlinking
-    # them lets reference counting free the memo, the kernels and the pools
-    # when this call returns
-    alpha = backup = None
+    # alpha refers to itself through its closure; unlinking it lets
+    # reference counting free the memo, the kernels and the pools when this
+    # call returns
+    alpha = None
 
     cache: dict = {}
     plans = []

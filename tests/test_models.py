@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from declift.counting import enumerate_histograms
-from declift.errors import ZeroProbabilityObservation
+from declift.errors import RangeMismatch, ZeroProbabilityObservation
 from declift.lifting import lift, range_partition
 from declift.modelio import parse_model
 from declift.models import (
@@ -124,6 +124,28 @@ def test_belief_update_zero_probability_observation():
     )
     with pytest.raises(ZeroProbabilityObservation):
         belief_update(impossible, belief, "probe", "marker")
+
+
+def test_belief_update_refuses_an_undeclared_observation():
+    model = two_state_pomdp()
+    belief = Belief(model.states, np.array([0.5, 0.5]))
+    with pytest.raises(RangeMismatch, match=r"observation 'cough' is not in the model's"):
+        belief_update(model, belief, "wait", "cough")
+
+
+def test_belief_update_refuses_an_undeclared_action():
+    # an action no state declares is a range error, not an impossible
+    # observation; a declared action whose row is missing still
+    # contributes nothing
+    model = two_state_pomdp()
+    belief = Belief(model.states, np.array([0.5, 0.5]))
+    with pytest.raises(RangeMismatch, match=r"action 'treat' is not in the model's"):
+        belief_update(model, belief, "treat", "clear")
+    transition = dict(model.transition)
+    del transition[("ill", "probe")]
+    partial = dataclasses.replace(model, transition=transition)
+    updated = belief_update(partial, belief, "probe", "clear")
+    assert np.array_equal(updated.probs, [1.0, 0.0])
 
 
 def test_validate_clean_pomdp():

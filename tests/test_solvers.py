@@ -1066,11 +1066,18 @@ def test_lifted_matches_ground_on_random_liftable_models(seed, sizes):
         assert abs(ground_result.value - lifted_result.value) <= 1e-9
 
 
-@pytest.mark.parametrize("sizes", [(2,), (1, 2)])
-def test_lifted_matches_ground_at_horizon_four(sizes):
+@pytest.mark.parametrize(
+    "sizes, observations",
+    [((2,), ("o",)), ((1, 2), ("o",)), ((1,), ("o", "n"))],
+    ids=["sizes0", "sizes1", "sizes2"],
+)
+def test_lifted_matches_ground_at_horizon_four(sizes, observations):
     # with one observation symbol a depth-4 plan is an action sequence, which
-    # keeps horizon 4, and so the memoised depth-3 vectors, cheap to reach
-    lifted = random_lifted(np.random.default_rng(7), sizes, observations=("o",))
+    # keeps horizon 4, and so the memoised depth-3 vectors, cheap to reach;
+    # one agent with two symbols has 32,768 candidates, whose depth-4
+    # backups key their depth-3 children by occupancy under two
+    # observation keys
+    lifted = random_lifted(np.random.default_rng(7), sizes, observations=observations)
     ground_result = decpomdp_exhaustive(ground(lifted), 4)
     lifted_result = lifted_exhaustive(lifted, 4)
     assert abs(ground_result.value - lifted_result.value) <= 1e-9
@@ -1415,6 +1422,50 @@ def test_lifted_and_ground_optima_agree_on_generated_models(seed, case):
     lifted = random_lifted(np.random.default_rng(seed), sizes)
     ground_value = decpomdp_exhaustive(ground(lifted), horizon).value
     assert abs(lifted_exhaustive(lifted, horizon).value - ground_value) <= 1e-9
+
+
+def refined(model: LiftedDecPomdp, splits) -> LiftedDecPomdp:
+    """`model` grounded and lifted again under a finer partitioning:
+    splits[b] labels the members of block b, one new block per label."""
+    part = model.partitioning
+    blocks, action_ranges, observation_ranges = [], [], []
+    for block, labels, actions, observations in zip(
+        part.blocks, splits, part.action_ranges, part.observation_ranges
+    ):
+        groups: dict = {}
+        for member, label in zip(block, labels):
+            groups.setdefault(label, []).append(member)
+        blocks.extend(map(tuple, groups.values()))
+        action_ranges.extend([actions] * len(groups))
+        observation_ranges.extend([observations] * len(groups))
+    finer = Partitioning(tuple(blocks), tuple(action_ranges), tuple(observation_ranges))
+    return lift(ground(model), finer)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.sampled_from([(3,), (4,), (2, 2), (3, 1)]),
+    data=st.data(),
+)
+def test_lifted_optimum_does_not_depend_on_a_finer_partition(seed, sizes, data):
+    # a partition of n members and any split of it, such as (n - 1, 1),
+    # describe the same joint policies up to member order, so the optimum
+    # is one; peak-only is not invariant under refinement
+    model = random_lifted(np.random.default_rng(seed), sizes)
+    labels = [st.lists(st.integers(0, n - 1), min_size=n, max_size=n) for n in sizes]
+    finer = refined(model, [data.draw(member_labels) for member_labels in labels])
+    assert abs(lifted_exhaustive(finer, 2).value - lifted_exhaustive(model, 2).value) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lifted_optimum_at_horizon_three_does_not_depend_on_a_finer_partition(seed):
+    # the hypergeometric split of two members and that of two one-member
+    # partitions are different paths through `_group_allocations`
+    model = random_lifted(np.random.default_rng(seed), (2,))
+    finer = refined(model, [(0, 1)])
+    assert finer.partitioning.sizes == (1, 1)
+    assert abs(lifted_exhaustive(finer, 3).value - lifted_exhaustive(model, 3).value) <= 1e-9
 
 
 def member_plans(lifted: LiftedDecPomdp, policy) -> list:
